@@ -14,8 +14,6 @@ import hashlib
 import json
 import sys
 
-import numpy as np
-
 from . import energetics, soliton
 from .constants import (classical_electron_radius, constants,
                         preset_from_environment)
@@ -27,7 +25,7 @@ from .kinematics import boost_invariance_suite, fierz_suite
 from .models import model_from_config
 from .quadrature import QuadratureSpec
 
-SUBCOMMANDS = ("profile", "energy", "laue", "expand", "invariants", "dirac", "radius")
+SUBCOMMANDS = ("profile", "energy", "expand", "invariants", "dirac", "radius")
 
 _DEFAULTS = {
     "model": None,
@@ -76,6 +74,11 @@ def _merge_config(path: str | None) -> dict:
     return cfg
 
 
+def _require_int(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     cfg = _merge_config(args.config)
     # preset precedence: flag > environment variable > config file > modern
@@ -105,14 +108,20 @@ def _resolve(args: argparse.Namespace) -> dict:
         cfg["convention"] = args.convention
 
     g = cfg["grid"]
-    if not (isinstance(g["points"], int) and g["points"] >= 5):
-        raise ConfigurationError(f"grid points must be an integer >= 5, got {g['points']}")
+    _require_int("grid points", g["points"], 5)
     if not (0 < g["r_min_over_r0"] < g["r_max_over_r0"]):
         raise ConfigurationError(
             f"need 0 < r_min < r_max, got ({g['r_min_over_r0']}, {g['r_max_over_r0']})")
     q = cfg["quad"]
     if not (q["rel_tol"] > 0 and q["abs_tol"] > 0):
         raise ConfigurationError("quad tolerances must be positive")
+    _require_int("quad max_subdiv", q["max_subdiv"], 1)
+    _require_int("draws", cfg["draws"], 1)
+    _require_int("boost_draws", cfg["boost_draws"], 1)
+    _require_int("seed", cfg["seed"], 0)
+    if not isinstance(cfg["higher_order"], bool):
+        raise ConfigurationError(
+            f"higher_order must be true or false, got {cfg['higher_order']!r}")
     return cfg
 
 
@@ -147,14 +156,6 @@ def _require_model(cfg: dict):
     return model_from_config(spec), k, spec
 
 
-def _grid_unit(model, k) -> float:
-    """Radial unit of the CLI grid: sqrt(e/E0), or the classical radius for
-    models without a limiting field."""
-    if model.E0 is not None:
-        return float(np.sqrt(k.e / model.E0))
-    return classical_electron_radius(k)
-
-
 def _write(cfg: dict, text: str) -> None:
     path = cfg["output"]["path"]
     if path is None:
@@ -173,7 +174,7 @@ def _emit_json(cfg: dict, obj: dict) -> None:
 def _cmd_profile(cfg: dict) -> None:
     model, k, spec = _require_model(cfg)
     g = cfg["grid"]
-    unit = _grid_unit(model, k)
+    unit = energetics.radial_scale(model, k.e)
     if g["spacing"] == "log":
         grid = soliton.log_grid(g["r_min_over_r0"] * unit, g["r_max_over_r0"] * unit,
                                 g["points"])
@@ -212,13 +213,13 @@ def _cmd_profile(cfg: dict) -> None:
         raise ConfigurationError(f"unknown output format {fmt!r} (csv or json)")
 
 
-def _energy_like(cfg: dict) -> dict:
+def _cmd_energy(cfg: dict) -> None:
     model, k, spec = _require_model(cfg)
     quad = _quad_spec(cfg)
     summary = energetics.stress_integrals(model, k.e, quad)
     r0 = energetics.radial_scale(model, k.e, quad.cutoff_r)
     unit = k.e**2 / r0
-    return {
+    _emit_json(cfg, {
         "provenance": _provenance(cfg),
         "model": spec,
         "convention": cfg["convention"],
@@ -230,15 +231,7 @@ def _energy_like(cfg: dict) -> dict:
         "momentum_g_cm_per_s": summary.momentum.tolist(),
         "quad_error": summary.quad_error,
         "cutoff_r_cm": summary.cutoff_r,
-    }
-
-
-def _cmd_energy(cfg: dict) -> None:
-    _emit_json(cfg, _energy_like(cfg))
-
-
-def _cmd_laue(cfg: dict) -> None:
-    _emit_json(cfg, _energy_like(cfg))
+    })
 
 
 def _cmd_expand(cfg: dict) -> None:
@@ -311,7 +304,6 @@ def _cmd_radius(cfg: dict) -> None:
 _HANDLERS = {
     "profile": _cmd_profile,
     "energy": _cmd_energy,
-    "laue": _cmd_laue,
     "expand": _cmd_expand,
     "invariants": _cmd_invariants,
     "dirac": _cmd_dirac,

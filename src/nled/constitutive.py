@@ -84,8 +84,9 @@ class _MapShape:
     D_max: float | None = None
 
 
-def _characteristic_field(m: LagrangianModel) -> float:
-    """Field scale where nonlinearity becomes order one (probe range anchor)."""
+def _characteristic_field(m: LagrangianModel) -> float | None:
+    """Field scale where the nonlinearity of D(E) becomes order one, or None
+    when the map at H = 0 is linear and has no scale."""
     if m.E0 is not None:
         return m.E0
     if m.kind == POLYNOMIAL:
@@ -94,20 +95,21 @@ def _characteristic_field(m: LagrangianModel) -> float:
             return 1.0 / np.sqrt(16.0 * np.pi * abs(c.alpha))
         if c.xi != 0.0:
             return (24.0 * np.pi * abs(c.xi)) ** -0.25
-    return 1.0
+    return None
 
 
 @lru_cache(maxsize=64)
 def _map_shape(m: LagrangianModel) -> _MapShape:
     """Monotonicity of D(E), with the peak located for unimodal maps.
 
-    maxwell and born-infeld are increasing in closed form; the rest are
-    probed on a geometric grid around the characteristic field (assumes the
-    map is unimodal at probe resolution, true for the shipped kinds).
+    born-infeld and the linear maps (no characteristic field) are increasing
+    in closed form; the rest are probed on a geometric grid around the
+    characteristic field (assumes the map is unimodal at probe resolution,
+    true for the shipped kinds).
     """
-    if m.kind in (MAXWELL, BORN_INFELD):
-        return _MapShape(monotone=True)
     scale = _characteristic_field(m)
+    if m.kind == BORN_INFELD or scale is None:
+        return _MapShape(monotone=True)
     grid = scale * np.logspace(-9.0, 9.0, 145)
     d = displacement_from_field(m, grid)
     rising = np.diff(d) > 0
@@ -216,8 +218,12 @@ def _invert_log_e(m: LagrangianModel, d_target: float, e_lo: float, e_hi: float,
     def f(y: float) -> float:
         return displacement_from_field(m, np.exp(y)) - d_target
 
-    y, info = brentq(f, np.log(e_lo), np.log(e_hi), xtol=1e-14,
-                     maxiter=200, full_output=True)
+    try:
+        y, info = brentq(f, np.log(e_lo), np.log(e_hi), xtol=1e-14,
+                         maxiter=200, full_output=True)
+    except ValueError as exc:  # no sign change at the ends, or E overflowed
+        raise ConvergenceFailure(f"{exc} (log E bracket, D = {d_target!r})",
+                                 D=d_target) from None
     if not info.converged:
         raise ConvergenceFailure(f"brentq failed to converge for D = {d_target!r}",
                                  D=d_target)
@@ -225,6 +231,13 @@ def _invert_log_e(m: LagrangianModel, d_target: float, e_lo: float, e_hi: float,
     residual = abs(displacement_from_field(m, e_root) - d_target) / d_target
     return _result(m, e_root, d_target, evals + info.iterations, branch, residual,
                    _coulomb_deviation(m, e_root))
+
+
+def _rounds_below_root(m: LagrangianModel, h: float, d_target: float) -> bool:
+    """Whether brentq's upper end exp(log(h)) rounds below h and below the
+    root; in the far tail, where D(E) - E is under an ulp of E, it can."""
+    h_seen = np.exp(np.log(h))
+    return h_seen < h and displacement_from_field(m, h_seen) < d_target
 
 
 def field_from_displacement(m: LagrangianModel, D: float) -> InversionResult:
@@ -253,7 +266,7 @@ def field_from_displacement(m: LagrangianModel, D: float) -> InversionResult:
             return InversionResult(E=h, iterations=evals, residual=0.0,
                                    branch=BRANCH_UNIQUE,
                                    coulomb_deviation=_coulomb_deviation(m, h))
-        while d_h < d_target:
+        while d_h < d_target or _rounds_below_root(m, h, d_target):
             h *= 4.0
             evals += 1
             if not np.isfinite(h) or evals > 800:

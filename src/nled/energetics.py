@@ -27,12 +27,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import PhysicalConstants, classical_electron_radius
+from .constants import PhysicalConstants, classical_electron_radius, constants
 from .constitutive import _characteristic_field, field_from_displacement
 from .errors import ConfigurationError, UnsupportedModel
 from .kinematics import FOUR_PI
 from .models import (BORN_INFELD, LagrangianModel, born_infeld,
-                     density_from_invariants, electrostatic_legendre_density)
+                     density_from_invariants)
 from .quadrature import QuadratureSpec, adaptive_quad, inner_limit_quad, tail_quad
 
 CONVENTION_PAPER = "paper"
@@ -53,44 +53,49 @@ class StressSummary:
     cutoff_r: float | None = None
 
 
-def energy_density(m: LagrangianModel, E):
-    """u = E D / 4 pi - L at H = 0 (the T44 integrand); scalar or array."""
-    E = np.asarray(E, dtype=float)
-    if np.any(E < 0) or not np.all(np.isfinite(E)):
-        raise ValueError(f"field magnitude must be finite and >= 0, got {E}")
-    return electrostatic_legendre_density(m, E)
-
-
 def radial_scale(m: LagrangianModel, e: float, cutoff_r: float | None = None) -> float:
-    """Substitution scale r_s for the radial integrals.
+    """The radial unit r_s of profile grids and radial integrals.
 
-    sqrt(e/E0) for limiting-field models, the analogous characteristic
-    radius for polynomial models; scale-free models fall back to the cutoff
-    (when given) or to the radius where the Coulomb field is unity.
+    sqrt(e/E0) for the limiting-field kinds; sqrt(e/E_c) for polynomial
+    models, E_c being the field where their nonlinearity becomes order one;
+    otherwise the cutoff when one is given, else the classical electron
+    radius e^2/(m_e c^2) (both constant presets share m_e and c).
     """
     if not e > 0:
         raise ConfigurationError(f"charge must be positive, got {e}")
-    if m.E0 is not None:
-        return float(np.sqrt(e / m.E0))
     char = _characteristic_field(m)
-    if char != 1.0:
+    if char is not None:
         return float(np.sqrt(e / char))
     if cutoff_r is not None:
         return float(cutoff_r)
-    return float(np.sqrt(e))
+    k = constants()
+    return e**2 / (k.m_e * k.c**2)
 
 
-def _stress_components_at(m: LagrangianModel, e: float, r: float) -> tuple[float, float]:
-    """(T_rr, L) at radius r, parameterized by the exact D = e/r^2.
+def _stress_densities(m: LagrangianModel, E, D):
+    """(u, L) from the field E and the exact displacement D; scalar or array.
 
-    u = E D/4pi - L(E) stays well conditioned arbitrarily close to the
-    center because D is exact and L is a regular function of E there,
+    u = E D/4pi - L(E^2, 0) is the energy density and radial stress T_rr,
+    and T_theta,theta = -L.  u stays well conditioned arbitrarily close to
+    the center because D is exact and L is a regular function of E there,
     whereas recomputing D from E crosses the radicand cancellation.
     """
-    D = e / r**2
-    E = field_from_displacement(m, D).E
     L = density_from_invariants(m, E * E, 0.0)
     return E * D / FOUR_PI - L, L
+
+
+def _radial_integrand(m: LagrangianModel, e: float, r_s: float, trace: bool = False):
+    """Dimensionless g(x), x = r/r_s, of the volume integral of u (or, with
+    ``trace``, of the spatial stress trace u - 2L) in units of e^2/r_s."""
+    unit = e**2 / r_s
+
+    def g(x: float) -> float:
+        r = x * r_s
+        D = e / r**2
+        u, L = _stress_densities(m, field_from_displacement(m, D).E, D)
+        return (u - 2.0 * L if trace else u) * FOUR_PI * r**2 * r_s / unit
+
+    return g
 
 
 def _radial_integral(g, quad: QuadratureSpec, r_s: float) -> tuple[float, float]:
@@ -119,13 +124,7 @@ def total_energy(m: LagrangianModel, e: float,
     """
     r_s = radial_scale(m, e, quad.cutoff_r)
     unit = e**2 / r_s
-
-    def g(x: float) -> float:
-        r = x * r_s
-        u, _ = _stress_components_at(m, e, r)
-        return u * FOUR_PI * r**2 * r_s / unit
-
-    value, err = _radial_integral(g, quad, r_s)
+    value, err = _radial_integral(_radial_integrand(m, e, r_s), quad, r_s)
     return value * unit, err * unit
 
 
@@ -138,19 +137,8 @@ def stress_integrals(m: LagrangianModel, e: float,
     """
     r_s = radial_scale(m, e, quad.cutoff_r)
     unit = e**2 / r_s
-
-    def g_energy(x: float) -> float:
-        r = x * r_s
-        u, _ = _stress_components_at(m, e, r)
-        return u * FOUR_PI * r**2 * r_s / unit
-
-    def g_trace(x: float) -> float:
-        r = x * r_s
-        u, L = _stress_components_at(m, e, r)
-        return (u - 2.0 * L) * FOUR_PI * r**2 * r_s / unit
-
-    U, err_u = _radial_integral(g_energy, quad, r_s)
-    trace, err_t = _radial_integral(g_trace, quad, r_s)
+    U, err_u = _radial_integral(_radial_integrand(m, e, r_s), quad, r_s)
+    trace, err_t = _radial_integral(_radial_integrand(m, e, r_s, trace=True), quad, r_s)
     return StressSummary(
         U_total=U * unit,
         laue_trace=trace * unit,

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IllConditioned
 from .kinematics import FieldVectors
-from .models import (LagrangianModel, MIE_SQRT, lagrangian_density, polynomial,
-                     taylor_reference)
+from .models import LagrangianModel, MIE_SQRT, lagrangian_density, polynomial
 
 MAX_SAMPLE_SCALE = 0.05
 CONDITION_LIMIT = 1e8
@@ -133,10 +132,3 @@ def polynomial_from_model(m: LagrangianModel,
     est = estimate_taylor_coefficients(m, sample_scale)
     return polynomial(alpha=est.c20_hat, beta=est.c02_hat)
 
-
-def reference_estimate_errors(m: LagrangianModel, sample_scale: float) -> tuple[float, float]:
-    """|c20_hat - c20| and |c02_hat - c02| against the analytic reference
-    (convergence-rate diagnostics; O(scale^2))."""
-    est = estimate_taylor_coefficients(m, sample_scale)
-    ref = taylor_reference(m)
-    return abs(est.c20_hat - ref.c20), abs(est.c02_hat - ref.c02)

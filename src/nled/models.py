@@ -191,39 +191,6 @@ def dL_dE(m: LagrangianModel, F: FieldVectors) -> np.ndarray:
     return 2.0 * d1 * F.E + d2 * F.H
 
 
-def _slope_h0(m: LagrangianModel, i1):
-    """dL/dI1 at (I1, I2 = 0); scalar or array, strict domain interior."""
-    if m.kind == MAXWELL:
-        return np.full_like(np.asarray(i1, dtype=float), 1.0 / EIGHT_PI)
-    if m.kind == BORN_INFELD:
-        rad = _bi_radicand(m, i1, 0.0)
-        if np.any(rad == 0.0):
-            raise DomainExceeded(m.kind, "radicand 1 - I1/E0^2", 0.0)
-        return 1.0 / (EIGHT_PI * np.sqrt(rad))
-    if m.kind == LOG_SCHROEDINGER:
-        arg = np.asarray(i1, dtype=float) / m.E0**2
-        if np.any(arg <= -1.0):
-            raise DomainExceeded(m.kind, "argument 1 + I1/E0^2", float(1.0 + np.min(arg)))
-        return 1.0 / (EIGHT_PI * (1.0 + arg))
-    if m.kind == POLYNOMIAL:
-        c = m.coeffs
-        i1 = np.asarray(i1, dtype=float)
-        return 1.0 / EIGHT_PI + 2.0 * c.alpha * i1 + 3.0 * c.xi * i1**2
-    raise UnsupportedModel(f"{m.kind} has no field-gradient structure")
-
-
-def electrostatic_legendre_density(m: LagrangianModel, E):
-    """u(E) = E dL/dE - L at H = 0: the energy density / radial stress T_rr.
-
-    Scalar or array field magnitudes.
-    """
-    E = np.asarray(E, dtype=float)
-    scalar = E.ndim == 0
-    i1 = E**2
-    u = 2.0 * i1 * _slope_h0(m, i1) - density_from_invariants(m, i1, 0.0)
-    return float(u) if scalar else u
-
-
 def taylor_reference(m: LagrangianModel) -> TaylorReference:
     """Analytic (c1, c20, c02) of the small-field expansion."""
     if m.kind == MAXWELL:

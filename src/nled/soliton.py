@@ -6,11 +6,11 @@ divergence rho = (1/4 pi r^2) d(r^2 E)/dr taken with high-order finite
 differences on the grid; eps = D/E; the potential is the inward integral of
 E with the improper tail mapped to a proper integral.
 
-Grids are uniform in log r (default: 400 points over [1e-4, 1e4] r0, where
-r0 = sqrt(e/E0)) or in r, so fixed-stencil differences apply in the uniform
-coordinate.  r = 0 is never a grid point; the r -> 0 field limit is attached
-separately where it exists in closed form (the limiting field E0 of the
-bounded model).
+Grids are uniform in log r (default: 400 points over [1e-4, 1e4] r0, r0
+being energetics.radial_scale) or in r, so fixed-stencil differences apply
+in the uniform coordinate.  r = 0 is never a grid point; the r -> 0 field
+limit is attached separately where it exists in closed form (the limiting
+field E0 of the bounded model).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import energetics
-from .constitutive import (attainable_displacement_max, displacement_from_field,
-                           field_from_displacement)
+from .constitutive import attainable_displacement_max, field_from_displacement
 from .errors import ConfigurationError, NoSolution
 from .kinematics import FOUR_PI
 from .models import BORN_INFELD, LagrangianModel
@@ -76,13 +75,6 @@ def linear_grid(r_min: float, r_max: float, points: int = DEFAULT_POINTS) -> Rad
 
 def default_grid(r0: float, points: int = DEFAULT_POINTS) -> RadialGrid:
     return log_grid(DEFAULT_SPAN[0] * r0, DEFAULT_SPAN[1] * r0, points)
-
-
-def effective_radius_scale(m: LagrangianModel, e: float) -> float:
-    """r0 = sqrt(e/E0); falls back to the characteristic nonlinearity radius
-    for models without a limiting field (see energetics for the scale-free
-    case, where the classical radius is the natural unit)."""
-    return energetics.radial_scale(m, e)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +200,6 @@ def charge_density_profile(m: LagrangianModel, e: float,
     return e * deriv / (FOUR_PI * grid.r**2)
 
 
-def permittivity_profile(m: LagrangianModel, e: float, grid: RadialGrid,
-                         E: np.ndarray | None = None) -> np.ndarray:
-    """eps(r) = D(r)/E(r); pass a precomputed E profile to skip reinversion."""
-    if E is None:
-        E = field_profile(m, e, grid)
-    return displacement_profile(e, grid) / E
-
-
 _POTENTIAL_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdiv=100)
 
 
@@ -237,7 +221,7 @@ def potential_profile(m: LagrangianModel, e: float, grid: RadialGrid,
     substitution x -> 1/x turns into a proper integral (E ~ e/r^2 far out,
     so the transformed integrand tends to a constant).
     """
-    r_unit = effective_radius_scale(m, e)
+    r_unit = energetics.radial_scale(m, e)
     x = grid.r / r_unit
     f = _scaled_field_fn(m, e, r_unit)
     phi = np.empty(grid.n)
@@ -255,7 +239,7 @@ def potential_at(m: LagrangianModel, e: float, r: float,
     the center is finite (bounded-field models)."""
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    r_unit = effective_radius_scale(m, e)
+    r_unit = energetics.radial_scale(m, e)
     f = _scaled_field_fn(m, e, r_unit)
     x = r / r_unit
     x_split = max(1.0, x)
@@ -290,7 +274,7 @@ class SolitonProfile:
 def compute_profile(m: LagrangianModel, e: float,
                     grid: RadialGrid | None = None) -> SolitonProfile:
     """Assemble the full profile, trimming radii the model cannot support."""
-    r0 = effective_radius_scale(m, e)
+    r0 = energetics.radial_scale(m, e)
     if grid is None:
         grid = default_grid(r0)
     boundary = None
@@ -306,15 +290,11 @@ def compute_profile(m: LagrangianModel, e: float,
                                  note="fewer than 5 grid points remain above "
                                       "the inversion boundary")
             grid = RadialGrid(r=grid.r[keep], spacing=grid.spacing)
-    from .models import density_from_invariants
-
     E = field_profile(m, e, grid)
     D = displacement_profile(e, grid)
     rho = charge_density_profile(m, e, grid)
     eps = D / E
-    # u parameterized by the exact D (stable near the center, where
-    # recomputing D from E would cross the radicand cancellation)
-    u = E * D / FOUR_PI - density_from_invariants(m, E**2, 0.0)
+    u, _ = energetics._stress_densities(m, E, D)
     phi = potential_profile(m, e, grid)
     return SolitonProfile(
         grid=grid, D=D, E=E, rho=rho, eps=eps, u=u, phi=phi,

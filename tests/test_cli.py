@@ -89,6 +89,15 @@ class TestProfileCommand:
         assert abs(boundary / (np.sqrt(2) * r0) - 1) <= 1e-6
         assert min(out["r_cm"]) > boundary
 
+    def test_maxwell_json_radius_is_grid_unit(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": {"format": "json"}}))
+        proc = run_cli("profile", "--model", "maxwell", "--points", "9",
+                       "--config", str(cfg), check=True)
+        out = json.loads(proc.stdout)
+        assert out["r0_cm"] == out["r_unit_cm"]
+        assert abs(out["r_unit_cm"] / 2.8179e-13 - 1) <= 1e-3
+
 
 class TestPresetPlumbing:
     def test_env_variable_selects_preset(self):
@@ -156,6 +165,29 @@ class TestOtherCommands:
         cfg.write_text(json.dumps({"modle": {"kind": "maxwell"}}))
         proc = run_cli("profile", "--config", str(cfg))
         assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("bad", [
+    {"draws": 0, "boost_draws": 0},
+    {"draws": 0},
+    {"boost_draws": 2.5},
+    {"seed": -1},
+    {"seed": "7"},
+    {"higher_order": "yes"},
+    {"quad": {"max_subdiv": 0}},
+    {"quad": {"max_subdiv": True}},
+])
+def test_invalid_config_values_exit_2(tmp_path, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    for command in ("invariants", "expand"):
+        assert run([command, "--model", "born-infeld", "--E0", "1.0",
+                    "--config", str(cfg)]) == 2
+
+
+def test_removed_laue_subcommand_exits_2():
+    proc = run_cli("laue", "--model", "born-infeld")
+    assert proc.returncode == 2
 
 
 def test_run_function_directly():

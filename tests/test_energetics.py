@@ -7,9 +7,10 @@ from nled import (ConfigurationError, Divergent, PhysicalConstants,
                   QuadratureSpec, SolitonProfile, UnsupportedModel,
                   born_infeld, born_infeld_energy_constant,
                   check_stress_divergence, classical_electron_radius,
-                  compute_profile, constants, effective_radius, energy_density,
-                  log_grid, mass_from_energy, maxwell, stress_integrals,
+                  compute_profile, constants, effective_radius, log_grid,
+                  mass_from_energy, maxwell, polynomial, stress_integrals,
                   total_energy)
+from nled.energetics import radial_scale
 from nled.soliton import RadialGrid
 
 # Independent closed form for the self-energy constant.
@@ -22,21 +23,44 @@ BI = born_infeld(E0)
 
 
 class TestEnergyDensity:
+    """The profile's u = E D/4pi - L against closed forms."""
+
     def test_maxwell(self):
-        assert_allclose(energy_density(maxwell(), 1.0), 1 / (8 * np.pi))
+        g = log_grid(1e-12, 1e-10, 9)
+        u = compute_profile(maxwell(), K.e, g).u
+        assert_allclose(u, K.e**2 / (8 * np.pi * g.r**4), rtol=1e-14)
 
     def test_born_infeld_at_effective_radius(self):
-        # u(x=1) = (E0^2/4pi)(sqrt(2) - 1)
-        u = energy_density(born_infeld(1.0), 1 / np.sqrt(2))
-        assert_allclose(u, (np.sqrt(2) - 1) / (4 * np.pi), rtol=1e-14)
-        assert_allclose(u, 0.0329621, rtol=1e-5)
+        # u(r0) = (E0^2/4pi)(sqrt(2) - 1)
+        u = compute_profile(BI, K.e, RadialGrid(r=np.geomspace(R0, 10 * R0, 9))).u
+        assert_allclose(u[0], E0**2 * (np.sqrt(2) - 1) / (4 * np.pi), rtol=1e-14)
+        assert_allclose(u[0] / E0**2, 0.0329621, rtol=1e-5)
 
     def test_zero_field(self):
-        assert energy_density(born_infeld(1.0), 0.0) == 0.0
+        # u vanishes with the field: no offset under the Coulomb tail D^2/8pi
+        g = log_grid(1e4 * R0, 1e5 * R0, 9)
+        u = compute_profile(BI, K.e, g).u
+        assert_allclose(u, K.e**2 / (8 * np.pi * g.r**4), rtol=1e-13)
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            energy_density(maxwell(), -1.0)
+
+class TestRadialScale:
+    def test_limiting_field_radius(self):
+        assert radial_scale(BI, K.e) == R0
+        assert radial_scale(BI, K.e, cutoff_r=1e-13) == R0
+
+    def test_unit_polynomial_scale_beats_cutoff(self):
+        # E_c = 1 for alpha = 1/16pi: a real scale, not a missing one
+        m = polynomial(alpha=1 / (16 * np.pi))
+        assert_allclose(radial_scale(m, K.e, cutoff_r=3e-13), np.sqrt(K.e), rtol=1e-15)
+
+    def test_scale_free_falls_back_to_cutoff_then_classical_radius(self):
+        assert radial_scale(maxwell(), K.e, cutoff_r=3e-13) == 3e-13
+        assert radial_scale(maxwell(), K.e) == classical_electron_radius(K)
+        assert radial_scale(polynomial(beta=0.1), K.e) == classical_electron_radius(K)
+
+    def test_nonpositive_charge_rejected(self):
+        with pytest.raises(ConfigurationError):
+            radial_scale(BI, 0.0)
 
 
 class TestTotalEnergy:

@@ -3,10 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nled import (ConfigurationError, NoSolution, RadialGrid, born_infeld,
-                  charge_density_profile, compute_profile, constants,
-                  default_grid, displacement_profile, field_profile,
-                  integrated_charge, log_grid, log_schroedinger, maxwell,
-                  permittivity_profile, potential_at, potential_profile)
+                  charge_density_profile, classical_electron_radius,
+                  compute_profile, constants, default_grid, displacement_profile,
+                  field_from_displacement, field_profile, integrated_charge,
+                  log_grid, log_schroedinger, maxwell, polynomial, potential_at,
+                  potential_profile)
 from nled.soliton import grid_derivative
 
 # Historical pair: these close to each other (e/r0^2 = E0) by construction.
@@ -132,17 +133,17 @@ class TestChargeDensity:
 class TestPermittivity:
     def test_sqrt_two_at_effective_radius(self):
         g = RadialGrid(r=np.geomspace(R0, 10 * R0, 9))
-        eps = permittivity_profile(BI, K.e, g)
+        eps = compute_profile(BI, K.e, g).eps
         assert_allclose(eps[0], np.sqrt(2), rtol=1e-12)
 
     def test_unity_far_out(self):
         g = RadialGrid(r=np.geomspace(10 * R0, 100 * R0, 9))
-        eps = permittivity_profile(BI, K.e, g)
+        eps = compute_profile(BI, K.e, g).eps
         assert_allclose(eps[0], np.sqrt(1 + 1e-4), rtol=1e-10)
 
     def test_inverse_square_close_in(self):
         g = RadialGrid(r=np.geomspace(0.1 * R0, R0, 9))
-        eps = permittivity_profile(BI, K.e, g)
+        eps = compute_profile(BI, K.e, g).eps
         assert_allclose(eps[0], 100.0, rtol=5e-5)
 
     def test_bounded_below_and_monotone(self):
@@ -194,6 +195,20 @@ class TestAssembledProfile:
         assert prof.grid.r[0] > boundary
         # trimmed region still internally consistent
         assert_allclose(prof.eps, prof.D / prof.E, rtol=1e-15)
+
+    def test_maxwell_default_grid_spans_classical_radius(self):
+        prof = compute_profile(maxwell(), K.e)
+        r_e = classical_electron_radius(K)
+        assert prof.r0 == r_e
+        assert_allclose(prof.grid.r[[0, -1]], [1e-4 * r_e, 1e4 * r_e], rtol=1e-12)
+
+    def test_polynomial_far_tail_inverts(self):
+        # the far tail, where D(E) - E is below an ulp of E, used to leave
+        # the log-E bracket without a sign change
+        m = polynomial(alpha=0.01, xi=0.001)
+        prof = compute_profile(m, K.e)
+        assert prof.grid.n == 400 and prof.grid.r[-1] > 0.11
+        assert max(field_from_displacement(m, d).residual for d in prof.D) <= 1e-12
 
     def test_log_model_grid_fully_invalid(self):
         ls = log_schroedinger(E0)
