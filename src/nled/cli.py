@@ -79,6 +79,12 @@ def _require_int(name: str, value, minimum: int) -> None:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _require_positive(name: str, value) -> None:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value < float("inf")):
+        raise ConfigurationError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     cfg = _merge_config(args.config)
     # preset precedence: flag > environment variable > config file > modern
@@ -109,13 +115,18 @@ def _resolve(args: argparse.Namespace) -> dict:
 
     g = cfg["grid"]
     _require_int("grid points", g["points"], 5)
-    if not (0 < g["r_min_over_r0"] < g["r_max_over_r0"]):
+    _require_positive("grid r_min_over_r0", g["r_min_over_r0"])
+    _require_positive("grid r_max_over_r0", g["r_max_over_r0"])
+    if not g["r_min_over_r0"] < g["r_max_over_r0"]:
         raise ConfigurationError(
             f"need 0 < r_min < r_max, got ({g['r_min_over_r0']}, {g['r_max_over_r0']})")
     q = cfg["quad"]
-    if not (q["rel_tol"] > 0 and q["abs_tol"] > 0):
-        raise ConfigurationError("quad tolerances must be positive")
+    _require_positive("quad rel_tol", q["rel_tol"])
+    _require_positive("quad abs_tol", q["abs_tol"])
+    if q["cutoff_r_cm"] is not None:
+        _require_positive("quad cutoff_r_cm", q["cutoff_r_cm"])
     _require_int("quad max_subdiv", q["max_subdiv"], 1)
+    _require_positive("sample_scale", cfg["sample_scale"])
     _require_int("draws", cfg["draws"], 1)
     _require_int("boost_draws", cfg["boost_draws"], 1)
     _require_int("seed", cfg["seed"], 0)

@@ -63,6 +63,8 @@ def radial_scale(m: LagrangianModel, e: float, cutoff_r: float | None = None) ->
     """
     if not e > 0:
         raise ConfigurationError(f"charge must be positive, got {e}")
+    if cutoff_r is not None and not cutoff_r > 0:
+        raise ConfigurationError(f"cutoff radius must be positive, got {cutoff_r}")
     char = _characteristic_field(m)
     if char is not None:
         return float(np.sqrt(e / char))
@@ -102,8 +104,6 @@ def _radial_integral(g, quad: QuadratureSpec, r_s: float) -> tuple[float, float]
     """integral of g(x) dx over (x_inner, inf); dimensionless g of x = r/r_s."""
     if quad.cutoff_r is not None:
         xc = quad.cutoff_r / r_s
-        if not xc > 0:
-            raise ConfigurationError(f"cutoff radius must be positive, got {quad.cutoff_r}")
         x_split = max(1.0, xc)
         head, e_head = (adaptive_quad(g, xc, x_split, quad)
                         if xc < x_split else (0.0, 0.0))

@@ -182,9 +182,9 @@ def field_profile(m: LagrangianModel, e: float, grid: RadialGrid) -> np.ndarray:
     return _invert_profile(m, e, grid)[0]
 
 
-def charge_density_profile(m: LagrangianModel, e: float,
-                           grid: RadialGrid) -> np.ndarray:
-    """rho(r) = (1/4 pi r^2) d(r^2 E)/dr by finite differences.
+def _charge_density(e: float, grid: RadialGrid, E: np.ndarray,
+                    v: np.ndarray) -> np.ndarray:
+    """rho(r) = (1/4 pi r^2) d(r^2 E)/dr from the inverted (E, v) profile.
 
     Since r^2 D = e identically, r^2 E = e (1 - v) with v the Coulomb
     deviation, so the derivative is taken per point from whichever of
@@ -192,12 +192,17 @@ def charge_density_profile(m: LagrangianModel, e: float,
     decays like r^-4 and differencing r^2 E directly would lose it below
     the double-precision floor of the constant Coulomb part.
     """
-    E, v = _invert_profile(m, e, grid)
     s = grid.r**2 * E / e
     ds = grid_derivative(grid, s)
     dv = grid_derivative(grid, v)
     deriv = np.where(np.abs(v) < 0.5, -dv, ds) + 0.0  # normalize -0.0
     return e * deriv / (FOUR_PI * grid.r**2)
+
+
+def charge_density_profile(m: LagrangianModel, e: float,
+                           grid: RadialGrid) -> np.ndarray:
+    """rho(r) = (1/4 pi r^2) d(r^2 E)/dr by finite differences."""
+    return _charge_density(e, grid, *_invert_profile(m, e, grid))
 
 
 _POTENTIAL_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdiv=100)
@@ -290,9 +295,9 @@ def compute_profile(m: LagrangianModel, e: float,
                                  note="fewer than 5 grid points remain above "
                                       "the inversion boundary")
             grid = RadialGrid(r=grid.r[keep], spacing=grid.spacing)
-    E = field_profile(m, e, grid)
+    E, v = _invert_profile(m, e, grid)
     D = displacement_profile(e, grid)
-    rho = charge_density_profile(m, e, grid)
+    rho = _charge_density(e, grid, E, v)
     eps = D / E
     u, _ = energetics._stress_densities(m, E, D)
     phi = potential_profile(m, e, grid)

@@ -176,11 +176,19 @@ class TestOtherCommands:
     {"higher_order": "yes"},
     {"quad": {"max_subdiv": 0}},
     {"quad": {"max_subdiv": True}},
+    {"quad": {"rel_tol": "1e-10"}},
+    {"quad": {"abs_tol": True}},
+    {"quad": {"cutoff_r_cm": -2.28e-13}},
+    {"quad": {"cutoff_r_cm": 0}},
+    {"quad": {"cutoff_r_cm": "2.28e-13"}},
+    {"grid": {"r_min_over_r0": "1e-4"}},
+    {"grid": {"r_max_over_r0": True}},
+    {"sample_scale": "0.01"},
 ])
 def test_invalid_config_values_exit_2(tmp_path, bad):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(bad))
-    for command in ("invariants", "expand"):
+    for command in ("invariants", "expand", "energy"):
         assert run([command, "--model", "born-infeld", "--E0", "1.0",
                     "--config", str(cfg)]) == 2
 

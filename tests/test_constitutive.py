@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nled import (NoSolution, attainable_displacement_max, born_infeld, dL_dE,
-                  displacement_from_field, field_from_displacement,
-                  FieldVectors, log_schroedinger, maxwell, polynomial)
+from nled import (ConvergenceFailure, NoSolution, attainable_displacement_max,
+                  born_infeld, dL_dE, displacement_from_field,
+                  field_from_displacement, FieldVectors, log_schroedinger,
+                  maxwell, polynomial)
 
 FOUR_PI = 4 * np.pi
 
@@ -122,3 +123,28 @@ class TestInversion:
     def test_iterations_reported(self):
         res = field_from_displacement(born_infeld(1.0), 123.456)
         assert res.iterations > 0
+
+    @pytest.mark.parametrize("model, d_top", [
+        (maxwell(), 1e300),
+        (born_infeld(1.0), 1e300),
+        (log_schroedinger(1.0), 0.5),
+        (polynomial(alpha=0.01, xi=0.001), 1e60),
+        (polynomial(alpha=-0.01, xi=0.001), 1e60),
+    ])
+    def test_round_trip_whole_range(self, model, d_top):
+        # every D inverts with a small residual, or is above the attainable
+        # maximum; the solver itself never gives up
+        d_max = attainable_displacement_max(model)
+        for d in np.append(np.geomspace(1e-300, d_top, 601), 1.5 * d_top):
+            try:
+                res = field_from_displacement(model, d)
+            except ConvergenceFailure:
+                pytest.fail(f"ConvergenceFailure at D = {d!r}")
+            except NoSolution:
+                assert d > d_max
+                continue
+            assert res.residual <= 1e-12
+            if model.kind == "born-infeld":  # E0 D / sqrt(E0^2 + D^2)
+                assert abs(res.E / (d / np.hypot(1.0, d)) - 1) <= 1e-12
+            else:
+                assert abs(displacement_from_field(model, res.E) / d - 1) <= 1e-12

@@ -83,6 +83,13 @@ class TestTotalEnergy:
         with pytest.raises(Divergent):
             total_energy(maxwell(), K.e)
 
+    @pytest.mark.parametrize("cutoff", [-2.28e-13, 0.0])
+    def test_nonpositive_cutoff_rejected(self, cutoff):
+        # a cutoff that is itself the radial unit must not integrate as x_c = 1
+        for m in (maxwell(), BI):
+            with pytest.raises(ConfigurationError):
+                total_energy(m, K.e, QuadratureSpec(cutoff_r=cutoff))
+
     def test_charge_scaling_three_halves(self):
         # at fixed E0, r0 = sqrt(e/E0) so U = C e^2/r0 scales as e^(3/2)
         U1, _ = total_energy(BI, K.e)

@@ -8,6 +8,7 @@ from nled import (ConfigurationError, NoSolution, RadialGrid, born_infeld,
                   field_from_displacement, field_profile, integrated_charge,
                   log_grid, log_schroedinger, maxwell, polynomial, potential_at,
                   potential_profile)
+from nled import soliton
 from nled.soliton import grid_derivative
 
 # Historical pair: these close to each other (e/r0^2 = E0) by construction.
@@ -185,6 +186,20 @@ class TestAssembledProfile:
         assert_allclose(prof.eps, prof.D / prof.E, rtol=1e-15)
         assert prof.inversion_failed_below_r is None
         assert prof.r0 == R0 and prof.E0 == E0
+
+    def test_inverts_once_per_grid_point(self, monkeypatch):
+        calls = []
+
+        def counting(m, d):
+            calls.append(d)
+            return field_from_displacement(m, d)
+
+        monkeypatch.setattr(soliton, "field_from_displacement", counting)
+        # the potential quadrature inverts at its own nodes; leave it out
+        monkeypatch.setattr(soliton, "potential_profile",
+                            lambda m, e, grid: np.zeros(grid.n))
+        prof = compute_profile(BI, K.e)
+        assert len(calls) == prof.grid.n
 
     def test_log_model_trims_and_reports_boundary(self):
         ls = log_schroedinger(E0)
