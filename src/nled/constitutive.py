@@ -15,7 +15,9 @@ q = 1 - E^2/E0^2, so the bracket approaches E0 from below and the solve
 stays well conditioned across ~600 decades of D; the other nonlinear kinds
 are solved in log E, and linear maps return E = D.  Non-monotone maps
 (log-schroedinger) return the lower root, the branch continuously connected
-to E = 0, and tag the ambiguity.
+to E = 0, and tag the ambiguity.  The same search variable carries a walk
+along the forward map from points already inverted, which needs no further
+inversion (the potential integrates along it).
 """
 
 from __future__ import annotations
@@ -65,6 +67,34 @@ def _displacement(m: LagrangianModel, E):
         c = m.coeffs
         return np.abs(E + 16.0 * np.pi * c.alpha * E**3 + 24.0 * np.pi * c.xi * E**5)
     raise UnsupportedModel(f"{m.kind} has no constitutive map")
+
+
+def _search_walk(m: LagrangianModel, D, E, delta):
+    """(D, E, d ln E/dx) at offsets delta along the inversion's search
+    variable x from anchor points (D, E) on the forward map.
+
+    Nothing is inverted.  For born-infeld x is the radicand logit w, in which
+    ln D = ln E0 + w/2 exactly: a node has D = D_a e^{delta/2},
+    E = D E0 / hypot(E0, D) = E0 sqrt(sigmoid(w)) and d ln E/dw = (E/D)^2 / 2.
+    The other kinds walk x = ln E: E = E_a e^delta, D from the forward map.
+    """
+    if m.kind == BORN_INFELD:
+        D = D * np.exp(0.5 * delta)
+        ratio = m.E0 / np.hypot(m.E0, D)
+        return D, D * ratio, 0.5 * ratio**2
+    E = E * np.exp(delta)
+    return _displacement(m, E), E, np.ones_like(E)
+
+
+def _search_steps(m: LagrangianModel, D: np.ndarray, E: np.ndarray):
+    """Offsets along the search variable from each anchor point (D, E) to the
+    one before it, and the height of the last anchor above the
+    characteristic field (-inf for a linear map, which has none)."""
+    if m.kind == BORN_INFELD:
+        return 2.0 * np.log(D[:-1] / D[1:]), 2.0 * np.log(D[-1] / m.E0)
+    scale = _characteristic_field(m)
+    height = -np.inf if scale is None else np.log(E[-1] / scale)
+    return np.log(E[:-1] / E[1:]), height
 
 
 def displacement_from_field(m: LagrangianModel, E):
@@ -127,6 +157,21 @@ def _map_shape(m: LagrangianModel) -> _MapShape:
     e_peak = float(res.x)
     return _MapShape(monotone=False, E_peak=e_peak,
                      D_max=float(_displacement(m, e_peak)))
+
+
+@lru_cache(maxsize=64)
+def _log_field_limit(m: LagrangianModel) -> float:
+    """Largest ln E at which the forward map is still finite in double
+    precision (the polynomial's E^5 overflows above 4.5e61), by bisection."""
+    lo, hi = 0.0, np.log(np.finfo(float).max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            if np.isfinite(_displacement(m, np.exp(mid))):
+                lo = mid
+            else:
+                hi = mid
+    return lo
 
 
 def attainable_displacement_max(m: LagrangianModel) -> float:
@@ -214,8 +259,9 @@ def field_from_displacement(m: LagrangianModel, D: float) -> InversionResult:
                               / (1.0 + np.exp(0.5 * log_expit(-w))))
         else:
             shape = _map_shape(m)
-            y_max = np.inf
-            if not shape.monotone:
+            if shape.monotone:
+                y_max = _log_field_limit(m)
+            else:
                 # Unimodal map: only the rising branch up to the peak carries
                 # the physical (weak-field-connected) root.
                 if d_target > shape.D_max * (1.0 + 1e-13):
@@ -223,9 +269,12 @@ def field_from_displacement(m: LagrangianModel, D: float) -> InversionResult:
                 if d_target < shape.D_max * (1.0 - 1e-12):
                     branch = BRANCH_LOWER
                 y_max = np.log(shape.E_peak)
-            y, iterations = _solve(lambda y: _displacement(m, np.exp(y)) - d_target,
-                                   min(np.log(d_target), y_max), y_max, 1e-14)
-            e_root = float(np.exp(y))
+            if shape.monotone or d_target < shape.D_max:
+                y, iterations = _solve(lambda y: _displacement(m, np.exp(y)) - d_target,
+                                       min(np.log(d_target), y_max), y_max, 1e-14)
+                e_root = float(np.exp(y))
+            else:  # the accepted band at or above D_max: the peak is the root
+                e_root, iterations = shape.E_peak, 0
             residual = abs(_displacement(m, e_root) - d_target) / d_target
             deviation = _coulomb_deviation(m, e_root)
     except ConvergenceFailure as exc:

@@ -1,5 +1,5 @@
-"""Adaptive quadrature helpers for the radial energy/stress/potential
-integrals.
+"""Adaptive quadrature helpers for the radial energy and stress integrals
+(the potential walks the forward map on fixed panels instead; see soliton).
 
 The panel-level adaptivity is QUADPACK (scipy.integrate.quad); this module
 adds the pieces the radial integrals need on top of it: a spec object with a

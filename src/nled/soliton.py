@@ -3,8 +3,10 @@
 The displacement field is the point-source D(r) = e/r^2; the electric field
 comes from the per-radius constitutive inversion; the charge density is the
 divergence rho = (1/4 pi r^2) d(r^2 E)/dr taken with high-order finite
-differences on the grid; eps = D/E; the potential is the inward integral of
-E with the improper tail mapped to a proper integral.
+differences on the grid; eps = D/E.  The potential, the inward integral of
+E, is taken by parts along the inversion's own search variable: it walks
+the explicit forward map D(E) on fixed Gauss-Legendre panels, so no
+quadrature node is inverted and no adaptive quadrature runs.
 
 Grids are uniform in log r (default: 400 points over [1e-4, 1e4] r0, r0
 being energetics.radial_scale) or in r, so fixed-stencil differences apply
@@ -19,13 +21,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import energetics
-from .constitutive import attainable_displacement_max, field_from_displacement
+from .constitutive import (_search_steps, _search_walk, attainable_displacement_max,
+                           field_from_displacement)
 from .errors import ConfigurationError, NoSolution
 from .kinematics import FOUR_PI
 from .models import BORN_INFELD, LagrangianModel
-from .quadrature import QuadratureSpec, adaptive_quad, tail_quad
 
 LOG = "log"
 LINEAR = "linear"
@@ -104,20 +107,11 @@ def _uniform_derivative(y: np.ndarray, h: float) -> np.ndarray:
     edge_width = min(width + 2, n)
     out = np.empty_like(y)
     central = _fd_weights(tuple(range(-half, half + 1)))
-    for i in range(n):
-        if i < half:
-            offs = tuple(range(-i, edge_width - i))
-        elif i >= n - half:
-            offs = tuple(range(-(edge_width - (n - i)), n - i))
-        else:
-            offs = None
-        if offs is None:
-            w = central
-            sl = y[i - half:i + half + 1]
-        else:
-            w = _fd_weights(offs)
-            sl = y[i + offs[0]:i + offs[-1] + 1]
-        out[i] = w @ sl
+    out[half:n - half] = sliding_window_view(y, width) @ central
+    for i in (*range(half), *range(n - half, n)):
+        offs = (tuple(range(-i, edge_width - i)) if i < half
+                else tuple(range(-(edge_width - (n - i)), n - i)))
+        out[i] = _fd_weights(offs) @ y[i + offs[0]:i + offs[-1] + 1]
     return out / h
 
 
@@ -205,52 +199,86 @@ def charge_density_profile(m: LagrangianModel, e: float,
     return _charge_density(e, grid, *_invert_profile(m, e, grid))
 
 
-_POTENTIAL_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdiv=100)
+# Potential by parts along the inversion's own search variable x, in which E
+# rises with x: phi(r_i) = int_0^{E_i} r(E) dE - r_i E_i with r(E) = sqrt(e/D(E))
+# the explicit forward map, integrated as int r E (d ln E/dx) dx.  Fixed
+# Gauss-Legendre panels of at most _PANEL_WIDTH cover each grid segment and
+# the anchors placed every _TAIL_STEP below the last grid point, down to
+# _TAIL_DEPTH below min(x_last, x_char); one 24-point panel in
+# s = e^{k (x - x_end)} closes the Coulomb tail, where the integrand is e^{kx}.
+_PANEL = np.polynomial.legendre.leggauss(8)
+_PANEL_WIDTH = 0.5
+_TAIL_STEP = 2.0
+_TAIL_DEPTH = 40.0
+_TAIL = np.polynomial.legendre.leggauss(24)
+# phi(0) = phi(r_h) + r_h E_h - int_0^{r_h} (E - E_h) dr; for born-infeld the
+# dropped head is (2/5) E0 r_h (r_h/r0)^4, 4e-23 of phi(0) at r_h = e^-10 r0.
+_CENTER_HEAD = np.exp(-10.0)
 
 
-def _scaled_field_fn(m: LagrangianModel, e: float, r_unit: float):
-    """E as a function of x = r/r_unit, in units of e/r_unit^2."""
-    unit = e / r_unit**2
+def _potential(m: LagrangianModel, e: float, r: np.ndarray,
+               E: np.ndarray) -> np.ndarray:
+    """phi at increasing radii r (cm) whose fields E are already inverted.
 
-    def f(x: float) -> float:
-        return field_from_displacement(m, e / (x * r_unit) ** 2).E / unit
-
-    return f
-
-
-def potential_profile(m: LagrangianModel, e: float, grid: RadialGrid,
-                      spec: QuadratureSpec = _POTENTIAL_SPEC) -> np.ndarray:
-    """phi(r_i) = integral of E from r_i to infinity.
-
-    Cumulative inward segment quadrature plus the algebraic tail, which the
-    substitution x -> 1/x turns into a proper integral (E ~ e/r^2 far out,
-    so the transformed integrand tends to a constant).
+    No quadrature node is inverted.  Every node is an offset from the anchor
+    at the low-x end of its segment, so no node carries the rounding of a
+    large absolute x, and r_i E_i is subtracted with the exact grid radius:
+    the result is first-order insensitive to inversion error in E_i, which
+    matters at the fold of a non-monotone map.
     """
-    r_unit = energetics.radial_scale(m, e)
-    x = grid.r / r_unit
-    f = _scaled_field_fn(m, e, r_unit)
-    phi = np.empty(grid.n)
-    tail, _ = tail_quad(f, x[-1], spec)
-    phi[-1] = tail
-    for i in range(grid.n - 2, -1, -1):
-        seg, _ = adaptive_quad(f, x[i], x[i + 1], spec)
-        phi[i] = phi[i + 1] + seg
-    return phi * (e / r_unit)
+    D = e / r**2
+    # the anchors where the walk itself puts them, so that each integral ends
+    # at the E_i that is subtracted (for born-infeld, E at the grid's exact w)
+    _, E, _ = _search_walk(m, D, E, 0.0)
+    steps, height = _search_steps(m, D, E)
+    n_tail = int(np.ceil((_TAIL_DEPTH + max(height, 0.0)) / _TAIL_STEP))
+    D_t, E_t, slope_t = _search_walk(m, D[-1], E[-1],
+                                     -_TAIL_STEP * np.arange(1.0, n_tail + 1))
+    D_a, E_a = np.append(D, D_t), np.append(E, E_t)
+    steps = np.append(steps, np.full(n_tail, _TAIL_STEP))
+
+    # segment j runs from anchor j + 1 up to anchor j, in equal panels
+    panels = np.ceil(steps / _PANEL_WIDTH).astype(int)
+    seg = np.repeat(np.arange(steps.size), panels)
+    width = (steps / panels)[seg][:, None]
+    start = (np.arange(seg.size) - (np.cumsum(panels) - panels)[seg])[:, None] * width
+    t, w = _PANEL
+    # the Coulomb tail below the far anchor, one more segment: with E
+    # proportional to D there, r E (d ln E/dx) = e^{kx} with k = (d ln E/dx)/2,
+    # which the far anchor holds to the last bit
+    k = 0.5 * slope_t[-1]
+    s = 0.5 * (_TAIL[0] + 1.0)
+    delta = np.concatenate([(start + 0.5 * width * (t + 1.0)).ravel(), np.log(s) / k])
+    weight = np.concatenate([(0.5 * width * w).ravel(), 0.5 * _TAIL[1] / (k * s)])
+    owner = np.concatenate([np.repeat(seg, t.size), np.full(s.size, steps.size)])
+    anchor = np.minimum(owner + 1, steps.size)  # the tail hangs from the far anchor
+    Dn, En, slope = _search_walk(m, D_a[anchor], E_a[anchor], delta)
+    sums = np.bincount(owner, weights=weight * np.sqrt(e / Dn) * En * slope)
+    return np.cumsum(sums[::-1])[::-1][:r.size] - r * E
 
 
-def potential_at(m: LagrangianModel, e: float, r: float,
-                 spec: QuadratureSpec = _POTENTIAL_SPEC) -> float:
-    """phi(r) for a single radius; r = 0 is allowed when the field limit at
-    the center is finite (bounded-field models)."""
-    if r < 0:
+def potential_profile(m: LagrangianModel, e: float, grid: RadialGrid) -> np.ndarray:
+    """phi(r_i) = integral of E from r_i to infinity, from one inversion per
+    grid point."""
+    return _potential(m, e, grid.r, _invert_profile(m, e, grid)[0])
+
+
+def _center_field(m: LagrangianModel) -> float | None:
+    """The analytic r -> 0 limit of E, for the bounded-field kind."""
+    return float(m.E0) if m.kind == BORN_INFELD else None
+
+
+def potential_at(m: LagrangianModel, e: float, r: float) -> float:
+    """phi(r) for a single radius; r = 0 is allowed for a bounded-field model,
+    whose potential stays finite at the center."""
+    if not r >= 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    r_unit = energetics.radial_scale(m, e)
-    f = _scaled_field_fn(m, e, r_unit)
-    x = r / r_unit
-    x_split = max(1.0, x)
-    head, _ = adaptive_quad(f, x, x_split, spec) if x < x_split else (0.0, 0.0)
-    tail, _ = tail_quad(f, x_split, spec)
-    return (head + tail) * (e / r_unit)
+    if r == 0 and _center_field(m) is None:
+        raise ValueError(f"phi(0) is finite only for bounded-field models, not {m.kind}")
+    r_eval = r or _CENTER_HEAD * energetics.radial_scale(m, e)
+    E = field_from_displacement(m, e / r_eval**2).E
+    phi = float(_potential(m, e, np.array([r_eval]), np.array([E]))[0])
+    return phi if r > 0 else phi + r_eval * E  # phi(0) = phi(r_h) + r_h E_h
 
 
 @dataclass(frozen=True)
@@ -300,12 +328,12 @@ def compute_profile(m: LagrangianModel, e: float,
     rho = _charge_density(e, grid, E, v)
     eps = D / E
     u, _ = energetics._stress_densities(m, E, D)
-    phi = potential_profile(m, e, grid)
+    phi = _potential(m, e, grid.r, E)
     return SolitonProfile(
         grid=grid, D=D, E=E, rho=rho, eps=eps, u=u, phi=phi,
         r0=r0, E0=m.E0,
         inversion_failed_below_r=boundary,
-        E_center=float(m.E0) if m.kind == BORN_INFELD else None)
+        E_center=_center_field(m))
 
 
 def integrated_charge(profile: SolitonProfile) -> float:

@@ -148,3 +148,20 @@ class TestInversion:
                 assert abs(res.E / (d / np.hypot(1.0, d)) - 1) <= 1e-12
             else:
                 assert abs(displacement_from_field(model, res.E) / d - 1) <= 1e-12
+
+    @pytest.mark.parametrize("excess", [2e-16, 1e-13])
+    def test_peak_band_returns_peak(self, excess):
+        # D accepted just above D_max used to leave the bracket, capped at the
+        # peak, without a sign change
+        m = log_schroedinger(1.0)
+        res = field_from_displacement(m, attainable_displacement_max(m) * (1.0 + excess))
+        assert res.branch == "unique"
+        assert res.residual <= 1e-12
+        assert_allclose(res.E, 1.0, rtol=1e-9)  # the peak is at E = E0
+
+    def test_polynomial_bracket_starts_where_map_is_finite(self):
+        # the first bracket point used to be E = D, where E^5 overflows
+        m = polynomial(alpha=0.01, xi=0.001)
+        res = field_from_displacement(m, 1e70)
+        assert res.residual <= 1e-12
+        assert_allclose(displacement_from_field(m, res.E), 1e70, rtol=1e-12)

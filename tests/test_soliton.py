@@ -1,14 +1,16 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ellipk, ellipkinc
 
 from nled import (ConfigurationError, NoSolution, RadialGrid, born_infeld,
                   charge_density_profile, classical_electron_radius,
                   compute_profile, constants, default_grid, displacement_profile,
                   field_from_displacement, field_profile, integrated_charge,
-                  log_grid, log_schroedinger, maxwell, polynomial, potential_at,
-                  potential_profile)
-from nled import soliton
+                  linear_grid, log_grid, log_schroedinger, maxwell, polynomial,
+                  potential_at, potential_profile)
+from nled import quadrature, soliton
 from nled.soliton import grid_derivative
 
 # Historical pair: these close to each other (e/r0^2 = E0) by construction.
@@ -16,8 +18,6 @@ K = constants("historical1934")
 E0 = 9.18e15
 R0 = float(np.sqrt(K.e / E0))
 BI = born_infeld(E0)
-
-PHI0_COEFF = 1.8540746773013719  # int_0^inf dx/sqrt(1+x^4) = Gamma(1/4)^2/(4 sqrt pi)
 
 
 def closed_field(r):
@@ -30,6 +30,29 @@ def closed_rho(r):
 
 def closed_eps(r):
     return np.sqrt((r**4 + R0**4) / r**4)
+
+
+def closed_phi(r):
+    # (e/r0) F(2 arctan(r0/r) | 1/2) / 2; the arccos form of the amplitude
+    # would lose ~1e-9 to cancellation at large r
+    return (K.e / R0) * 0.5 * ellipkinc(2.0 * np.arctan(R0 / r), 0.5)
+
+
+def per_point_derivative(y, h):
+    """The stencil loop _uniform_derivative vectorizes, one point at a time."""
+    n = y.size
+    half = 4 if n >= 9 else (3 if n >= 7 else 2)
+    edge_width = min(2 * half + 3, n)
+    out = np.empty(n)
+    for i in range(n):
+        if i < half:
+            offs = tuple(range(-i, edge_width - i))
+        elif i >= n - half:
+            offs = tuple(range(-(edge_width - (n - i)), n - i))
+        else:
+            offs = tuple(range(-half, half + 1))
+        out[i] = soliton._fd_weights(offs) @ y[i + offs[0]:i + offs[-1] + 1]
+    return out / h
 
 
 class TestGrid:
@@ -72,6 +95,12 @@ class TestDisplacement:
         D = displacement_profile(K.e, g)
         resid = grid_derivative(g, g.r**2 * D) * g.r
         assert np.max(np.abs(resid)) <= 1e-12 * K.e
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 400])
+    def test_vectorized_stencil_matches_per_point(self, n):
+        y = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        assert_allclose(soliton._uniform_derivative(y, 0.1),
+                        per_point_derivative(y, 0.1), rtol=1e-13, atol=0)
 
 
 class TestFieldProfile:
@@ -158,13 +187,53 @@ class TestPermittivity:
 
 class TestPotential:
     def test_center_value(self):
+        # K(1/2) = int_0^inf dx/sqrt(1+x^4) = Gamma(1/4)^2/(4 sqrt pi) = 1.8540746773
         phi0 = potential_at(BI, K.e, 0.0)
-        assert abs(phi0 / (PHI0_COEFF * K.e / R0) - 1) <= 1e-4
+        assert abs(phi0 / (ellipk(0.5) * K.e / R0) - 1) <= 1e-12
+
+    @pytest.mark.parametrize("model", [maxwell(), polynomial(alpha=0.01, xi=0.001)],
+                             ids=["maxwell", "polynomial"])
+    def test_center_needs_bounded_field(self, model):
+        with pytest.raises(ValueError):
+            potential_at(model, K.e, 0.0)
+
+    @pytest.mark.parametrize("r", [-R0, np.nan])
+    def test_radius_rejected(self, r):
+        with pytest.raises(ValueError):
+            potential_at(BI, K.e, r)
 
     def test_maxwell_is_coulomb(self):
         g = log_grid(1e-11, 1e-9, 21)
         phi = potential_profile(maxwell(), K.e, g)
-        assert_allclose(phi, K.e / g.r, rtol=1e-10)
+        assert_allclose(phi, K.e / g.r, rtol=1e-13)
+
+    @pytest.mark.parametrize("grid", [default_grid(R0),
+                                      linear_grid(0.01 * R0, 10 * R0, 400),
+                                      log_grid(1e-4 * R0, 1e4 * R0, 5)],
+                             ids=["default", "linear", "five_points"])
+    def test_born_infeld_elliptic_form(self, grid):
+        phi = potential_profile(BI, K.e, grid)
+        assert_allclose(phi, closed_phi(grid.r), rtol=1e-12, atol=0)
+
+    def test_log_model_at_inversion_boundary(self):
+        # first radius 1e-9 above the boundary sqrt(2) r0, where E(r) has a
+        # sqrt(r - r_b) branch point; reference: phi = int_r^inf E dr in 40
+        # digits, with r = r_b + t^2 removing the branch point
+        ls = log_schroedinger(E0)
+        g = log_grid(np.sqrt(2) * R0 * (1 + 1e-9), 1e4 * R0, 50)
+        phi = potential_profile(ls, K.e, g)
+        with mpmath.workdps(40):
+            e, e0 = mpmath.mpf(K.e), mpmath.mpf(E0)
+            r_b = mpmath.sqrt(2 * e / e0)
+
+            def field(r):  # lower root of D = E / (1 + E^2/E0^2)
+                d = e / r**2
+                return 2 * d / (1 + mpmath.sqrt(1 - (2 * d / e0) ** 2))
+
+            t0 = mpmath.sqrt(mpmath.mpf(g.r[0]) - r_b)
+            ref = mpmath.quad(lambda t: 2 * t * field(r_b + t**2),
+                              [t0, mpmath.sqrt(r_b), 10 * mpmath.sqrt(r_b), mpmath.inf])
+        assert abs(phi[0] / float(ref) - 1) <= 1e-14
 
     def test_coulomb_tail_at_ten_radii(self):
         phi = potential_at(BI, K.e, 10 * R0)
@@ -195,11 +264,18 @@ class TestAssembledProfile:
             return field_from_displacement(m, d)
 
         monkeypatch.setattr(soliton, "field_from_displacement", counting)
-        # the potential quadrature inverts at its own nodes; leave it out
-        monkeypatch.setattr(soliton, "potential_profile",
-                            lambda m, e, grid: np.zeros(grid.n))
         prof = compute_profile(BI, K.e)
         assert len(calls) == prof.grid.n
+
+    @pytest.mark.parametrize("model", [BI, log_schroedinger(E0), maxwell()],
+                             ids=["born_infeld", "log_schroedinger", "maxwell"])
+    def test_needs_no_quadpack(self, model, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("QUADPACK called")
+
+        monkeypatch.setattr(quadrature, "quad", refuse)
+        prof = compute_profile(model, K.e)
+        assert np.all(np.isfinite(prof.phi)) and np.all(np.diff(prof.phi) < 0)
 
     def test_log_model_trims_and_reports_boundary(self):
         ls = log_schroedinger(E0)
