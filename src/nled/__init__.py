@@ -16,7 +16,7 @@ from .energetics import (StressSummary, born_infeld_energy_constant,
                          mass_from_energy, stress_integrals, total_energy)
 from .errors import (ConfigurationError, ConvergenceFailure, Divergent,
                      DomainExceeded, IllConditioned, NledError, NoSolution,
-                     NumericalError, QuadratureFailure, UnsupportedModel)
+                     NumericalError, UnsupportedModel)
 from .expansion import (CoefficientEstimate, estimate_taylor_coefficients,
                         polynomial_from_model)
 from .interaction import (ChargeState, boost_charge_state,

@@ -31,7 +31,7 @@ _DEFAULTS = {
     "model": None,
     "preset": None,
     "grid": {"r_min_over_r0": 1e-4, "r_max_over_r0": 1e4, "points": 400, "spacing": "log"},
-    "quad": {"rel_tol": 1e-10, "abs_tol": 1e-10, "max_subdiv": 200, "cutoff_r_cm": None},
+    "quad": {"cutoff_r_cm": None},
     "output": {"path": None, "format": None},
     "convention": "paper",
     "sample_scale": 0.01,
@@ -121,11 +121,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ConfigurationError(
             f"need 0 < r_min < r_max, got ({g['r_min_over_r0']}, {g['r_max_over_r0']})")
     q = cfg["quad"]
-    _require_positive("quad rel_tol", q["rel_tol"])
-    _require_positive("quad abs_tol", q["abs_tol"])
     if q["cutoff_r_cm"] is not None:
         _require_positive("quad cutoff_r_cm", q["cutoff_r_cm"])
-    _require_int("quad max_subdiv", q["max_subdiv"], 1)
     _require_positive("sample_scale", cfg["sample_scale"])
     _require_int("draws", cfg["draws"], 1)
     _require_int("boost_draws", cfg["boost_draws"], 1)
@@ -134,12 +131,6 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ConfigurationError(
             f"higher_order must be true or false, got {cfg['higher_order']!r}")
     return cfg
-
-
-def _quad_spec(cfg: dict) -> QuadratureSpec:
-    q = cfg["quad"]
-    return QuadratureSpec(rel_tol=q["rel_tol"], abs_tol=q["abs_tol"],
-                          max_subdiv=q["max_subdiv"], cutoff_r=q["cutoff_r_cm"])
 
 
 def _provenance(cfg: dict) -> dict:
@@ -226,7 +217,7 @@ def _cmd_profile(cfg: dict) -> None:
 
 def _cmd_energy(cfg: dict) -> None:
     model, k, spec = _require_model(cfg)
-    quad = _quad_spec(cfg)
+    quad = QuadratureSpec(cutoff_r=cfg["quad"]["cutoff_r_cm"])
     summary = energetics.stress_integrals(model, k.e, quad)
     r0 = energetics.radial_scale(model, k.e, quad.cutoff_r)
     unit = k.e**2 / r0

@@ -17,7 +17,8 @@ are solved in log E, and linear maps return E = D.  Non-monotone maps
 (log-schroedinger) return the lower root, the branch continuously connected
 to E = 0, and tag the ambiguity.  The same search variable carries a walk
 along the forward map from points already inverted, which needs no further
-inversion (the potential integrates along it).
+inversion: the potential and the energy and stress integrals run along it
+on one fixed panel rule.
 """
 
 from __future__ import annotations
@@ -69,6 +70,24 @@ def _displacement(m: LagrangianModel, E):
     raise UnsupportedModel(f"{m.kind} has no constitutive map")
 
 
+def _displacement_slope(m: LagrangianModel, E):
+    """d ln D/dx along the search variable x at field E (float or array):
+    1/2 in the radicand logit for born-infeld, E D'(E)/D in x = ln E for the
+    other kinds."""
+    if m.kind == BORN_INFELD:
+        return np.full_like(E, 0.5)
+    if m.kind == MAXWELL:
+        return np.ones_like(E)
+    if m.kind == LOG_SCHROEDINGER:
+        t = (E / m.E0) ** 2
+        return (1.0 - t) / (1.0 + t)
+    if m.kind == POLYNOMIAL:
+        c = m.coeffs
+        a, x = 16.0 * np.pi * c.alpha * E**3, 24.0 * np.pi * c.xi * E**5
+        return (E + 3.0 * a + 5.0 * x) / (E + a + x)
+    raise UnsupportedModel(f"{m.kind} has no constitutive map")
+
+
 def _search_walk(m: LagrangianModel, D, E, delta):
     """(D, E, d ln E/dx) at offsets delta along the inversion's search
     variable x from anchor points (D, E) on the forward map.
@@ -95,6 +114,45 @@ def _search_steps(m: LagrangianModel, D: np.ndarray, E: np.ndarray):
     scale = _characteristic_field(m)
     height = -np.inf if scale is None else np.log(E[-1] / scale)
     return np.log(E[:-1] / E[1:]), height
+
+
+# The fixed quadrature rule of the walks: Gauss-Legendre panels of width at
+# most _PANEL_WIDTH in x over the segments between anchors, which sit every
+# _ANCHOR_STEP out to _WALK_DEPTH past the characteristic field, and one
+# closing panel in s = e^{k (x - x_end)} beyond the last anchor, where the
+# integrand goes as e^{k x}.
+_PANEL = np.polynomial.legendre.leggauss(8)
+_CLOSING = np.polynomial.legendre.leggauss(24)
+_PANEL_WIDTH = 0.5
+_ANCHOR_STEP = 2.0
+_WALK_DEPTH = 40.0
+
+
+def _walk_nodes(steps: np.ndarray, k: float, rule=(_PANEL, _CLOSING)):
+    """(anchor, offset, weight, segment) of the rule over anchors in falling
+    x, segment j running from anchor j + 1 up to anchor j over the width
+    steps[j], in ceil(step/_PANEL_WIDTH) equal panels; segment steps.size is
+    the closing panel below the last anchor, where the integrand goes as
+    e^{k x}.  Every offset is taken from the anchor at the low end of its
+    segment."""
+    panels = np.ceil(steps / _PANEL_WIDTH).astype(int)
+    seg = np.repeat(np.arange(steps.size), panels)
+    width = (steps / panels)[seg][:, None]
+    start = (np.arange(seg.size) - (np.cumsum(panels) - panels)[seg])[:, None] * width
+    (t, w), closing = rule
+    d_end, w_end = _closing_nodes(k, closing)
+    delta = np.concatenate([(start + 0.5 * width * (t + 1.0)).ravel(), d_end])
+    weight = np.concatenate([(0.5 * width * w).ravel(), w_end])
+    owner = np.concatenate([np.repeat(seg, t.size), np.full(d_end.size, steps.size)])
+    return np.minimum(owner + 1, steps.size), delta, weight, owner
+
+
+def _closing_nodes(k: float, rule=_CLOSING):
+    """(offset, weight) of the closing panel from an anchor to where an
+    integrand going as e^{k x} vanishes: below the anchor for k > 0, above
+    it for k < 0."""
+    s = 0.5 * (rule[0] + 1.0)
+    return np.log(s) / k, 0.5 * rule[1] / (abs(k) * s)
 
 
 def displacement_from_field(m: LagrangianModel, E):

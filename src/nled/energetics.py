@@ -14,10 +14,16 @@ so the numeric trace must vanish to quadrature accuracy; for the linear
 theory with an inner cutoff it equals -U(r_c), the classical instability
 that historically had to be patched by non-electromagnetic forces.
 
-All radial integrals are computed on the dimensionless variable x = r/r_s
-with unit e^2/r_s factored out, split at x = 1, tail mapped by x -> 1/t, and
-the inner limit either Richardson-completed or reported Divergent (the
-linear theory without cutoff).
+Both volume integrals come from one walk along the inversion's own search
+variable x (the radicand logit for born-infeld, ln E otherwise), in which
+4 pi r^2 dr = 2 pi r^3 (d ln D/dx) dx with r = sqrt(e/D): every quadrature
+node is a point of the explicit forward map, so none is inverted.  The rule
+is fixed: 16-point Gauss-Legendre panels of width 0.5 between anchors every
+2 units of x, and closing panels in s = e^{k x} where the integrand goes as
+e^{k x} (the Coulomb end, and the center when it is integrable).  A cutoff
+costs one inversion; without one the walk starts from the characteristic
+point, known in closed form, and a center whose increments do not shrink
+is reported Divergent (the linear theory).
 """
 
 from __future__ import annotations
@@ -28,19 +34,18 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import PhysicalConstants, classical_electron_radius, constants
-from .constitutive import _characteristic_field, field_from_displacement
-from .errors import ConfigurationError, UnsupportedModel
+from .constitutive import (_ANCHOR_STEP, _CLOSING, _WALK_DEPTH, _characteristic_field,
+                           _closing_nodes, _displacement_slope, _search_steps, _search_walk,
+                           _walk_nodes, attainable_displacement_max, field_from_displacement)
+from .errors import ConfigurationError, Divergent, NoSolution, UnsupportedModel
 from .kinematics import FOUR_PI
 from .models import (BORN_INFELD, LagrangianModel, born_infeld,
                      density_from_invariants)
-from .quadrature import QuadratureSpec, adaptive_quad, inner_limit_quad, tail_quad
+from .quadrature import QuadratureSpec
 
 CONVENTION_PAPER = "paper"
 CONVENTION_ENERGY = "energy-consistent"
 CONVENTIONS = (CONVENTION_PAPER, CONVENTION_ENERGY)
-
-_INNER_START = 1e-2  # first inner limit of the refinement ladder, in x
-
 
 @dataclass(frozen=True)
 class StressSummary:
@@ -86,32 +91,93 @@ def _stress_densities(m: LagrangianModel, E, D):
     return E * D / FOUR_PI - L, L
 
 
-def _radial_integrand(m: LagrangianModel, e: float, r_s: float, trace: bool = False):
-    """Dimensionless g(x), x = r/r_s, of the volume integral of u (or, with
-    ``trace``, of the spatial stress trace u - 2L) in units of e^2/r_s."""
-    unit = e**2 / r_s
-
-    def g(x: float) -> float:
-        r = x * r_s
-        D = e / r**2
-        u, L = _stress_densities(m, field_from_displacement(m, D).E, D)
-        return (u - 2.0 * L if trace else u) * FOUR_PI * r**2 * r_s / unit
-
-    return g
+# The walks' panels with 16 Gauss-Legendre points each: the polynomial D(E)
+# has complex zeros ~0.5 from the real axis in ln E (0.54 for alpha = -0.005,
+# xi = 0.001), where the potential's 8 points leave 1.7e-10 of U.  The error
+# estimate repeats each sum with the next lower rules on the same panels and
+# allows a few ulps per node for rounding.
+_RULE = (np.polynomial.legendre.leggauss(16), _CLOSING)
+_LOWER = (np.polynomial.legendre.leggauss(15), np.polynomial.legendre.leggauss(23))
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 
-def _radial_integral(g, quad: QuadratureSpec, r_s: float) -> tuple[float, float]:
-    """integral of g(x) dx over (x_inner, inf); dimensionless g of x = r/r_s."""
-    if quad.cutoff_r is not None:
-        xc = quad.cutoff_r / r_s
-        x_split = max(1.0, xc)
-        head, e_head = (adaptive_quad(g, xc, x_split, quad)
-                        if xc < x_split else (0.0, 0.0))
+def _stress_walk(m: LagrangianModel, e: float,
+                 cutoff_r: float | None) -> tuple[float, float, float, float]:
+    """(U, trace, U error, trace error): the volume integrals of u and of the
+    spatial stress trace u - 2L along the inversion's search variable x.
+
+    With r = sqrt(e/D) the volume element is 4 pi r^2 dr = 2 pi r^3
+    (d ln D/dx) dx, and every node is a walk along the explicit forward map,
+    so no node is inverted.  The walk starts from r_c after one inversion,
+    or without a cutoff from the characteristic point, whose (D, E) is
+    known in closed form, and then also walks inward, raising Divergent when
+    three consecutive inner increments do not shrink.
+    """
+    r_s = radial_scale(m, e, cutoff_r)
+    n_in = 0
+    if cutoff_r is not None:
+        D_0 = e / cutoff_r**2
+        try:
+            E_0 = field_from_displacement(m, D_0).E
+        except NoSolution as exc:
+            raise NoSolution(exc.d_target, exc.d_max_attainable,
+                             radius_cm=float(np.sqrt(e / exc.d_max_attainable))) from exc
     else:
-        x_split = 1.0
-        head, e_head = inner_limit_quad(g, _INNER_START, x_split, quad)
-    tail, e_tail = tail_quad(g, x_split, quad)
-    return head + tail, e_head + e_tail
+        d_max = attainable_displacement_max(m)
+        if np.isfinite(d_max):
+            raise NoSolution(e / r_s**2, d_max, radius_cm=float(np.sqrt(e / d_max)),
+                             note="without a cutoff the integral reaches every radius "
+                                  "below radius_cm, where D exceeds the attainable maximum")
+        # D = E0 for born-infeld, E = E_c otherwise (E = D for a linear map)
+        D_0 = E_0 = e / r_s**2
+        n_in = int(_WALK_DEPTH / _ANCHOR_STEP)
+    _, height = _search_steps(m, np.array([D_0]), np.array([E_0]))
+    n_out = int(np.ceil((_WALK_DEPTH + max(height, 0.0)) / _ANCHOR_STEP))
+    # anchors in falling x; segment j runs from anchor j + 1 up to anchor j,
+    # and the closing panels are segments n (outer) and n + 1 (inner)
+    D_a, E_a, dlnE = _search_walk(m, D_0, E_0, _ANCHOR_STEP * np.arange(n_in, -n_out - 1, -1.0))
+    rate = dlnE - 0.5 * _displacement_slope(m, E_a)  # the integrand goes as e^{rate x}
+    n = n_in + n_out
+
+    def integrate(anchor, delta, weight, seg):
+        """Per segment, the sums of u dV, (u - 2L) dV and |u dV| + |L dV|."""
+        D, E, _ = _search_walk(m, D_a[anchor], E_a[anchor], delta)
+        if m.kind == BORN_INFELD:  # deep inside, E = D E0/hypot(E0, D) can round above E0
+            E = np.minimum(E, m.E0)
+        u, L = _stress_densities(m, E, D)
+        dV = 2.0 * np.pi * (e / D) ** 1.5 * _displacement_slope(m, E)
+        return np.array([np.bincount(seg, weights=weight * f, minlength=n + 2)
+                         for f in (u * dV, (u - 2.0 * L) * dV, np.abs(u * dV) + np.abs(L * dV))])
+
+    def inner(closing):  # the closing panel above the first anchor
+        delta, weight = _closing_nodes(rate[0], closing)
+        return np.zeros(delta.size, dtype=int), delta, weight, np.full(delta.size, n + 1)
+
+    rules = (_RULE, _LOWER)
+    steps = np.full(n, _ANCHOR_STEP)
+    sums = np.array([integrate(*_walk_nodes(steps, rate[-1], rule)) for rule in rules])
+    if n_in:
+        _check_inner(e, sums[0, 0, :n + 1], D_a, n_in)
+        sums += [integrate(*inner(closing)) for _, closing in rules]
+    (U, trace, scale), (U_low, trace_low, _) = sums.sum(axis=2)
+    rounding = _ROUNDING * scale
+    return U, trace, abs(U - U_low) + rounding, abs(trace - trace_low) + rounding
+
+
+def _check_inner(e: float, seg: np.ndarray, D_a: np.ndarray, n_in: int) -> None:
+    """Raise Divergent unless the inner increments shrink: three consecutive
+    anchor increments with ratio >= 0.95 mean a non-integrable center."""
+    inc = seg[n_in - 1::-1]  # inward from the starting anchor
+    run = 0
+    for i in range(1, n_in):
+        run = run + 1 if abs(inc[i]) >= 0.95 * abs(inc[i - 1]) else 0
+        if run == 3:
+            partials = np.sum(seg[n_in:]) + np.concatenate([[0.0], np.cumsum(inc[:i + 1])])
+            raise Divergent(
+                "inner partial integrals are non-Cauchy "
+                "(integrand not integrable at r -> 0)",
+                partials=partials.tolist(),
+                inner_limits=np.sqrt(e / D_a[n_in - np.arange(i + 2)]).tolist())
 
 
 def total_energy(m: LagrangianModel, e: float,
@@ -119,13 +185,11 @@ def total_energy(m: LagrangianModel, e: float,
     """(U, error) of the field self-energy integral of u 4 pi r^2 dr.
 
     Raises Divergent for the linear theory without an inner cutoff; the
-    inner-limit partial integrals are then non-Cauchy and the failure is a
+    inner partial integrals are then non-Cauchy and the failure is a
     first-class result, not a number.
     """
-    r_s = radial_scale(m, e, quad.cutoff_r)
-    unit = e**2 / r_s
-    value, err = _radial_integral(_radial_integrand(m, e, r_s), quad, r_s)
-    return value * unit, err * unit
+    U, _, err, _ = _stress_walk(m, e, quad.cutoff_r)
+    return U, err
 
 
 def stress_integrals(m: LagrangianModel, e: float,
@@ -135,24 +199,16 @@ def stress_integrals(m: LagrangianModel, e: float,
     momentum is identically zero for electrostatic input (E x H = 0); each
     Cartesian integral of T_ii dV equals laue_trace/3 by spherical symmetry.
     """
-    r_s = radial_scale(m, e, quad.cutoff_r)
-    unit = e**2 / r_s
-    U, err_u = _radial_integral(_radial_integrand(m, e, r_s), quad, r_s)
-    trace, err_t = _radial_integral(_radial_integrand(m, e, r_s, trace=True), quad, r_s)
-    return StressSummary(
-        U_total=U * unit,
-        laue_trace=trace * unit,
-        momentum=np.zeros(3),
-        quad_error=(err_u + err_t) * unit,
-        cutoff_r=quad.cutoff_r)
+    U, trace, err_u, err_t = _stress_walk(m, e, quad.cutoff_r)
+    return StressSummary(U_total=U, laue_trace=trace, momentum=np.zeros(3),
+                         quad_error=err_u + err_t, cutoff_r=quad.cutoff_r)
 
 
 @lru_cache(maxsize=1)
 def born_infeld_energy_constant() -> float:
     """C in U = C e^2/r0 for the limiting-field model, computed numerically
-    (equals Gamma(1/4)^2 / (6 sqrt(pi)) = 1.23605 to the quadrature tolerance)."""
-    U, _ = total_energy(born_infeld(1.0), 1.0,
-                        QuadratureSpec(rel_tol=1e-12, abs_tol=1e-12))
+    (equals Gamma(1/4)^2 / (6 sqrt(pi)) = 1.23605 to rounding)."""
+    U, _ = total_energy(born_infeld(1.0), 1.0)
     return U
 
 

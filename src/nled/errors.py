@@ -84,16 +84,6 @@ class Divergent(NumericalError):
     kind = "Divergent"
 
 
-class QuadratureFailure(NumericalError):
-    """Adaptive quadrature stopped short of the requested tolerance."""
-
-    kind = "QuadratureFailure"
-
-    def __init__(self, message: str, achieved_error: float, **extra):
-        super().__init__(message, achieved_error=achieved_error, **extra)
-        self.achieved_error = achieved_error
-
-
 class IllConditioned(NumericalError):
     """Linear fit design matrix too ill-conditioned to trust."""
 

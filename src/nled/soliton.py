@@ -24,7 +24,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import energetics
-from .constitutive import (_search_steps, _search_walk, attainable_displacement_max,
+from .constitutive import (_ANCHOR_STEP, _WALK_DEPTH, _search_steps, _search_walk,
+                           _walk_nodes, attainable_displacement_max,
                            field_from_displacement)
 from .errors import ConfigurationError, NoSolution
 from .kinematics import FOUR_PI
@@ -201,16 +202,10 @@ def charge_density_profile(m: LagrangianModel, e: float,
 
 # Potential by parts along the inversion's own search variable x, in which E
 # rises with x: phi(r_i) = int_0^{E_i} r(E) dE - r_i E_i with r(E) = sqrt(e/D(E))
-# the explicit forward map, integrated as int r E (d ln E/dx) dx.  Fixed
-# Gauss-Legendre panels of at most _PANEL_WIDTH cover each grid segment and
-# the anchors placed every _TAIL_STEP below the last grid point, down to
-# _TAIL_DEPTH below min(x_last, x_char); one 24-point panel in
-# s = e^{k (x - x_end)} closes the Coulomb tail, where the integrand is e^{kx}.
-_PANEL = np.polynomial.legendre.leggauss(8)
-_PANEL_WIDTH = 0.5
-_TAIL_STEP = 2.0
-_TAIL_DEPTH = 40.0
-_TAIL = np.polynomial.legendre.leggauss(24)
+# the explicit forward map, integrated as int r E (d ln E/dx) dx on the walks'
+# fixed rule (constitutive._walk_nodes): panels over each grid segment and
+# over anchors below the last grid point, down to _WALK_DEPTH below
+# min(x_last, x_char), and one closing panel for the Coulomb tail.
 # phi(0) = phi(r_h) + r_h E_h - int_0^{r_h} (E - E_h) dr; for born-infeld the
 # dropped head is (2/5) E0 r_h (r_h/r0)^4, 4e-23 of phi(0) at r_h = e^-10 r0.
 _CENTER_HEAD = np.exp(-10.0)
@@ -231,27 +226,16 @@ def _potential(m: LagrangianModel, e: float, r: np.ndarray,
     # at the E_i that is subtracted (for born-infeld, E at the grid's exact w)
     _, E, _ = _search_walk(m, D, E, 0.0)
     steps, height = _search_steps(m, D, E)
-    n_tail = int(np.ceil((_TAIL_DEPTH + max(height, 0.0)) / _TAIL_STEP))
+    n_tail = int(np.ceil((_WALK_DEPTH + max(height, 0.0)) / _ANCHOR_STEP))
     D_t, E_t, slope_t = _search_walk(m, D[-1], E[-1],
-                                     -_TAIL_STEP * np.arange(1.0, n_tail + 1))
+                                     -_ANCHOR_STEP * np.arange(1.0, n_tail + 1))
     D_a, E_a = np.append(D, D_t), np.append(E, E_t)
-    steps = np.append(steps, np.full(n_tail, _TAIL_STEP))
+    steps = np.append(steps, np.full(n_tail, _ANCHOR_STEP))
 
-    # segment j runs from anchor j + 1 up to anchor j, in equal panels
-    panels = np.ceil(steps / _PANEL_WIDTH).astype(int)
-    seg = np.repeat(np.arange(steps.size), panels)
-    width = (steps / panels)[seg][:, None]
-    start = (np.arange(seg.size) - (np.cumsum(panels) - panels)[seg])[:, None] * width
-    t, w = _PANEL
-    # the Coulomb tail below the far anchor, one more segment: with E
-    # proportional to D there, r E (d ln E/dx) = e^{kx} with k = (d ln E/dx)/2,
-    # which the far anchor holds to the last bit
-    k = 0.5 * slope_t[-1]
-    s = 0.5 * (_TAIL[0] + 1.0)
-    delta = np.concatenate([(start + 0.5 * width * (t + 1.0)).ravel(), np.log(s) / k])
-    weight = np.concatenate([(0.5 * width * w).ravel(), 0.5 * _TAIL[1] / (k * s)])
-    owner = np.concatenate([np.repeat(seg, t.size), np.full(s.size, steps.size)])
-    anchor = np.minimum(owner + 1, steps.size)  # the tail hangs from the far anchor
+    # the Coulomb tail closes below the far anchor: with E proportional to D
+    # there, r E (d ln E/dx) = e^{kx} with k = (d ln E/dx)/2, which the far
+    # anchor holds to the last bit
+    anchor, delta, weight, owner = _walk_nodes(steps, 0.5 * slope_t[-1])
     Dn, En, slope = _search_walk(m, D_a[anchor], E_a[anchor], delta)
     sums = np.bincount(owner, weights=weight * np.sqrt(e / Dn) * En * slope)
     return np.cumsum(sums[::-1])[::-1][:r.size] - r * E

@@ -1,16 +1,25 @@
+import subprocess
+import sys
+from functools import lru_cache
+
+import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from numpy.testing import assert_allclose
 from scipy.special import gamma
 
-from nled import (ConfigurationError, Divergent, PhysicalConstants,
+from nled import (ConfigurationError, Divergent, NoSolution, PhysicalConstants,
                   QuadratureSpec, SolitonProfile, UnsupportedModel,
-                  born_infeld, born_infeld_energy_constant,
-                  check_stress_divergence, classical_electron_radius,
-                  compute_profile, constants, effective_radius, log_grid,
-                  mass_from_energy, maxwell, polynomial, stress_integrals,
-                  total_energy)
+                  attainable_displacement_max, born_infeld,
+                  born_infeld_energy_constant, check_stress_divergence,
+                  classical_electron_radius, compute_profile, constants,
+                  effective_radius, field_from_displacement, log_grid,
+                  log_schroedinger, mass_from_energy, maxwell, polynomial,
+                  potential_at, stress_integrals, total_energy)
+from nled import energetics, quadrature
 from nled.energetics import radial_scale
+from nled.models import density_from_invariants
 from nled.soliton import RadialGrid
 
 # Independent closed form for the self-energy constant.
@@ -20,6 +29,77 @@ K = constants("historical1934")
 E0 = 9.18e15
 R0 = float(np.sqrt(K.e / E0))
 BI = born_infeld(E0)
+LS = log_schroedinger(E0)
+POLY = polynomial(alpha=0.01, xi=0.001)
+POLY_XI = polynomial(xi=0.001)
+POLY_NEG = polynomial(alpha=-0.005, xi=0.001)  # monotone: no fold
+
+
+def spec_at(cutoff_r):
+    return QuadratureSpec(cutoff_r=cutoff_r)
+
+
+# (model, cutoff) pairs covering every way the walk starts and ends
+CASES = {
+    "born_infeld": (BI, None),
+    "log_model_cutoff": (LS, 2 * R0),
+    "polynomial": (POLY, None),
+    "polynomial_xi": (POLY_XI, None),
+    "polynomial_negative_alpha_cutoff": (POLY_NEG, 0.5 * radial_scale(POLY_NEG, K.e)),
+    "maxwell_cutoff": (maxwell(), R0),
+}
+
+
+@lru_cache(maxsize=None)
+def field_space_reference(name):
+    """(U, trace) by 40-digit field-space quadrature: with D(r) = e/r^2 the
+    volume element is 2 pi e^(3/2) D^(-5/2) D'(E) dE, so both integrals run
+    over the field magnitude of the explicit forward map, up to E(r_c)."""
+    m, cutoff = CASES[name]
+    if m.kind == "log-schroedinger":
+        E0m = mpmath.mpf(m.E0)
+
+        def D(E):
+            return E / (1 + (E / E0m) ** 2)
+
+        def dD(E):
+            return (1 - (E / E0m) ** 2) / (1 + (E / E0m) ** 2) ** 2
+
+        def L(E):
+            return E0m**2 / (8 * mpmath.pi) * mpmath.log1p((E / E0m) ** 2)
+    else:
+        a, x = mpmath.mpf(m.coeffs.alpha), mpmath.mpf(m.coeffs.xi)
+
+        def D(E):
+            return E + 16 * mpmath.pi * a * E**3 + 24 * mpmath.pi * x * E**5
+
+        def dD(E):
+            return 1 + 48 * mpmath.pi * a * E**2 + 120 * mpmath.pi * x * E**4
+
+        def L(E):
+            return E**2 / (8 * mpmath.pi) + a * E**4 + x * E**6
+
+    e = mpmath.mpf(K.e)
+
+    def integrand(t, trace):  # E = t^2 removes the E^(-1/2) endpoint
+        E = t * t
+        u = E * D(E) / (4 * mpmath.pi) - L(E)
+        dV = 2 * mpmath.pi * e**1.5 * D(E) ** -2.5 * dD(E) * 2 * t
+        return (u - 2 * L(E) if trace else u) * dV
+
+    with mpmath.workdps(40):
+        if cutoff is None:
+            limits = [0, 1, mpmath.inf]
+        else:
+            limits = [0, mpmath.sqrt(field_from_displacement(m, K.e / cutoff**2).E)]
+        return tuple(float(mpmath.quad(lambda t: integrand(t, trace), limits))
+                     for trace in (False, True))
+
+
+def boundary_terms(m, r):
+    """(E, L) at radius r, for the closed virial and trace forms."""
+    E = field_from_displacement(m, K.e / r**2).E
+    return E, density_from_invariants(m, E * E, 0.0)
 
 
 class TestEnergyDensity:
@@ -67,17 +147,17 @@ class TestTotalEnergy:
     def test_born_infeld_constant(self):
         U, err = total_energy(born_infeld(1.0), 1.0)
         assert_allclose(U, C_EXACT, rtol=1e-4)
-        assert_allclose(U, C_EXACT, rtol=1e-10)  # actual accuracy is higher
+        assert_allclose(U, C_EXACT, rtol=1e-13)  # actual accuracy is higher
         assert err < 1e-8
 
     def test_units_scale_out(self):
         U, _ = total_energy(BI, K.e)
-        assert_allclose(U / (K.e**2 / R0), C_EXACT, rtol=1e-9)
+        assert_allclose(U / (K.e**2 / R0), C_EXACT, rtol=1e-13)
 
     def test_maxwell_cutoff(self):
         r_c = 3.7e-13
         U, _ = total_energy(maxwell(), K.e, QuadratureSpec(cutoff_r=r_c))
-        assert_allclose(U, K.e**2 / (2 * r_c), rtol=1e-8)
+        assert_allclose(U, K.e**2 / (2 * r_c), rtol=1e-13)
 
     def test_maxwell_without_cutoff_diverges(self):
         with pytest.raises(Divergent):
@@ -90,18 +170,136 @@ class TestTotalEnergy:
             with pytest.raises(ConfigurationError):
                 total_energy(m, K.e, QuadratureSpec(cutoff_r=cutoff))
 
+    def test_born_infeld_constant_across_limiting_fields(self):
+        # deep inside, the walked E rounds up to E0 for many E0: L must stay defined
+        for E0_draw in np.geomspace(1e-5, 1e25, 61):
+            U, _ = total_energy(born_infeld(E0_draw), K.e)
+            assert_allclose(U * np.sqrt(K.e / E0_draw) / K.e**2, C_EXACT, rtol=1e-13)
+
     def test_charge_scaling_three_halves(self):
         # at fixed E0, r0 = sqrt(e/E0) so U = C e^2/r0 scales as e^(3/2)
         U1, _ = total_energy(BI, K.e)
         U2, _ = total_energy(BI, 2 * K.e)
-        assert_allclose(U2 / U1, 2**1.5, rtol=1e-9)
+        assert_allclose(U2 / U1, 2**1.5, rtol=1e-13)
 
-    def test_richardson_pair_bounded_by_reported_error(self):
-        loose = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-8)
-        tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-12)
-        U_loose, err_loose = total_energy(born_infeld(1.0), 1.0, loose)
-        U_tight, _ = total_energy(born_infeld(1.0), 1.0, tight)
-        assert abs(U_loose - U_tight) <= err_loose
+    @pytest.mark.parametrize("name", ["born_infeld", "log_model_cutoff", "polynomial",
+                                      "maxwell_cutoff"])
+    def test_reported_error_bounds_oracle_error(self, name):
+        m, cutoff = CASES[name]
+        U, err = total_energy(m, K.e, spec_at(cutoff))
+        if name == "born_infeld":
+            ref = C_EXACT * K.e**2 / R0
+        elif name == "maxwell_cutoff":
+            ref = K.e**2 / (2 * cutoff)
+        else:
+            ref = field_space_reference(name)[0]
+        assert 0 < err < 1e-13 * U
+        assert abs(U - ref) <= err
+        assert stress_integrals(m, K.e, spec_at(cutoff)).quad_error >= err
+
+
+class TestFieldSpaceReference:
+    """U and the trace against 40-digit field-space quadratures."""
+
+    @pytest.mark.parametrize("name", ["polynomial", "polynomial_xi", "log_model_cutoff",
+                                      "polynomial_negative_alpha_cutoff"])
+    def test_energy_and_trace(self, name):
+        m, cutoff = CASES[name]
+        U_ref, trace_ref = field_space_reference(name)
+        s = stress_integrals(m, K.e, spec_at(cutoff))
+        assert_allclose(s.U_total, U_ref, rtol=1e-13)
+        assert abs(s.laue_trace - trace_ref) <= 1e-13 * U_ref
+        assert total_energy(m, K.e, spec_at(cutoff))[0] == s.U_total
+
+
+class TestDivergence:
+    """A linear map has no finite self-energy: the inner partial integrals
+    grow geometrically and the failure carries them."""
+
+    @pytest.mark.parametrize("m", [maxwell(), polynomial(beta=0.1)],
+                             ids=["maxwell", "linear_polynomial"])
+    def test_growing_partials(self, m):
+        with pytest.raises(Divergent) as exc_info:
+            total_energy(m, K.e)
+        details = exc_info.value.details
+        partials, radii = details["partials"], details["inner_limits"]
+        assert len(partials) >= 4 and len(radii) == len(partials)
+        diffs = np.diff(partials)
+        assert np.all(diffs > 0) and np.all(diffs[1:] > diffs[:-1])
+        assert np.all(np.diff(radii) < 0)
+        with pytest.raises(Divergent):
+            stress_integrals(m, K.e)
+
+
+class TestVirial:
+    """The walk against the potential's: U(r_in) = (2e/3)(phi(r_in) + r_in
+    E_in) - e r_in E_in + (4 pi/3) r_in^3 L_in, and the trace against its
+    closed boundary term -e r_c E_c + 4 pi r_c^3 L_c."""
+
+    def test_born_infeld_center(self):
+        U, _ = total_energy(BI, K.e)
+        assert_allclose(U, (2 / 3) * K.e * potential_at(BI, K.e, 0.0), rtol=1e-13)
+
+    @pytest.mark.parametrize("name", ["log_model_cutoff", "polynomial", "maxwell_cutoff"])
+    def test_cutoff(self, name):
+        m, cutoff = CASES[name]
+        r = cutoff if cutoff is not None else radial_scale(m, K.e)
+        E, L = boundary_terms(m, r)
+        s = stress_integrals(m, K.e, spec_at(r))
+        virial = ((2 * K.e / 3) * (potential_at(m, K.e, r) + r * E) - K.e * r * E
+                  + (4 * np.pi / 3) * r**3 * L)
+        assert_allclose(s.U_total, virial, rtol=1e-13)
+        assert abs(s.laue_trace - (-K.e * r * E + 4 * np.pi * r**3 * L)) <= 1e-13 * s.U_total
+
+    @pytest.mark.parametrize("m", [BI, POLY, POLY_XI], ids=["born_infeld", "polynomial",
+                                                          "polynomial_xi"])
+    def test_trace_vanishes_without_cutoff(self, m):
+        s = stress_integrals(m, K.e)
+        assert abs(s.laue_trace) <= 1e-14 * s.U_total
+
+
+class TestWork:
+    """What an energy call costs: no QUADPACK, no inversion at a node."""
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_needs_no_quadpack(self, name, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("QUADPACK called")
+
+        monkeypatch.setattr(scipy.integrate, "quad", refuse)
+        monkeypatch.setattr(quadrature, "quad", refuse, raising=False)
+        m, cutoff = CASES[name]
+        assert np.isfinite(stress_integrals(m, K.e, spec_at(cutoff)).U_total)
+        assert np.isfinite(total_energy(m, K.e, spec_at(cutoff))[0])
+
+    def test_import_leaves_scipy_integrate_out(self):
+        code = "import sys, nled; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_inversions_per_call(self, name, monkeypatch):
+        calls = []
+
+        def counting(m, d):
+            calls.append(d)
+            return field_from_displacement(m, d)
+
+        monkeypatch.setattr(energetics, "field_from_displacement", counting)
+        m, cutoff = CASES[name]
+        stress_integrals(m, K.e, spec_at(cutoff))
+        assert len(calls) == (0 if cutoff is None else 1)
+
+    @pytest.mark.parametrize("m, cutoff", [(LS, None), (polynomial(alpha=-0.01, xi=0.001), None),
+                                           (LS, R0)],
+                             ids=["log_model", "folded_polynomial", "cutoff_below_fold"])
+    def test_fold_has_no_solution(self, m, cutoff):
+        with pytest.raises(NoSolution) as exc_info:
+            total_energy(m, K.e, spec_at(cutoff))
+        details = exc_info.value.details
+        assert details["radius_cm"] == np.sqrt(K.e / attainable_displacement_max(m))
+        assert details["D"] > details["D_max_attainable"]
 
 
 class TestEffectiveRadius:
@@ -125,14 +323,14 @@ class TestEffectiveRadius:
             effective_radius("paper", K, model_kind="maxwell")
 
     def test_energy_constant_against_gamma_form(self):
-        assert_allclose(born_infeld_energy_constant(), C_EXACT, rtol=1e-10)
+        assert_allclose(born_infeld_energy_constant(), C_EXACT, rtol=1e-13)
         assert_allclose(born_infeld_energy_constant(), 1.23605, atol=1e-4)
 
 
 class TestStressIntegrals:
     def test_born_infeld_trace_vanishes(self):
         s = stress_integrals(BI, K.e)
-        assert abs(s.laue_trace) <= 1e-8 * s.U_total
+        assert abs(s.laue_trace) <= 1e-13 * s.U_total
         assert np.all(s.momentum == 0.0)
         assert s.quad_error > 0
 
