@@ -1,4 +1,4 @@
-"""The D <-> E constitutive map at H = 0 and its per-radius inversion.
+"""The D <-> E constitutive map at H = 0 and its inversion.
 
 Forward map: D = 4 pi |dL/dE| evaluated at H = 0, which gives
 
@@ -7,18 +7,19 @@ Forward map: D = 4 pi |dL/dE| evaluated at H = 0, which gives
     log-schroedinger  D = E / (1 + E^2/E0^2)            (max E0/2 at E = E0)
     polynomial        D = E + 16 pi a E^3 + 24 pi x E^5
 
-Inversion is one bracket-and-solve on the forward map, never an inverse
-formula: the bracket grows from a start point in doubling steps and brentq
-refines it, both in the same search variable.  For the bounded-domain
-(born-infeld) kind that variable is the logit of the radicand
-q = 1 - E^2/E0^2, so the bracket approaches E0 from below and the solve
-stays well conditioned across ~600 decades of D; the other nonlinear kinds
-are solved in log E, and linear maps return E = D.  Non-monotone maps
-(log-schroedinger) return the lower root, the branch continuously connected
-to E = 0, and tag the ambiguity.  The same search variable carries a walk
-along the forward map from points already inverted, which needs no further
-inversion: the potential and the energy and stress integrals run along it
-on one fixed panel rule.
+Inversion walks the forward map, never an inverse formula: one safeguarded
+Newton-bisection runs elementwise on an array of D in a search variable x,
+with Newton's slope d ln D/dx.  For the bounded-domain (born-infeld) kind x
+is the logit w of the radicand q = 1 - E^2/E0^2, in which ln D = ln E0 + w/2
+exactly, so the walk's point at D itself is the root and the solve stays
+well conditioned across ~600 decades of D; the other nonlinear kinds are
+solved in ln E, and linear maps return E = D.  Maps with a fold
+(log-schroedinger, a polynomial with a large negative alpha) have their peak
+in closed form; they return the lower root, the branch continuously
+connected to E = 0, and tag the ambiguity.  The same search variable
+carries a walk along the forward map from points already inverted, which
+needs no further inversion: the potential and the energy and stress
+integrals run along it on one fixed panel rule.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import log_expit
 
 from .errors import ConvergenceFailure, DomainExceeded, NoSolution, UnsupportedModel
 from .models import BORN_INFELD, LOG_SCHROEDINGER, MAXWELL, POLYNOMIAL, LagrangianModel
@@ -43,7 +42,8 @@ BRANCH_LOWER = "lower-of-two"
 class InversionResult:
     """Solution of D(E) = D_target with solve diagnostics.
 
-    ``coulomb_deviation`` is v = 1 - E/D held at full relative precision
+    ``iterations`` counts evaluations of the forward map (0 for a linear
+    map).  ``coulomb_deviation`` is v = 1 - E/D held at full relative precision
     even where v is many orders below 1 (the far Coulomb tail); recomputing
     it from the rounded E and D would lose it to cancellation, and the
     charge-density differentiation needs it clean.
@@ -94,13 +94,14 @@ def _search_walk(m: LagrangianModel, D, E, delta):
 
     Nothing is inverted.  For born-infeld x is the radicand logit w, in which
     ln D = ln E0 + w/2 exactly: a node has D = D_a e^{delta/2},
-    E = D E0 / hypot(E0, D) = E0 sqrt(sigmoid(w)) and d ln E/dw = (E/D)^2 / 2.
-    The other kinds walk x = ln E: E = E_a e^delta, D from the forward map.
+    E = D E0 / hypot(E0, D) = E0 sqrt(sigmoid(w)), held at or below E0 where
+    it rounds above deep inside, and d ln E/dw = (E/D)^2 / 2.  The other
+    kinds walk x = ln E: E = E_a e^delta, D from the forward map.
     """
     if m.kind == BORN_INFELD:
         D = D * np.exp(0.5 * delta)
         ratio = m.E0 / np.hypot(m.E0, D)
-        return D, D * ratio, 0.5 * ratio**2
+        return D, np.minimum(D * ratio, m.E0), 0.5 * ratio**2
     E = E * np.exp(delta)
     return _displacement(m, E), E, np.ones_like(E)
 
@@ -116,19 +117,27 @@ def _search_steps(m: LagrangianModel, D: np.ndarray, E: np.ndarray):
     return np.log(E[:-1] / E[1:]), height
 
 
-# The fixed quadrature rule of the walks: Gauss-Legendre panels of width at
-# most _PANEL_WIDTH in x over the segments between anchors, which sit every
-# _ANCHOR_STEP out to _WALK_DEPTH past the characteristic field, and one
-# closing panel in s = e^{k (x - x_end)} beyond the last anchor, where the
-# integrand goes as e^{k x}.
-_PANEL = np.polynomial.legendre.leggauss(8)
-_CLOSING = np.polynomial.legendre.leggauss(24)
+def _unit_rule(points: int):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    t, w = np.polynomial.legendre.leggauss(points)
+    return 0.5 * (t + 1.0), 0.5 * w
+
+
+# The fixed quadrature rule of the walks: 16-point Gauss-Legendre panels of
+# width at most _PANEL_WIDTH in x over the segments between anchors, which sit
+# every _ANCHOR_STEP out to _WALK_DEPTH past the characteristic field, and
+# one 24-point closing panel in s = e^{k (x - x_end)} beyond the last anchor,
+# where the integrand goes as e^{k x}.  16 points, not 8: the polynomial
+# D(E) has complex zeros ~0.5 from the real axis in ln E (0.54 for
+# alpha = -0.005, xi = 0.001), where 8 points leave 1.7e-10 of U and
+# 8.3e-13 of phi.
+_RULE = (_unit_rule(16), _unit_rule(24))
 _PANEL_WIDTH = 0.5
 _ANCHOR_STEP = 2.0
 _WALK_DEPTH = 40.0
 
 
-def _walk_nodes(steps: np.ndarray, k: float, rule=(_PANEL, _CLOSING)):
+def _walk_nodes(steps: np.ndarray, k: float, rule=_RULE):
     """(anchor, offset, weight, segment) of the rule over anchors in falling
     x, segment j running from anchor j + 1 up to anchor j over the width
     steps[j], in ceil(step/_PANEL_WIDTH) equal panels; segment steps.size is
@@ -141,18 +150,18 @@ def _walk_nodes(steps: np.ndarray, k: float, rule=(_PANEL, _CLOSING)):
     start = (np.arange(seg.size) - (np.cumsum(panels) - panels)[seg])[:, None] * width
     (t, w), closing = rule
     d_end, w_end = _closing_nodes(k, closing)
-    delta = np.concatenate([(start + 0.5 * width * (t + 1.0)).ravel(), d_end])
-    weight = np.concatenate([(0.5 * width * w).ravel(), w_end])
+    delta = np.concatenate([(start + width * t).ravel(), d_end])
+    weight = np.concatenate([(width * w).ravel(), w_end])
     owner = np.concatenate([np.repeat(seg, t.size), np.full(d_end.size, steps.size)])
     return np.minimum(owner + 1, steps.size), delta, weight, owner
 
 
-def _closing_nodes(k: float, rule=_CLOSING):
+def _closing_nodes(k: float, rule):
     """(offset, weight) of the closing panel from an anchor to where an
     integrand going as e^{k x} vanishes: below the anchor for k > 0, above
     it for k < 0."""
-    s = 0.5 * (rule[0] + 1.0)
-    return np.log(s) / k, 0.5 * rule[1] / (abs(k) * s)
+    s, w = rule
+    return np.log(s) / k, w / (abs(k) * s)
 
 
 def displacement_from_field(m: LagrangianModel, E):
@@ -166,13 +175,6 @@ def displacement_from_field(m: LagrangianModel, E):
             raise DomainExceeded(m.kind, "radicand 1 - E^2/E0^2", float(np.min(rad)))
     D = _displacement(m, E)
     return float(D) if E.ndim == 0 else D
-
-
-@dataclass(frozen=True)
-class _MapShape:
-    monotone: bool
-    E_peak: float | None = None
-    D_max: float | None = None
 
 
 def _characteristic_field(m: LagrangianModel) -> float | None:
@@ -190,31 +192,30 @@ def _characteristic_field(m: LagrangianModel) -> float | None:
 
 
 @lru_cache(maxsize=64)
-def _map_shape(m: LagrangianModel) -> _MapShape:
-    """Monotonicity of D(E), with the peak located for unimodal maps.
+def _map_shape(m: LagrangianModel) -> tuple[float, float]:
+    """(E_peak, D_max): the field where D(E) first stops rising and the
+    displacement there, both inf for a map that rises throughout.
 
-    born-infeld and the linear maps (no characteristic field) are increasing
-    in closed form; the rest are probed on a geometric grid around the
-    characteristic field (assumes the map is unimodal at probe resolution,
-    true for the shipped kinds).
+    Closed form per kind: born-infeld and the linear maps rise throughout;
+    the log model peaks at E0.  The polynomial's D'(E) = 1 + 48 pi a E^2 +
+    120 pi x E^4 first vanishes at E^2 = t, the smallest positive root of
+    120 pi x t^2 + 48 pi a t + 1 = 0; with no positive root, or a double
+    one, the map rises throughout.
     """
-    scale = _characteristic_field(m)
-    if m.kind == BORN_INFELD or scale is None:
-        return _MapShape(monotone=True)
-    grid = scale * np.logspace(-9.0, 9.0, 145)
-    d = _displacement(m, grid)
-    rising = np.diff(d) > 0
-    if np.all(rising):
-        return _MapShape(monotone=True)
-    i = int(np.argmin(rising))  # first decrease: peak in (grid[i-1], grid[i+1])
-    lo = grid[i - 1] if i > 0 else grid[0] * 1e-3
-    hi = grid[i + 1]
-    res = minimize_scalar(lambda E: -_displacement(m, E),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12 * hi})
-    e_peak = float(res.x)
-    return _MapShape(monotone=False, E_peak=e_peak,
-                     D_max=float(_displacement(m, e_peak)))
+    E_peak = np.inf
+    if m.kind == LOG_SCHROEDINGER:
+        E_peak = m.E0
+    elif m.kind == POLYNOMIAL:
+        a, b = 48.0 * np.pi * m.coeffs.alpha, 120.0 * np.pi * m.coeffs.xi
+        disc = a * a - 4.0 * b
+        roots = ()
+        if b == 0.0 and a != 0.0:
+            roots = (-1.0 / a,)
+        elif b != 0.0 and disc > 0.0:
+            q = -0.5 * (a + np.copysign(np.sqrt(disc), a))  # no cancellation
+            roots = (q / b, 1.0 / q)
+        E_peak = float(np.sqrt(min((t for t in roots if t > 0.0), default=np.inf)))
+    return E_peak, (np.inf if E_peak == np.inf else float(_displacement(m, E_peak)))
 
 
 @lru_cache(maxsize=64)
@@ -234,13 +235,16 @@ def _log_field_limit(m: LagrangianModel) -> float:
 
 def attainable_displacement_max(m: LagrangianModel) -> float:
     """sup of D over the field domain (inf for monotone unbounded maps)."""
-    shape = _map_shape(m)
-    return np.inf if shape.monotone else shape.D_max
+    return _map_shape(m)[1]
 
 
-def _coulomb_deviation(m: LagrangianModel, E: float) -> float:
-    """v = 1 - E/D(E) without subtractive cancellation (log-schroedinger and
-    polynomial)."""
+def _coulomb_deviation(m: LagrangianModel, E, D):
+    """v = 1 - E/D at a point (D, E) of the map without subtractive
+    cancellation (float or array)."""
+    if m.kind == BORN_INFELD:
+        # E/D = E0/h with h = hypot(E0, D), so v = (h - E0)/h = D^2/(h (h + E0))
+        h = np.hypot(m.E0, D)
+        return (D / h) * (D / (h + m.E0))
     if m.kind == LOG_SCHROEDINGER:
         # E/D = 1 + (E/E0)^2 exactly
         return -((E / m.E0) ** 2)
@@ -249,35 +253,86 @@ def _coulomb_deviation(m: LagrangianModel, E: float) -> float:
     return extra / (E + extra)
 
 
-def _solve(f, x0: float, x_max: float, xtol: float) -> tuple[float, int]:
-    """Root of an increasing f and the number of solver steps taken.
+_X_TOL = 1e-15   # a step, or a bracket, this small in x ends the solve
+_MAX_EVALS = 200
 
-    The bracket grows from x0 toward the root in steps that double, its
-    upper end capped at x_max, and is checked in the same variable brentq
-    then refines in.
+
+def _invert(m: LagrangianModel, D: np.ndarray):
+    """(E, v, evaluations, residual, lower) for an array of displacements
+    D > 0 by one safeguarded Newton-bisection, elementwise.
+
+    Each element walks the forward map (_search_walk) from the point
+    (D, min(D, E_top)), E_top being the peak or the largest field where
+    D(E) is finite, re-anchored at every point it reaches so that E keeps
+    full precision; Newton's slope is d ln D/dx.  Born-infeld, whose walk
+    reads only D, starts at its root.  The ln E kinds bracket the root
+    between E_top and _WALK_DEPTH below min(D, E_char), where the map is
+    linear, and bisect where Newton would leave the bracket.  An element
+    takes its last step when that step or its bracket is below _X_TOL, so
+    an array call equals the per-element calls bit for bit.  ``lower`` tags
+    lower-of-two roots, and D in the accepted band at or just above D_max
+    returns the peak.  NoSolution and ConvergenceFailure name the first
+    offending element.
     """
-    f0 = f(x0)
-    if f0 == 0.0:
-        return x0, 1
-    up = f0 < 0.0
-    near, step, evals = x0, 1.0, 1
-    while True:
-        far = min(near + step, x_max) if up else near - step
-        evals += 1
-        f_far = f(far)
-        if (f_far >= 0.0 if up else f_far <= 0.0) or far == x_max:
-            break
-        near, step = far, step * 2.0
-        if step > 2.0**60:
-            raise ConvergenceFailure("bracket growth exhausted")
-    lo, hi = (near, far) if up else (far, near)
-    try:
-        x, info = brentq(f, lo, hi, xtol=xtol, maxiter=200, full_output=True)
-    except ValueError as exc:  # no sign change at the ends
-        raise ConvergenceFailure(f"{exc} (bracket [{lo!r}, {hi!r}])") from None
-    if not info.converged:
-        raise ConvergenceFailure("brentq failed to converge")
-    return x, evals + info.iterations
+    if m.kind not in (MAXWELL, BORN_INFELD, LOG_SCHROEDINGER, POLYNOMIAL):
+        raise UnsupportedModel(f"{m.kind} has no constitutive map")
+    scale = _characteristic_field(m)
+    if scale is None:
+        zero = np.zeros_like(D)
+        return D.copy(), zero, zero.astype(int), zero, zero.astype(bool)
+    E_peak, D_max = _map_shape(m)
+    above = D > D_max * (1.0 + 1e-13)
+    if np.count_nonzero(above):
+        raise NoSolution(float(D[np.argmax(above)]), D_max)
+    lower = (D < D_max * (1.0 - 1e-12)) & (D_max < np.inf)
+    if m.kind == BORN_INFELD:
+        E, lo, hi = D, np.zeros_like(D), np.zeros_like(D)
+    else:
+        E_top = min(E_peak, np.exp(_log_field_limit(m)))
+        E = np.where(D >= D_max, E_top, np.minimum(D, E_top))
+        ln_E = np.log(E)
+        lo = np.log(np.minimum(D, scale)) - ln_E - _WALK_DEPTH
+        hi = np.log(E_top) - ln_E
+
+    # the elements still solving (act): target d, current point (dx, e) and
+    # the bracket [lo, hi] in offsets from it; born-infeld starts at its root
+    Dx, E, _ = _search_walk(m, D, E, 0.0)
+    evals = np.ones(D.shape, dtype=int)
+    act = np.flatnonzero(lo < hi)
+    d, dx, e, lo, hi = D[act], Dx[act], E[act], lo[act], hi[act]
+    k = 1
+    while act.size:
+        k += 1
+        if k > _MAX_EVALS:
+            raise ConvergenceFailure(f"no convergence in {_MAX_EVALS} evaluations for "
+                                     f"{m.kind} at D = {float(d[0])!r}", D=float(d[0]))
+        f = np.log(dx / d)
+        lo, hi = np.where(f <= 0.0, 0.0, lo), np.where(f >= 0.0, 0.0, hi)
+        # a flat or falling slope (at or past a peak) takes the bisection
+        slope = _displacement_slope(m, e)
+        step = -f / np.where(slope > 0.0, slope, np.nan)
+        inside = (lo < step) & (step < hi)
+        if np.count_nonzero(inside) < inside.size:
+            step = np.where(inside, step, 0.5 * (lo + hi))
+        last = np.minimum(hi - lo, np.abs(step)) <= _X_TOL
+        dx, e, _ = _search_walk(m, dx, e, step)
+        n_last = np.count_nonzero(last)
+        if n_last:
+            Dx[act[last]], E[act[last]], evals[act[last]] = dx[last], e[last], k
+            if n_last == act.size:
+                break
+            keep = ~last
+            act, d, dx, e, lo, hi, step = (a[keep] for a in (act, d, dx, e, lo, hi, step))
+        lo, hi = lo - step, hi - step
+    residual = np.abs(Dx - D) / D
+    bad = residual > RESIDUAL_LIMIT
+    if np.count_nonzero(bad):
+        i = int(np.argmax(bad))
+        raise ConvergenceFailure(
+            f"inversion residual {residual[i]:.3e} above {RESIDUAL_LIMIT} "
+            f"for {m.kind} at D = {float(D[i])!r}",
+            residual=float(residual[i]), D=float(D[i]))
+    return E, _coulomb_deviation(m, E, Dx), evals, residual, lower
 
 
 def field_from_displacement(m: LagrangianModel, D: float) -> InversionResult:
@@ -291,57 +346,8 @@ def field_from_displacement(m: LagrangianModel, D: float) -> InversionResult:
         raise ValueError(f"displacement must be finite and >= 0, got {D}")
     if d_target == 0.0:
         return InversionResult(E=0.0, iterations=0, residual=0.0, branch=BRANCH_UNIQUE)
-    if m.kind not in (MAXWELL, BORN_INFELD, LOG_SCHROEDINGER, POLYNOMIAL):
-        raise UnsupportedModel(f"{m.kind} has no constitutive map")
-    if _characteristic_field(m) is None:
-        return InversionResult(E=d_target, iterations=0, residual=0.0,
-                               branch=BRANCH_UNIQUE)
-
-    branch = BRANCH_UNIQUE
-    try:
-        if m.kind == BORN_INFELD:
-            # Search variable w is the logit of the radicand: q = 1 - E^2/E0^2
-            # = sigmoid(-w).  The forward map in log form, ln D = ln E0 +
-            # (log_expit(w) - log_expit(-w)) / 2, never under/overflows, so
-            # the bracket can approach E0 (w -> +inf) or 0 (w -> -inf) safely.
-            ln_E0, ln_target = np.log(m.E0), np.log(d_target)
-
-            def f(w: float) -> float:
-                return ln_E0 + 0.5 * (log_expit(w) - log_expit(-w)) - ln_target
-
-            w, iterations = _solve(f, 0.0, np.inf, 1e-13)
-            e_root = float(m.E0 * np.exp(0.5 * log_expit(w)))
-            residual = abs(np.expm1(f(w)))
-            # v = 1 - E/D = 1 - sqrt(q) = (1 - q)/(1 + sqrt(q)), cancellation-free
-            deviation = float(np.exp(log_expit(w))
-                              / (1.0 + np.exp(0.5 * log_expit(-w))))
-        else:
-            shape = _map_shape(m)
-            if shape.monotone:
-                y_max = _log_field_limit(m)
-            else:
-                # Unimodal map: only the rising branch up to the peak carries
-                # the physical (weak-field-connected) root.
-                if d_target > shape.D_max * (1.0 + 1e-13):
-                    raise NoSolution(d_target, shape.D_max)
-                if d_target < shape.D_max * (1.0 - 1e-12):
-                    branch = BRANCH_LOWER
-                y_max = np.log(shape.E_peak)
-            if shape.monotone or d_target < shape.D_max:
-                y, iterations = _solve(lambda y: _displacement(m, np.exp(y)) - d_target,
-                                       min(np.log(d_target), y_max), y_max, 1e-14)
-                e_root = float(np.exp(y))
-            else:  # the accepted band at or above D_max: the peak is the root
-                e_root, iterations = shape.E_peak, 0
-            residual = abs(_displacement(m, e_root) - d_target) / d_target
-            deviation = _coulomb_deviation(m, e_root)
-    except ConvergenceFailure as exc:
-        raise ConvergenceFailure(f"{exc} for {m.kind} at D = {d_target!r}",
-                                 D=d_target) from None
-    if residual > RESIDUAL_LIMIT:
-        raise ConvergenceFailure(
-            f"inversion residual {residual:.3e} above {RESIDUAL_LIMIT} "
-            f"for {m.kind} at D = {d_target!r}",
-            residual=residual, D=d_target)
-    return InversionResult(E=e_root, iterations=iterations, residual=float(residual),
-                           branch=branch, coulomb_deviation=deviation)
+    E, v, evals, residual, lower = _invert(m, np.array([d_target]))
+    return InversionResult(E=float(E[0]), iterations=int(evals[0]),
+                           residual=float(residual[0]),
+                           branch=BRANCH_LOWER if lower[0] else BRANCH_UNIQUE,
+                           coulomb_deviation=float(v[0]))

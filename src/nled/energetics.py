@@ -34,9 +34,10 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import PhysicalConstants, classical_electron_radius, constants
-from .constitutive import (_ANCHOR_STEP, _CLOSING, _WALK_DEPTH, _characteristic_field,
+from .constitutive import (_ANCHOR_STEP, _RULE, _WALK_DEPTH, _characteristic_field,
                            _closing_nodes, _displacement_slope, _search_steps, _search_walk,
-                           _walk_nodes, attainable_displacement_max, field_from_displacement)
+                           _unit_rule, _walk_nodes, attainable_displacement_max,
+                           field_from_displacement)
 from .errors import ConfigurationError, Divergent, NoSolution, UnsupportedModel
 from .kinematics import FOUR_PI
 from .models import (BORN_INFELD, LagrangianModel, born_infeld,
@@ -91,14 +92,21 @@ def _stress_densities(m: LagrangianModel, E, D):
     return E * D / FOUR_PI - L, L
 
 
-# The walks' panels with 16 Gauss-Legendre points each: the polynomial D(E)
-# has complex zeros ~0.5 from the real axis in ln E (0.54 for alpha = -0.005,
-# xi = 0.001), where the potential's 8 points leave 1.7e-10 of U.  The error
-# estimate repeats each sum with the next lower rules on the same panels and
-# allows a few ulps per node for rounding.
-_RULE = (np.polynomial.legendre.leggauss(16), _CLOSING)
-_LOWER = (np.polynomial.legendre.leggauss(15), np.polynomial.legendre.leggauss(23))
+# The error estimate repeats each sum of the walks' rule with the next lower
+# rules on the same panels and allows a few ulps per node for rounding.
+_LOWER = (_unit_rule(15), _unit_rule(23))
 _ROUNDING = 8.0 * np.finfo(float).eps
+
+
+@lru_cache(maxsize=16)
+def _anchor_nodes(n: int, k: float, lower: bool):
+    """_walk_nodes of the walks' rule, or of the lower one, over n anchor
+    steps with the closing rate k: fixed by the walk's length, so built once
+    and shared read-only."""
+    nodes = _walk_nodes(np.full(n, _ANCHOR_STEP), k, _LOWER if lower else _RULE)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
 
 
 def _stress_walk(m: LagrangianModel, e: float,
@@ -142,8 +150,6 @@ def _stress_walk(m: LagrangianModel, e: float,
     def integrate(anchor, delta, weight, seg):
         """Per segment, the sums of u dV, (u - 2L) dV and |u dV| + |L dV|."""
         D, E, _ = _search_walk(m, D_a[anchor], E_a[anchor], delta)
-        if m.kind == BORN_INFELD:  # deep inside, E = D E0/hypot(E0, D) can round above E0
-            E = np.minimum(E, m.E0)
         u, L = _stress_densities(m, E, D)
         dV = 2.0 * np.pi * (e / D) ** 1.5 * _displacement_slope(m, E)
         return np.array([np.bincount(seg, weights=weight * f, minlength=n + 2)
@@ -153,12 +159,11 @@ def _stress_walk(m: LagrangianModel, e: float,
         delta, weight = _closing_nodes(rate[0], closing)
         return np.zeros(delta.size, dtype=int), delta, weight, np.full(delta.size, n + 1)
 
-    rules = (_RULE, _LOWER)
-    steps = np.full(n, _ANCHOR_STEP)
-    sums = np.array([integrate(*_walk_nodes(steps, rate[-1], rule)) for rule in rules])
+    sums = np.array([integrate(*_anchor_nodes(n, float(rate[-1]), lower))
+                     for lower in (False, True)])
     if n_in:
         _check_inner(e, sums[0, 0, :n + 1], D_a, n_in)
-        sums += [integrate(*inner(closing)) for _, closing in rules]
+        sums += [integrate(*inner(rule[1])) for rule in (_RULE, _LOWER)]
     (U, trace, scale), (U_low, trace_low, _) = sums.sum(axis=2)
     rounding = _ROUNDING * scale
     return U, trace, abs(U - U_low) + rounding, abs(trace - trace_low) + rounding

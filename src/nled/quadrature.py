@@ -14,13 +14,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class QuadratureSpec:
     """cutoff_r (cm) optionally truncates the radial integrals at an inner
-    radius.
+    radius."""
 
-    rel_tol and abs_tol are accepted for callers that pass tolerances, and
-    ignored: the rule is fixed, and every result reports its own error
-    estimate.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-10
     cutoff_r: float | None = None

@@ -1,12 +1,12 @@
 """Radial profiles of the spherically symmetric electron-like solution.
 
 The displacement field is the point-source D(r) = e/r^2; the electric field
-comes from the per-radius constitutive inversion; the charge density is the
-divergence rho = (1/4 pi r^2) d(r^2 E)/dr taken with high-order finite
-differences on the grid; eps = D/E.  The potential, the inward integral of
-E, is taken by parts along the inversion's own search variable: it walks
-the explicit forward map D(E) on fixed Gauss-Legendre panels, so no
-quadrature node is inverted and no adaptive quadrature runs.
+comes from one array inversion of the constitutive map over the grid; the
+charge density is the divergence rho = (1/4 pi r^2) d(r^2 E)/dr taken with
+high-order finite differences on the grid; eps = D/E.  The potential, the
+inward integral of E, is taken by parts along the inversion's own search
+variable: it walks the explicit forward map D(E) on fixed Gauss-Legendre
+panels, so no quadrature node is inverted and no adaptive quadrature runs.
 
 Grids are uniform in log r (default: 400 points over [1e-4, 1e4] r0, r0
 being energetics.radial_scale) or in r, so fixed-stencil differences apply
@@ -24,8 +24,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import energetics
-from .constitutive import (_ANCHOR_STEP, _WALK_DEPTH, _search_steps, _search_walk,
-                           _walk_nodes, attainable_displacement_max,
+from .constitutive import (_ANCHOR_STEP, _WALK_DEPTH, _invert, _search_steps,
+                           _search_walk, _walk_nodes, attainable_displacement_max,
                            field_from_displacement)
 from .errors import ConfigurationError, NoSolution
 from .kinematics import FOUR_PI
@@ -155,16 +155,11 @@ def _invert_profile(m: LagrangianModel, e: float,
                     grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     """(E, v) per grid point, v = 1 - E/D held at full relative precision."""
     D = displacement_profile(e, grid)
-    E = np.empty_like(D)
-    v = np.empty_like(D)
-    for i, d in enumerate(D):
-        try:
-            res = field_from_displacement(m, d)
-        except NoSolution as exc:
-            raise NoSolution(exc.d_target, exc.d_max_attainable,
-                             radius_cm=float(grid.r[i])) from exc
-        E[i] = res.E
-        v[i] = res.coulomb_deviation
+    try:
+        E, v, *_ = _invert(m, D)
+    except NoSolution as exc:  # the first offending D is the innermost radius
+        raise NoSolution(exc.d_target, exc.d_max_attainable,
+                         radius_cm=float(grid.r[np.argmax(D == exc.d_target)])) from exc
     return E, v
 
 
@@ -219,12 +214,11 @@ def _potential(m: LagrangianModel, e: float, r: np.ndarray,
     at the low-x end of its segment, so no node carries the rounding of a
     large absolute x, and r_i E_i is subtracted with the exact grid radius:
     the result is first-order insensitive to inversion error in E_i, which
-    matters at the fold of a non-monotone map.
+    matters at the fold of a non-monotone map.  For born-infeld the walk
+    reads only D, and the inverted E_i is the walk's own point at D_i, so
+    each integral ends at the E_i that is subtracted.
     """
     D = e / r**2
-    # the anchors where the walk itself puts them, so that each integral ends
-    # at the E_i that is subtracted (for born-infeld, E at the grid's exact w)
-    _, E, _ = _search_walk(m, D, E, 0.0)
     steps, height = _search_steps(m, D, E)
     n_tail = int(np.ceil((_WALK_DEPTH + max(height, 0.0)) / _ANCHOR_STEP))
     D_t, E_t, slope_t = _search_walk(m, D[-1], E[-1],

@@ -169,14 +169,14 @@ def test_criterion_13_documented_exclusions():
         assert "QED" in readme           # equivalence claim out of numeric scope
 
 
-def test_quadrature_error_brackets_refinement_pair():
+def test_quadrature_error_bounds_oracle_error():
     # supporting assertion for the acceptance run: the reported quadrature
-    # error bounds the difference between two refinement levels
-    loose = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-8)
-    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-12)
-    U_loose, err = total_energy(BI, K.e, loose)
-    U_tight, _ = total_energy(BI, K.e, tight)
-    assert abs(U_loose - U_tight) <= err
+    # error is small and bounds the distance to the closed form C e^2/r0,
+    # C = Gamma(1/4)^2 / (6 sqrt(pi))
+    U, err = total_energy(BI, K.e)
+    C = gamma(0.25) ** 2 / (6 * np.sqrt(np.pi))
+    assert 0 < err < 1e-13 * U
+    assert abs(U - C * K.e**2 / R0) <= err
 
 
 def test_cli_acceptance_example():

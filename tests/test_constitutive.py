@@ -1,13 +1,68 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from nled import (ConvergenceFailure, NoSolution, attainable_displacement_max,
-                  born_infeld, dL_dE, displacement_from_field,
-                  field_from_displacement, FieldVectors, log_schroedinger,
-                  maxwell, polynomial)
+                  born_infeld, compute_profile, constants, dL_dE,
+                  displacement_from_field, field_from_displacement, FieldVectors,
+                  log_schroedinger, maxwell, polynomial, total_energy)
+from nled import constitutive
 
 FOUR_PI = 4 * np.pi
+K = constants("historical1934")
+E0 = 9.18e15
+
+# D'(E) = 1 + 48 pi alpha E^2 + 120 pi xi E^4 has a double root at alpha_c;
+# just beyond it the map folds between two extrema 15 % apart in E
+XI = 0.001
+ALPHA_C = -np.sqrt(480 * np.pi * XI) / (48 * np.pi)
+NARROW = polynomial(alpha=1.01 * ALPHA_C, xi=XI)
+
+WHOLE_RANGE = [
+    (maxwell(), 1e300),
+    (born_infeld(1.0), 1e300),
+    (log_schroedinger(1.0), 0.5),
+    (polynomial(alpha=0.01, xi=0.001), 1e60),
+    (polynomial(alpha=-0.01, xi=0.001), 1e60),
+    (NARROW, 1e60),
+]
+
+# one model of every kind and shape for the property tests
+SHAPES = {
+    "maxwell": maxwell(),
+    "born_infeld": born_infeld(E0),
+    "log_model": log_schroedinger(E0),
+    "polynomial": polynomial(alpha=0.01, xi=0.001),
+    "polynomial_xi": polynomial(xi=0.001),
+    "monotone_negative_alpha": polynomial(alpha=-0.005, xi=0.001),
+    "folded_polynomial": polynomial(alpha=-0.01, xi=0.001),
+    "narrow_fold": NARROW,
+}
+
+
+def forward_mp(m, E):
+    """D(E) in 40 digits at the double E."""
+    with mpmath.workdps(40):
+        E = mpmath.mpf(E)
+        if m.kind == "born-infeld":
+            return E / mpmath.sqrt(1 - (E / m.E0) ** 2)
+        if m.kind == "log-schroedinger":
+            return E / (1 + (E / m.E0) ** 2)
+        if m.kind == "maxwell":
+            return E
+        c = m.coeffs
+        return abs(E + 16 * mpmath.pi * c.alpha * E**3 + 24 * mpmath.pi * c.xi * E**5)
+
+
+def narrow_extrema():
+    """(E_peak, E_min) of NARROW in 40 digits: the square roots of the two
+    positive roots t of 120 pi xi t^2 + 48 pi alpha t + 1 = 0."""
+    with mpmath.workdps(40):
+        a, b = 48 * mpmath.pi * mpmath.mpf(NARROW.coeffs.alpha), 120 * mpmath.pi * mpmath.mpf(XI)
+        root = mpmath.sqrt(a * a - 4 * b)
+        return mpmath.sqrt((-a - root) / (2 * b)), mpmath.sqrt((-a + root) / (2 * b))
 
 
 class TestForwardMap:
@@ -124,13 +179,7 @@ class TestInversion:
         res = field_from_displacement(born_infeld(1.0), 123.456)
         assert res.iterations > 0
 
-    @pytest.mark.parametrize("model, d_top", [
-        (maxwell(), 1e300),
-        (born_infeld(1.0), 1e300),
-        (log_schroedinger(1.0), 0.5),
-        (polynomial(alpha=0.01, xi=0.001), 1e60),
-        (polynomial(alpha=-0.01, xi=0.001), 1e60),
-    ])
+    @pytest.mark.parametrize("model, d_top", WHOLE_RANGE)
     def test_round_trip_whole_range(self, model, d_top):
         # every D inverts with a small residual, or is above the attainable
         # maximum; the solver itself never gives up
@@ -165,3 +214,80 @@ class TestInversion:
         res = field_from_displacement(m, 1e70)
         assert res.residual <= 1e-12
         assert_allclose(displacement_from_field(m, res.E), 1e70, rtol=1e-12)
+
+
+class TestKernel:
+    """The array inversion behind field_from_displacement and the profiles."""
+
+    @pytest.mark.parametrize("model, d_top", WHOLE_RANGE)
+    def test_array_equals_per_point(self, model, d_top):
+        D = np.geomspace(1e-300, d_top, 601)
+        D = D[D <= attainable_displacement_max(model)]
+        E, v, evals, residual, lower = constitutive._invert(model, D)
+        points = [field_from_displacement(model, d) for d in D]
+        for got, want in [(E, [p.E for p in points]),
+                          (v, [p.coulomb_deviation for p in points]),
+                          (residual, [p.residual for p in points])]:
+            assert got.tobytes() == np.array(want).tobytes()
+        assert evals.tolist() == [p.iterations for p in points]
+        assert lower.tolist() == [p.branch == "lower-of-two" for p in points]
+
+    @pytest.mark.parametrize("name", list(SHAPES))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(decades=st.floats(-150.0, 150.0))
+    def test_round_trip(self, name, decades):
+        # D -> E -> D across 300 decades around the characteristic field,
+        # the way back in 40 digits
+        m = SHAPES[name]
+        d = 10.0**decades * (constitutive._characteristic_field(m) or 1.0)
+        d_max = attainable_displacement_max(m)
+        try:
+            res = field_from_displacement(m, d)
+        except NoSolution:
+            assert d > d_max * (1 + 1e-13)
+            return
+        assert res.residual <= 1e-12
+        assert (res.branch == "lower-of-two") == (d < d_max * (1 - 1e-12) < np.inf)
+        if m.kind == "born-infeld":
+            # D(E) is too steep near E0 to come back through E: compare E
+            # with the exact inverse E0 D / sqrt(E0^2 + D^2) instead
+            with mpmath.workdps(40):
+                exact = m.E0 * mpmath.mpf(d) / mpmath.sqrt(m.E0**2 + mpmath.mpf(d) ** 2)
+            assert abs(res.E / exact - 1) <= 4e-16
+        else:
+            assert abs(forward_mp(m, res.E) / d - 1) <= 1e-14
+
+
+class TestNarrowFold:
+    """A fold whose two extrema lie 15 % apart in E: the map shape must come
+    from the closed-form roots of D'(E), not from sampling."""
+
+    def test_peak_in_closed_form(self):
+        d_max = attainable_displacement_max(NARROW)
+        e_peak, _ = narrow_extrema()
+        assert np.isfinite(d_max)
+        res = field_from_displacement(NARROW, d_max)  # the band at D_max returns the peak
+        assert_allclose(res.E, 1.18914, rtol=1e-5)
+        assert abs(res.E / e_peak - 1) <= 1e-14
+        assert abs(d_max / forward_mp(NARROW, e_peak) - 1) <= 1e-14
+
+    def test_between_extrema_takes_lower_branch(self):
+        e_peak, e_min = narrow_extrema()
+        d_hi, d_lo = float(forward_mp(NARROW, e_peak)), float(forward_mp(NARROW, e_min))
+        for d in np.linspace(d_lo, d_hi, 9)[1:-1]:
+            res = field_from_displacement(NARROW, d)
+            assert res.branch == "lower-of-two"
+            assert res.E < e_peak
+            assert abs(forward_mp(NARROW, res.E) / d - 1) <= 1e-14
+
+    def test_profile_trims_at_fold(self):
+        prof = compute_profile(NARROW, K.e)
+        d_max = attainable_displacement_max(NARROW)
+        assert prof.inversion_failed_below_r == np.sqrt(K.e / d_max)
+        assert np.all(prof.E <= float(narrow_extrema()[0]))
+
+    def test_energy_without_cutoff_has_no_solution(self):
+        with pytest.raises(NoSolution) as exc_info:
+            total_energy(NARROW, K.e)
+        d_max = attainable_displacement_max(NARROW)
+        assert exc_info.value.details["radius_cm"] == np.sqrt(K.e / d_max)
