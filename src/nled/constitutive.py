@@ -81,10 +81,10 @@ def _displacement_slope(m: LagrangianModel, E):
     if m.kind == LOG_SCHROEDINGER:
         t = (E / m.E0) ** 2
         return (1.0 - t) / (1.0 + t)
-    if m.kind == POLYNOMIAL:
+    if m.kind == POLYNOMIAL:  # in powers of E^2, finite wherever D(E) is
         c = m.coeffs
-        a, x = 16.0 * np.pi * c.alpha * E**3, 24.0 * np.pi * c.xi * E**5
-        return (E + 3.0 * a + 5.0 * x) / (E + a + x)
+        a, x = 16.0 * np.pi * c.alpha * E**2, 24.0 * np.pi * c.xi * E**4
+        return (1.0 + 3.0 * a + 5.0 * x) / (1.0 + a + x)
     raise UnsupportedModel(f"{m.kind} has no constitutive map")
 
 
@@ -266,8 +266,8 @@ def _invert(m: LagrangianModel, D: np.ndarray):
     D(E) is finite, re-anchored at every point it reaches so that E keeps
     full precision; Newton's slope is d ln D/dx.  Born-infeld, whose walk
     reads only D, starts at its root.  The ln E kinds bracket the root
-    between E_top and _WALK_DEPTH below min(D, E_char), where the map is
-    linear, and bisect where Newton would leave the bracket.  An element
+    between E_top and min(D, the smallest normal float), where D(E) = E to
+    double precision, and bisect where Newton would leave the bracket.  An element
     takes its last step when that step or its bracket is below _X_TOL, so
     an array call equals the per-element calls bit for bit.  ``lower`` tags
     lower-of-two roots, and D in the accepted band at or just above D_max
@@ -276,8 +276,7 @@ def _invert(m: LagrangianModel, D: np.ndarray):
     """
     if m.kind not in (MAXWELL, BORN_INFELD, LOG_SCHROEDINGER, POLYNOMIAL):
         raise UnsupportedModel(f"{m.kind} has no constitutive map")
-    scale = _characteristic_field(m)
-    if scale is None:
+    if _characteristic_field(m) is None:
         zero = np.zeros_like(D)
         return D.copy(), zero, zero.astype(int), zero, zero.astype(bool)
     E_peak, D_max = _map_shape(m)
@@ -291,7 +290,7 @@ def _invert(m: LagrangianModel, D: np.ndarray):
         E_top = min(E_peak, np.exp(_log_field_limit(m)))
         E = np.where(D >= D_max, E_top, np.minimum(D, E_top))
         ln_E = np.log(E)
-        lo = np.log(np.minimum(D, scale)) - ln_E - _WALK_DEPTH
+        lo = np.log(np.minimum(D, np.finfo(float).tiny)) - ln_E
         hi = np.log(E_top) - ln_E
 
     # the elements still solving (act): target d, current point (dx, e) and
