@@ -25,8 +25,6 @@ from .kinematics import boost_invariance_suite, fierz_suite
 from .models import model_from_config
 from .quadrature import QuadratureSpec
 
-SUBCOMMANDS = ("profile", "energy", "expand", "invariants", "dirac", "radius")
-
 _DEFAULTS = {
     "model": None,
     "preset": None,
@@ -319,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Electrostatic soliton and identity checks for nonlinear "
                     "electrodynamics Lagrangians L(I1, I2).")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--model", default=None,
@@ -345,15 +343,9 @@ def run(argv=None) -> int:
         cfg = _resolve(args)
         _HANDLERS[args.command](cfg)
         return 0
-    except ConfigurationError as exc:
-        sys.stderr.write(json.dumps(exc.to_dict(), default=str) + "\n")
-        return 2
-    except NumericalError as exc:
-        sys.stderr.write(json.dumps(exc.to_dict(), default=str) + "\n")
-        return 3
     except NledError as exc:
         sys.stderr.write(json.dumps(exc.to_dict(), default=str) + "\n")
-        return 2
+        return 3 if isinstance(exc, NumericalError) else 2
 
 
 def main() -> None:

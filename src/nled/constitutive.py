@@ -25,7 +25,7 @@ integrals run along it on one fixed panel rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -66,8 +66,20 @@ def _displacement(m: LagrangianModel, E):
         return E / (1.0 + (E / m.E0) ** 2)
     if m.kind == POLYNOMIAL:
         c = m.coeffs
-        return np.abs(E + 16.0 * np.pi * c.alpha * E**3 + 24.0 * np.pi * c.xi * E**5)
+        return np.abs(E + _term(16.0 * np.pi * c.alpha, E, 3) + _term(24.0 * np.pi * c.xi, E, 5))
     raise UnsupportedModel(f"{m.kind} has no constitutive map")
+
+
+def _term(k: float, E, p: int):
+    """k E^p, finite wherever the product is: 0 for k = 0, where 0 times an
+    overflowed power would be NaN, and k E E ... E where E^p alone overflows."""
+    if k == 0.0:
+        return 0.0
+    if np.asarray(E).max() <= 2.0 ** (1023 // p):  # then E^p is finite
+        return k * E**p
+    with np.errstate(over="ignore"):
+        power = E**p
+    return np.where(np.isfinite(power), k * power, reduce(np.multiply, [E] * p, k))
 
 
 def _displacement_slope(m: LagrangianModel, E):
@@ -83,7 +95,7 @@ def _displacement_slope(m: LagrangianModel, E):
         return (1.0 - t) / (1.0 + t)
     if m.kind == POLYNOMIAL:  # in powers of E^2, finite wherever D(E) is
         c = m.coeffs
-        a, x = 16.0 * np.pi * c.alpha * E**2, 24.0 * np.pi * c.xi * E**4
+        a, x = _term(16.0 * np.pi * c.alpha, E, 2), _term(24.0 * np.pi * c.xi, E, 4)
         return (1.0 + 3.0 * a + 5.0 * x) / (1.0 + a + x)
     raise UnsupportedModel(f"{m.kind} has no constitutive map")
 
@@ -221,7 +233,7 @@ def _map_shape(m: LagrangianModel) -> tuple[float, float]:
 @lru_cache(maxsize=64)
 def _log_field_limit(m: LagrangianModel) -> float:
     """Largest ln E at which the forward map is still finite in double
-    precision (the polynomial's E^5 overflows above 4.5e61), by bisection."""
+    precision (7.5e61 for polynomial(0.01, xi=0.001)), by bisection."""
     lo, hi = 0.0, np.log(np.finfo(float).max)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(64):
@@ -249,7 +261,7 @@ def _coulomb_deviation(m: LagrangianModel, E, D):
         # E/D = 1 + (E/E0)^2 exactly
         return -((E / m.E0) ** 2)
     c = m.coeffs
-    extra = 16.0 * np.pi * c.alpha * E**3 + 24.0 * np.pi * c.xi * E**5
+    extra = _term(16.0 * np.pi * c.alpha, E, 3) + _term(24.0 * np.pi * c.xi, E, 5)
     return extra / (E + extra)
 
 

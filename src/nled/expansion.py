@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, IllConditioned
-from .kinematics import FieldVectors
-from .models import LagrangianModel, MIE_SQRT, lagrangian_density, polynomial
+from .kinematics import FieldVectors, invariants
+from .models import LagrangianModel, MIE_SQRT, density_from_invariants, polynomial
 
 MAX_SAMPLE_SCALE = 0.05
 CONDITION_LIMIT = 1e8
@@ -88,18 +88,14 @@ def estimate_taylor_coefficients(m: LagrangianModel, sample_scale: float = 0.01,
     if m.kind == MIE_SQRT:
         raise ConfigurationError(f"{m.kind} is not a function of (I1, I2)")
     s = _sample_field(m, sample_scale)
-    rows, y = [], []
-    for e_dir, h_dir in (_CONFIGS_HIGHER if higher_order else _CONFIGS):
-        F = FieldVectors(E=s * np.asarray(e_dir), H=s * np.asarray(h_dir))
-        i1 = float(F.E @ F.E - F.H @ F.H)
-        i2 = float(F.E @ F.H)
-        row = [i1, i1**2, i2**2]
-        if higher_order:
-            row += [i1 * i2, i1**3, i1 * i2**2]
-        rows.append(row)
-        y.append(lagrangian_density(m, F))
-    M = np.asarray(rows)
-    y = np.asarray(y)
+    design = s * np.asarray(_CONFIGS_HIGHER if higher_order else _CONFIGS)
+    inv = invariants(FieldVectors(E=design[:, 0], H=design[:, 1]))
+    i1, i2 = inv.I1, inv.I2
+    columns = [i1, i1**2, i2**2]
+    if higher_order:
+        columns += [i1 * i2, i1**3, i1 * i2**2]
+    M = np.column_stack(columns)
+    y = density_from_invariants(m, i1, i2)
     # Column scaling (powers of s) keeps the condition number O(1).
     col_scale = np.array([s**2, s**4, s**4, s**4, s**6, s**6][:M.shape[1]])
     Ms = M / col_scale

@@ -34,16 +34,40 @@ EIGHT_PI = 8.0 * np.pi
 
 def _vec3(v, name: str) -> np.ndarray:
     a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {a.shape}")
+    if a.ndim == 0 or a.shape[-1] != 3:
+        raise ValueError(f"{name} must have shape (3,) or (..., 3), got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite components: {a}")
     return a
 
 
+def _real(x, name: str):
+    """A finite scalar as a float, or a stack of them as an array."""
+    a = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} is not finite: {a}")
+    return float(a) if a.ndim == 0 else a
+
+
+def _squared_speed(v: np.ndarray, c: float, name: str):
+    """v . v of a velocity or a stack of them, after checking |v| < c."""
+    v2 = np.vecdot(v, v)
+    if np.any(v2 >= c * c):
+        raise ValueError(f"|{name}| must be < {c}, got |{name}| = {np.sqrt(np.max(v2))}")
+    return v2
+
+
+def _beta(beta):
+    """(beta, beta^2, gamma) of a boost velocity in units of c, or a stack of them."""
+    b = _vec3(beta, "beta")
+    b2 = _squared_speed(b, 1.0, "beta")
+    return b, b2, 1.0 / np.sqrt(1.0 - b2)
+
+
 @dataclass(frozen=True)
 class FieldVectors:
-    """Electric and magnetic field 3-vectors (statvolt/cm, gauss)."""
+    """Electric and magnetic field 3-vectors (statvolt/cm, gauss), or stacks
+    of them, shape (..., 3)."""
 
     E: np.ndarray
     H: np.ndarray
@@ -55,42 +79,42 @@ class FieldVectors:
 
 @dataclass(frozen=True)
 class FourPotential:
-    """Scalar potential phi (statvolt) and vector potential A (gauss cm)."""
+    """Scalar potential phi (statvolt) and vector potential A (gauss cm), or
+    stacks of them: phi of shape (...), A of shape (..., 3)."""
 
-    phi: float
+    phi: float | np.ndarray
     A: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", float(self.phi))
-        if not np.isfinite(self.phi):
-            raise ValueError(f"phi is not finite: {self.phi}")
+        object.__setattr__(self, "phi", _real(self.phi, "phi"))
         object.__setattr__(self, "A", _vec3(self.A, "A"))
 
 
 @dataclass(frozen=True)
 class InvariantSet:
-    """The five invariants; I3-I5 are None when no potential was supplied."""
+    """The five invariants, scalars or stacks; I3-I5 are None when no
+    potential was supplied."""
 
-    I1: float
-    I2: float
-    I3: float | None = None
-    I4: float | None = None
-    I5: float | None = None
+    I1: float | np.ndarray
+    I2: float | np.ndarray
+    I3: float | np.ndarray | None = None
+    I4: float | np.ndarray | None = None
+    I5: float | np.ndarray | None = None
 
 
 def invariants(F: FieldVectors, A: FourPotential | None = None) -> InvariantSet:
     """Evaluate I1, I2 (and I3-I5 when a four-potential is given)."""
     E, H = F.E, F.H
-    i1 = float(E @ E - H @ H)
-    i2 = float(E @ H)
+    i1 = np.vecdot(E, E) - np.vecdot(H, H)
+    i2 = np.vecdot(E, H)
     if A is None:
         return InvariantSet(I1=i1, I2=i2)
     a, phi = A.A, A.phi
-    i3 = float(a @ a - phi**2)
-    v4 = phi * E + np.cross(a, H)
-    v5 = phi * H - np.cross(a, E)
-    i4 = float(-(E @ a) ** 2 + v4 @ v4)
-    i5 = float(-(H @ a) ** 2 + v5 @ v5)
+    i3 = np.vecdot(a, a) - phi**2
+    v4 = np.expand_dims(phi, -1) * E + np.cross(a, H)
+    v5 = np.expand_dims(phi, -1) * H - np.cross(a, E)
+    i4 = -np.vecdot(E, a) ** 2 + np.vecdot(v4, v4)
+    i5 = -np.vecdot(H, a) ** 2 + np.vecdot(v5, v5)
     return InvariantSet(I1=i1, I2=i2, I3=i3, I4=i4, I5=i5)
 
 
@@ -101,10 +125,10 @@ def fierz_identity_sides(F: FieldVectors) -> tuple[float, float]:
     The two agree identically; returning both makes the check a test artifact.
     """
     E, H = F.E, F.H
-    e2, h2 = float(E @ E), float(H @ H)
+    e2, h2 = np.vecdot(E, E), np.vecdot(H, H)
     cross = np.cross(E, H)
-    lhs = (e2 + h2) ** 2 - 4.0 * float(cross @ cross)
-    rhs = (e2 - h2) ** 2 + 4.0 * float(E @ H) ** 2
+    lhs = (e2 + h2) ** 2 - 4.0 * np.vecdot(cross, cross)
+    rhs = (e2 - h2) ** 2 + 4.0 * np.vecdot(E, H) ** 2
     return lhs, rhs
 
 
@@ -114,7 +138,7 @@ def energy_momentum_density(F: FieldVectors, c: float) -> tuple[float, np.ndarra
     (8 pi)^2 (U^2 - c^2 |g|^2) equals the left Fierz side by construction.
     """
     E, H = F.E, F.H
-    U = float(E @ E + H @ H) / EIGHT_PI
+    U = (np.vecdot(E, E) + np.vecdot(H, H)) / EIGHT_PI
     g = np.cross(E, H) / (FOUR_PI * c)
     return U, g
 
@@ -125,33 +149,22 @@ def boost(F: FieldVectors, beta) -> FieldVectors:
     Components parallel to beta are unchanged; transverse components mix:
     E'_perp = gamma (E + beta x H)_perp, H'_perp = gamma (H - beta x E)_perp.
     """
-    b = _vec3(beta, "beta")
-    b2 = float(b @ b)
-    if b2 >= 1.0:
-        raise ValueError(f"|beta| must be < 1, got |beta| = {np.sqrt(b2)}")
-    if b2 == 0.0:
-        return F
-    gamma = 1.0 / np.sqrt(1.0 - b2)
+    b, _, gamma = _beta(beta)
     E, H = F.E, F.H
     # gamma^2/(gamma+1) = (gamma-1)/beta^2 without cancellation at small beta
-    k = gamma**2 / (gamma + 1.0)
-    Ep = gamma * (E + np.cross(b, H)) - k * b * float(b @ E)
-    Hp = gamma * (H - np.cross(b, E)) - k * b * float(b @ H)
+    gamma, k = gamma[..., None], (gamma**2 / (gamma + 1.0))[..., None]
+    Ep = gamma * (E + np.cross(b, H)) - k * b * np.vecdot(b, E)[..., None]
+    Hp = gamma * (H - np.cross(b, E)) - k * b * np.vecdot(b, H)[..., None]
     return FieldVectors(E=Ep, H=Hp)
 
 
 def boost_four_potential(p: FourPotential, beta) -> FourPotential:
     """Boost the 4-potential (phi, A) as a 4-vector."""
-    b = _vec3(beta, "beta")
-    b2 = float(b @ b)
-    if b2 >= 1.0:
-        raise ValueError(f"|beta| must be < 1, got |beta| = {np.sqrt(b2)}")
-    if b2 == 0.0:
-        return p
-    gamma = 1.0 / np.sqrt(1.0 - b2)
-    k = (gamma - 1.0) / b2
-    phi_p = gamma * (p.phi - float(b @ p.A))
-    A_p = p.A + (k * float(b @ p.A) - gamma * p.phi) * b
+    b, b2, gamma = _beta(beta)
+    k = (gamma - 1.0) / np.where(b2 > 0.0, b2, 1.0)  # 0 at beta = 0
+    bA = np.vecdot(b, p.A)
+    phi_p = gamma * (p.phi - bA)
+    A_p = p.A + (k * bA - gamma * p.phi)[..., None] * b
     return FourPotential(phi=phi_p, A=A_p)
 
 
@@ -165,18 +178,20 @@ def gauge_shift(p: FourPotential, grad_chi, dchi_dct: float) -> FourPotential:
     return FourPotential(phi=p.phi - dchi_dct, A=p.A + g)
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.sqrt(np.vecdot(v, v))[..., None]
+
+
 # ---------------------------------------------------------------------------
-# randomized verification suites (shared by the test suite and the CLI)
+# randomized verification suites (shared by the test suite and the CLI); each
+# draws its stack and makes one call per formula
 
 def fierz_suite(draws: int = 10_000, seed: int = 0) -> dict:
     """Max relative lhs/rhs discrepancy over random fields in [-1, 1]^6."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(draws):
-        F = FieldVectors(E=rng.uniform(-1, 1, 3), H=rng.uniform(-1, 1, 3))
-        lhs, rhs = fierz_identity_sides(F)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return {"draws": draws, "max_rel_err_fierz": worst}
+    E, H = np.random.default_rng(seed).uniform(-1, 1, (draws, 2, 3)).transpose(1, 0, 2)
+    lhs, rhs = fierz_identity_sides(FieldVectors(E=E, H=H))
+    worst = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)))
+    return {"draws": draws, "max_rel_err_fierz": float(worst)}
 
 
 def boost_invariance_suite(draws: int = 1_000, seed: int = 0,
@@ -187,16 +202,15 @@ def boost_invariance_suite(draws: int = 1_000, seed: int = 0,
     themselves can vanish).
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(draws):
-        F = FieldVectors(E=rng.uniform(-1, 1, 3), H=rng.uniform(-1, 1, 3))
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        beta = direction * beta_max * rng.uniform() ** (1 / 3)
-        before = invariants(F)
-        after = invariants(boost(F, beta))
-        scale = float(F.E @ F.E + F.H @ F.H)
-        worst = max(worst,
-                    abs(after.I1 - before.I1) / scale,
-                    abs(after.I2 - before.I2) / scale)
-    return {"draws": draws, "beta_max": beta_max, "max_rel_err_boost": worst}
+    E, H, direction = np.empty((3, draws, 3))
+    radius = np.empty((draws, 1))
+    for i in range(draws):
+        E[i], H[i], direction[i] = *rng.uniform(-1, 1, (2, 3)), rng.normal(size=3)
+        # a Python float power: numpy's array power rounds differently
+        radius[i] = rng.uniform() ** (1 / 3)
+    F = FieldVectors(E=E, H=H)
+    before = invariants(F)
+    after = invariants(boost(F, _unit(direction) * beta_max * radius))
+    scale = np.vecdot(E, E) + np.vecdot(H, H)
+    worst = np.max(np.abs([after.I1 - before.I1, after.I2 - before.I2]) / scale)
+    return {"draws": draws, "beta_max": beta_max, "max_rel_err_boost": float(worst)}

@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+from nled import ConfigurationError, NledError, NoSolution, NumericalError
+from nled import cli
 from nled.cli import run
 
 NLED = [sys.executable, "-m", "nled.cli"]
@@ -202,3 +204,25 @@ def test_run_function_directly():
     # in-process entry point honors the same contract as the console script
     assert run(["dirac"]) == 0
     assert run(["radius", "--preset", "nope"]) == 2
+
+
+def test_subcommands_are_the_handlers():
+    parser = cli._build_parser()
+    for name in cli._HANDLERS:
+        assert parser.parse_args([name]).command == name
+    with pytest.raises(SystemExit):
+        parser.parse_args(["laue"])
+
+
+@pytest.mark.parametrize("exc, code", [
+    (NoSolution(2.0, 1.0), 3),
+    (NumericalError("numerical"), 3),
+    (ConfigurationError("configuration"), 2),
+    (NledError("other"), 2),
+])
+def test_exit_code_follows_error_class(monkeypatch, capsys, exc, code):
+    def fail(cfg):
+        raise exc
+    monkeypatch.setitem(cli._HANDLERS, "radius", fail)
+    assert run(["radius"]) == code
+    assert json.loads(capsys.readouterr().err)["kind"] == exc.kind

@@ -27,6 +27,10 @@ WHOLE_RANGE = [
     (polynomial(alpha=0.01, xi=0.001), 1e60),
     (polynomial(alpha=-0.01, xi=0.001), 1e60),
     (NARROW, 1e60),
+    # one coefficient 0: its term must not turn an overflowed power into NaN
+    (polynomial(alpha=1e20), 1e300),
+    # E^5 alone overflows (E > 4.5e61) below the field where 24 pi xi E^5 does
+    (polynomial(xi=1e-200), 1e300),
 ]
 
 # one model of every kind and shape for the property tests
@@ -209,6 +213,16 @@ class TestInversion:
         assert res.branch == "unique"
         assert res.residual <= 1e-12
         assert_allclose(res.E, 1.0, rtol=1e-9)  # the peak is at E = E0
+
+    @pytest.mark.parametrize("model, d", [(polynomial(alpha=1e20), 5.0e206),
+                                          (polynomial(xi=1e-200), 2.5e110)])
+    def test_root_above_power_overflow(self, model, d):
+        # both roots lie above E = 4.5e61, where E^5 overflows; they used to
+        # raise ConvergenceFailure
+        res = field_from_displacement(model, d)
+        assert res.E > 4.5e61
+        assert res.residual <= 1e-12
+        assert abs(forward_mp(model, res.E) / d - 1) <= 1e-14
 
     def test_polynomial_bracket_starts_where_map_is_finite(self):
         # the first bracket point used to be E = D, where E^5 overflows

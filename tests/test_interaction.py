@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nled import (ChargeState, FourPotential, boost_charge_state,
+from nled import (ChargeState, FourPotential, PhysicalConstants, boost_charge_state,
                   boost_four_potential, constants, electrokinetic_potential,
                   interaction_energy_momentum, interaction_lagrangian_density)
 from nled.interaction import interaction_suite
@@ -118,3 +118,89 @@ class TestBoostInvariance:
         assert rep["max_rel_err_forms"] <= 1e-12
         assert rep["max_rel_err_energy_momentum_identity"] <= 1e-12
         assert rep["max_rel_err_boosted_form_a"] <= 1e-10
+
+
+def interaction_per_state(states, seed, c=2.9979e10, boost_beta=0.6):
+    rng = np.random.default_rng(seed)
+    worst_forms = worst_identity = worst_boost = 0.0
+    k = PhysicalConstants(e=4.8032e-10, m_e=9.1094e-28, c=c, preset_name="suite")
+    for _ in range(states):
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        v = u * (0.9 * c) * rng.uniform()
+        s = ChargeState(rho=rng.uniform(-2, 2), v=v, e=rng.uniform(-2, 2))
+        p = FourPotential(phi=rng.uniform(-2, 2), A=rng.uniform(-2, 2, 3))
+        form_a, form_b = interaction_lagrangian_density(s, p, c)
+        worst_forms = max(worst_forms, abs(form_a - form_b) / max(1.0, abs(form_a)))
+        _, _, resid = interaction_energy_momentum(s.e, p, k)
+        lhs_scale = abs(s.e**2 * (float(p.A @ p.A) - p.phi**2))
+        worst_identity = max(worst_identity, resid / max(1.0, lhs_scale))
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        beta = direction * boost_beta
+        boosted_a, _ = interaction_lagrangian_density(
+            boost_charge_state(s, beta, c), boost_four_potential(p, beta), c)
+        worst_boost = max(worst_boost, abs(boosted_a - form_a) / max(1.0, abs(form_a)))
+    return worst_forms, worst_identity, worst_boost
+
+
+class TestStacks:
+    """The public functions take stacks; the suite makes one call per
+    formula on the whole stack."""
+
+    @pytest.mark.parametrize("seed", [0, 2, 5, 27, 38])
+    def test_suite_equals_per_state_calls(self, seed):
+        rep = interaction_suite(states=1000, seed=seed, c=C)
+        assert (rep["max_rel_err_forms"], rep["max_rel_err_energy_momentum_identity"],
+                rep["max_rel_err_boosted_form_a"]) == interaction_per_state(1000, seed, c=C)
+
+    def test_stack_matches_rows(self):
+        rng = np.random.default_rng(23)
+        rho, e, phi = rng.uniform(-2, 2, (3, 40))
+        v = rng.uniform(-0.5, 0.5, (40, 3)) * C
+        A, beta = rng.uniform(-2, 2, (40, 3)), rng.uniform(-0.5, 0.5, (40, 3))
+        beta[7] = 0.0
+        s, p = ChargeState(rho=rho, v=v, e=e), FourPotential(phi=phi, A=A)
+        forms = interaction_lagrangian_density(s, p, C)
+        eps, p_e, resid = interaction_energy_momentum(e, p, K)
+        moved = boost_charge_state(s, beta, C)
+        for i in range(40):
+            si, pi = ChargeState(rho=rho[i], v=v[i], e=e[i]), FourPotential(phi=phi[i], A=A[i])
+            assert_allclose([f[i] for f in forms], interaction_lagrangian_density(si, pi, C),
+                            rtol=1e-14)
+            want = interaction_energy_momentum(e[i], pi, K)
+            assert_allclose(eps[i], want[0], rtol=1e-15)
+            assert_allclose(p_e[i], want[1], rtol=1e-15)
+            assert_allclose(resid[i], want[2], rtol=1e-12, atol=1e-14)
+            one = boost_charge_state(si, beta[i], C)
+            assert_allclose(moved.rho[i], one.rho, rtol=1e-14)
+            assert_allclose(moved.v[i], one.v, rtol=1e-14, atol=1e-15 * C)
+        assert moved.rho[7] == rho[7] and moved.v[7].tolist() == v[7].tolist()
+
+    def test_superluminal_entry_rejects_stack(self):
+        beta = np.zeros((5, 3))
+        beta[1] = (0.0, 0.0, -1.5)
+        s = ChargeState(rho=np.ones(5), v=np.zeros((5, 3)), e=np.ones(5))
+        with pytest.raises(ValueError, match="beta"):
+            boost_charge_state(s, beta, C)
+        v = np.zeros((5, 3))
+        v[4] = (0.0, C, 0.0)
+        with pytest.raises(ValueError, match=r"\|v\|"):
+            boost_charge_state(ChargeState(rho=np.ones(5), v=v, e=np.ones(5)), 0.1 * beta, C)
+
+    @pytest.mark.parametrize("field", ["rho", "v", "e"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_entry_rejects_stack(self, field, value):
+        kwargs = {"rho": np.ones(4), "v": np.zeros((4, 3)), "e": np.ones(4)}
+        kwargs[field] = kwargs[field].copy()
+        kwargs[field][2] = value
+        with pytest.raises(ValueError, match="finite"):
+            ChargeState(**kwargs)
+
+    @pytest.mark.parametrize("shape", [(), (4,), (4, 2), (4, 4)])
+    def test_trailing_axis_must_be_three(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            ChargeState(rho=1.0, v=np.zeros(shape), e=1.0)
+        with pytest.raises(ValueError, match="shape"):
+            boost_charge_state(ChargeState(rho=1.0, v=(0, 0, 0), e=1.0),
+                               np.full(shape, 0.1), C)

@@ -139,3 +139,110 @@ class TestGauge:
             i3_before = float(p.A @ p.A) - p.phi**2
             i3_after = float(q.A @ q.A) - q.phi**2
             assert_allclose(i3_after, i3_before, rtol=0, atol=1e-13)
+
+
+SEEDS = [0, 2, 5, 27, 38]  # 27 and 38: a cube root drawn as an array power moves the max
+
+
+def fierz_per_draw(draws, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(draws):
+        lhs, rhs = fierz_identity_sides(F(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)))
+        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+    return worst
+
+
+def boost_per_draw(draws, seed, beta_max=0.9):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(draws):
+        Fv = F(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        before = invariants(Fv)
+        after = invariants(boost(Fv, direction * beta_max * rng.uniform() ** (1 / 3)))
+        scale = float(Fv.E @ Fv.E + Fv.H @ Fv.H)
+        worst = max(worst, abs(after.I1 - before.I1) / scale,
+                    abs(after.I2 - before.I2) / scale)
+    return worst
+
+
+class TestStacks:
+    """The public functions take stacks of 3-vectors; the suites make one
+    call per formula on the whole stack."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_fierz_suite_equals_per_draw_calls(self, seed):
+        assert fierz_suite(2000, seed)["max_rel_err_fierz"] == fierz_per_draw(2000, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_boost_suite_equals_per_draw_calls(self, seed):
+        assert boost_invariance_suite(1000, seed)["max_rel_err_boost"] == boost_per_draw(1000, seed)
+
+    def test_stack_matches_rows(self):
+        rng = np.random.default_rng(17)
+        E, H, a, beta = rng.uniform(-1, 1, (4, 50, 3))
+        beta *= 0.5
+        phi = rng.uniform(-1, 1, 50)
+        stack = F(E, H)
+        inv = invariants(stack, FourPotential(phi=phi, A=a))
+        sides = fierz_identity_sides(stack)
+        boosted = boost(stack, beta)
+        U, g = energy_momentum_density(stack, 3.0)
+        q = boost_four_potential(FourPotential(phi=phi, A=a), beta)
+        for i in range(50):
+            row = F(E[i], H[i])
+            want = invariants(row, FourPotential(phi=phi[i], A=a[i]))
+            for name in ("I1", "I2", "I3", "I4", "I5"):
+                assert_allclose(getattr(inv, name)[i], getattr(want, name), rtol=1e-14, atol=1e-15)
+            assert_allclose([s[i] for s in sides], fierz_identity_sides(row), rtol=1e-14, atol=1e-15)
+            one = boost(row, beta[i])
+            assert_allclose(boosted.E[i], one.E, rtol=1e-14, atol=1e-15)
+            assert_allclose(boosted.H[i], one.H, rtol=1e-14, atol=1e-15)
+            assert_allclose(U[i], energy_momentum_density(row, 3.0)[0], rtol=1e-15)
+            assert_allclose(g[i], energy_momentum_density(row, 3.0)[1], rtol=1e-15)
+            p = boost_four_potential(FourPotential(phi=phi[i], A=a[i]), beta[i])
+            assert_allclose(q.phi[i], p.phi, rtol=1e-14, atol=1e-15)
+            assert_allclose(q.A[i], p.A, rtol=1e-14, atol=1e-15)
+
+    def test_zero_beta_rows_left_unchanged(self):
+        stack = F([[1.0, 2.0, 3.0], [-1.0, 0.5, 2.0]], [[4.0, 5.0, 6.0], [0.0, -3.0, 1.0]])
+        beta = [[0.0, 0.0, 0.0], [0.3, 0.0, 0.0]]
+        out = boost(stack, beta)
+        assert out.E[0].tolist() == stack.E[0].tolist()
+        assert out.H[0].tolist() == stack.H[0].tolist()
+        p = boost_four_potential(FourPotential(phi=[0.5, 0.5], A=[[1, 2, 3], [1, 2, 3]]), beta)
+        assert p.phi[0] == 0.5 and p.A[0].tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("fn", [boost, boost_four_potential])
+    def test_superluminal_entry_rejects_stack(self, fn):
+        beta = np.zeros((5, 3))
+        beta[3] = (0.6, 0.8, 0.0)  # |beta| = 1
+        arg = F(np.ones((5, 3)), np.ones((5, 3))) if fn is boost else \
+            FourPotential(phi=np.ones(5), A=np.ones((5, 3)))
+        with pytest.raises(ValueError, match="beta"):
+            fn(arg, beta)
+
+    @pytest.mark.parametrize("make", [
+        lambda bad: F(bad, np.ones((4, 3))),
+        lambda bad: F(np.ones((4, 3)), bad),
+        lambda bad: FourPotential(phi=np.ones(4), A=bad),
+        lambda bad: FourPotential(phi=bad[:, 0], A=np.ones((4, 3))),
+        lambda bad: boost(F(np.ones((4, 3)), np.ones((4, 3))), 0.1 * bad),
+    ], ids=["E", "H", "A", "phi", "beta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_rejects_stack(self, make, value):
+        bad = np.ones((4, 3))
+        bad[2, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
+
+    @pytest.mark.parametrize("shape", [(), (2,), (4,), (5, 2), (5, 4), (3, 5)])
+    def test_trailing_axis_must_be_three(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            F(np.ones(shape), np.ones(shape))
+        with pytest.raises(ValueError, match="shape"):
+            FourPotential(phi=1.0, A=np.ones(shape))
+        with pytest.raises(ValueError, match="shape"):
+            boost(F((1, 0, 0), (0, 1, 0)), np.full(shape, 0.1))
