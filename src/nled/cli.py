@@ -273,18 +273,11 @@ def _cmd_dirac(cfg: dict) -> None:
     rows = identity_report()
     width = max(len(r["identity"]) for r in rows) + 2
     lines = [f"{'identity':<{width}}{'residual':>12}  status"]
-    ok = True
     for r in rows:
-        if not r["expected_zero"]:
-            status = "REPORTED"
-        elif r["pass"]:
-            status = "PASS"
-        else:
-            status = "FAIL"
-            ok = False
+        status = ("PASS" if r["pass"] else "FAIL") if r["expected_zero"] else "REPORTED"
         lines.append(f"{r['identity']:<{width}}{r['residual']:>12.4e}  {status}")
     _write(cfg, "\n".join(lines))
-    if not ok:
+    if any(r["expected_zero"] and not r["pass"] for r in rows):
         raise NumericalError("dirac identity check failed")
 
 

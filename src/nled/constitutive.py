@@ -24,6 +24,7 @@ integrals run along it on one fixed panel rule.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -75,11 +76,10 @@ def _term(k: float, E, p: int):
     overflowed power would be NaN, and k E E ... E where E^p alone overflows."""
     if k == 0.0:
         return 0.0
-    if np.asarray(E).max() <= 2.0 ** (1023 // p):  # then E^p is finite
-        return k * E**p
+    E = np.asarray(E, dtype=float)[()]  # a float's power overflows to inf, not an error
     with np.errstate(over="ignore"):
         power = E**p
-    return np.where(np.isfinite(power), k * power, reduce(np.multiply, [E] * p, k))
+        return np.where(np.isfinite(power), k * power, reduce(operator.mul, [E] * p, k))[()]
 
 
 def _displacement_slope(m: LagrangianModel, E):

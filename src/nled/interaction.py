@@ -38,9 +38,9 @@ class ChargeState:
     e: float | np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", _real(self.rho, "rho"))
         object.__setattr__(self, "v", _vec3(self.v, "v"))
-        object.__setattr__(self, "e", _real(self.e, "e"))
+        object.__setattr__(self, "rho", _real(self.rho, "rho", self.v.shape[:-1]))
+        object.__setattr__(self, "e", _real(self.e, "e", self.v.shape[:-1]))
 
 
 def electrokinetic_potential(phi: float, v, A, c: float) -> float:
@@ -123,10 +123,11 @@ def interaction_suite(states: int = 1_000, seed: int = 0,
     beta = _unit(direction) * boost_beta
     boosted_a, _ = interaction_lagrangian_density(
         boost_charge_state(s, beta, c), boost_four_potential(p, beta), c)
+    identity = resid / np.maximum(1.0, lhs_scale)
     return {
         "states": states,
         "boost_beta": boost_beta,
-        "max_rel_err_forms": float(np.max(np.abs(form_a - form_b) / scale)),
-        "max_rel_err_energy_momentum_identity": float(np.max(resid / np.maximum(1.0, lhs_scale))),
-        "max_rel_err_boosted_form_a": float(np.max(np.abs(boosted_a - form_a) / scale)),
+        "max_rel_err_forms": float(np.max(np.abs(form_a - form_b) / scale, initial=0.0)),
+        "max_rel_err_energy_momentum_identity": float(np.max(identity, initial=0.0)),
+        "max_rel_err_boosted_form_a": float(np.max(np.abs(boosted_a - form_a) / scale, initial=0.0)),
     }

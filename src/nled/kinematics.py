@@ -41,11 +41,14 @@ def _vec3(v, name: str) -> np.ndarray:
     return a
 
 
-def _real(x, name: str):
-    """A finite scalar as a float, or a stack of them as an array."""
+def _real(x, name: str, shape: tuple = ()):
+    """A finite scalar as a float, or a stack of them as an array of
+    ``shape``, the leading shape of its 3-vectors."""
     a = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} is not finite: {a}")
+    if a.ndim and a.shape != shape:
+        raise ValueError(f"{name} of shape {a.shape} does not match the leading shape {shape}")
     return float(a) if a.ndim == 0 else a
 
 
@@ -86,8 +89,8 @@ class FourPotential:
     A: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", _real(self.phi, "phi"))
         object.__setattr__(self, "A", _vec3(self.A, "A"))
+        object.__setattr__(self, "phi", _real(self.phi, "phi", self.A.shape[:-1]))
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,7 @@ def fierz_suite(draws: int = 10_000, seed: int = 0) -> dict:
     """Max relative lhs/rhs discrepancy over random fields in [-1, 1]^6."""
     E, H = np.random.default_rng(seed).uniform(-1, 1, (draws, 2, 3)).transpose(1, 0, 2)
     lhs, rhs = fierz_identity_sides(FieldVectors(E=E, H=H))
-    worst = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)))
+    worst = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)), initial=0.0)
     return {"draws": draws, "max_rel_err_fierz": float(worst)}
 
 
@@ -212,5 +215,5 @@ def boost_invariance_suite(draws: int = 1_000, seed: int = 0,
     before = invariants(F)
     after = invariants(boost(F, _unit(direction) * beta_max * radius))
     scale = np.vecdot(E, E) + np.vecdot(H, H)
-    worst = np.max(np.abs([after.I1 - before.I1, after.I2 - before.I2]) / scale)
+    worst = np.max(np.abs([after.I1 - before.I1, after.I2 - before.I2]) / scale, initial=0.0)
     return {"draws": draws, "beta_max": beta_max, "max_rel_err_boost": float(worst)}

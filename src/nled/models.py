@@ -143,8 +143,9 @@ def density_from_invariants(m: LagrangianModel, i1, i2):
 
 
 def lagrangian_density(m: LagrangianModel, F: FieldVectors,
-                       A: FourPotential | None = None) -> float:
-    """Lagrangian density (erg/cm^3) at the given field state.
+                       A: FourPotential | None = None):
+    """Lagrangian density (erg/cm^3) at the given field state, or an array
+    for a stack of them.
 
     The mie-sqrt kind depends on the potential invariant I3 only and needs
     ``A``; all other kinds ignore ``A``.
@@ -152,26 +153,25 @@ def lagrangian_density(m: LagrangianModel, F: FieldVectors,
     if m.kind == MIE_SQRT:
         if A is None:
             raise ConfigurationError("mie-sqrt density requires a four-potential")
-        inv = invariants(F, A)
-        return m.mie_sign * float(np.sqrt(abs(inv.I3)))
+        return m.mie_sign * np.sqrt(np.abs(invariants(F, A).I3))
     inv = invariants(F)
     return density_from_invariants(m, inv.I1, inv.I2)
 
 
-def _dL_dI(m: LagrangianModel, i1: float, i2: float) -> tuple[float, float]:
-    """(dL/dI1, dL/dI2); strict interior of the model domain required."""
+def _dL_dI(m: LagrangianModel, i1, i2):
+    """(dL/dI1, dL/dI2), scalars or arrays; strict interior of the domain required."""
     if m.kind == MAXWELL:
         return 1.0 / EIGHT_PI, 0.0
     if m.kind == BORN_INFELD:
         rad = _bi_radicand(m, i1, i2)
-        if rad == 0.0:
-            raise DomainExceeded(m.kind, "radicand 1 - I1/E0^2 - I2^2/E0^4", rad)
+        if np.any(rad == 0.0):
+            raise DomainExceeded(m.kind, "radicand 1 - I1/E0^2 - I2^2/E0^4", 0.0)
         s = 1.0 / np.sqrt(rad)
         return s / EIGHT_PI, s * i2 / (FOUR_PI * m.E0**2)
     if m.kind == LOG_SCHROEDINGER:
         arg = i1 / m.E0**2
-        if arg <= -1.0:
-            raise DomainExceeded(m.kind, "argument 1 + I1/E0^2", 1.0 + arg)
+        if np.any(arg <= -1.0):
+            raise DomainExceeded(m.kind, "argument 1 + I1/E0^2", float(1.0 + np.min(arg)))
         return 1.0 / (EIGHT_PI * (1.0 + arg)), 0.0
     if m.kind == POLYNOMIAL:
         c = m.coeffs
@@ -182,13 +182,13 @@ def _dL_dI(m: LagrangianModel, i1: float, i2: float) -> tuple[float, float]:
 
 
 def dL_dE(m: LagrangianModel, F: FieldVectors) -> np.ndarray:
-    """Analytic gradient of L with respect to the electric field vector.
+    """Analytic gradient of L with respect to the electric field vector(s).
 
     dL/dE = 2 (dL/dI1) E + (dL/dI2) H.
     """
     inv = invariants(F)
     d1, d2 = _dL_dI(m, inv.I1, inv.I2)
-    return 2.0 * d1 * F.E + d2 * F.H
+    return 2.0 * np.expand_dims(d1, -1) * F.E + np.expand_dims(d2, -1) * F.H
 
 
 def taylor_reference(m: LagrangianModel) -> TaylorReference:

@@ -31,6 +31,9 @@ WHOLE_RANGE = [
     (polynomial(alpha=1e20), 1e300),
     # E^5 alone overflows (E > 4.5e61) below the field where 24 pi xi E^5 does
     (polynomial(xi=1e-200), 1e300),
+    # the map peaks where E^p alone overflows (E_peak 8e103 and 2e62)
+    (polynomial(alpha=-1e-210), 1e300),
+    (polynomial(xi=-1e-250), 1e300),
 ]
 
 # one model of every kind and shape for the property tests

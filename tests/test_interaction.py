@@ -204,3 +204,13 @@ class TestStacks:
         with pytest.raises(ValueError, match="shape"):
             boost_charge_state(ChargeState(rho=1.0, v=(0, 0, 0), e=1.0),
                                np.full(shape, 0.1), C)
+
+    @pytest.mark.parametrize("field", ["rho", "e"])
+    def test_scalars_must_match_leading_shape_of_v(self, field):
+        kwargs = {"rho": 1.0, "v": np.zeros(3), "e": 1.0, field: np.ones(5)}
+        with pytest.raises(ValueError, match="leading shape"):
+            ChargeState(**kwargs)
+
+    def test_empty_suite_reports_zero(self):
+        report = interaction_suite(0, 0)
+        assert [report[k] for k in report if k.startswith("max_")] == [0.0, 0.0, 0.0]

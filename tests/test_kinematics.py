@@ -246,3 +246,13 @@ class TestStacks:
             FourPotential(phi=1.0, A=np.ones(shape))
         with pytest.raises(ValueError, match="shape"):
             boost(F((1, 0, 0), (0, 1, 0)), np.full(shape, 0.1))
+
+    @pytest.mark.parametrize("phi, A", [(np.ones(3), np.ones(3)), (np.ones(5), np.ones(3)),
+                                        (np.ones(2), np.ones((3, 3)))])
+    def test_phi_must_match_leading_shape_of_A(self, phi, A):
+        with pytest.raises(ValueError, match="leading shape"):
+            FourPotential(phi=phi, A=A)
+
+    def test_empty_suites_report_zero(self):
+        assert fierz_suite(0, 0)["max_rel_err_fierz"] == 0.0
+        assert boost_invariance_suite(0, 0)["max_rel_err_boost"] == 0.0

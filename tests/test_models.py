@@ -103,6 +103,47 @@ class TestGradient:
                 assert_allclose(g, fd, rtol=1e-6, atol=1e-12)
 
 
+GRADIENT_MODELS = [
+    maxwell(),
+    born_infeld(1.0),
+    log_schroedinger(1.0),
+    polynomial(alpha=0.02, beta=0.05, gamma=0.01, xi=0.003, zeta=0.002),
+]
+
+
+class TestStacks:
+    # one call on a stack of field states equals the per-state calls, bit for
+    # bit; 3 rows, the stack length that could pass for a vector axis
+    @pytest.mark.parametrize("rows", [3, 5])
+    @pytest.mark.parametrize("model", GRADIENT_MODELS)
+    def test_gradient_and_density_match_rows(self, model, rows):
+        E, H = np.random.default_rng(rows).uniform(-0.4, 0.4, (2, rows, 3))
+        g = dL_dE(model, FieldVectors(E=E, H=H))
+        L = lagrangian_density(model, FieldVectors(E=E, H=H))
+        assert g.shape == (rows, 3) and L.shape == (rows,)
+        for i in range(rows):
+            assert g[i].tobytes() == dL_dE(model, F(E[i], H[i])).tobytes()
+            assert L[i] == lagrangian_density(model, F(E[i], H[i]))
+
+    def test_mie_sqrt_density_matches_rows(self):
+        rng = np.random.default_rng(1)
+        phi, A = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, (3, 3))
+        L = lagrangian_density(mie_sqrt(-1), F(np.ones((3, 3))), FourPotential(phi, A))
+        for i in range(3):
+            assert L[i] == lagrangian_density(mie_sqrt(-1), F(np.ones(3)),
+                                              FourPotential(phi[i], A[i]))
+
+    @pytest.mark.parametrize("model, E", [(born_infeld(1.0), 1.0),
+                                          (log_schroedinger(1.0), 1.5)])
+    def test_one_entry_outside_domain_rejects_stack(self, model, E):
+        # E = E0 is the born-infeld boundary; H = 1.5 E0 the log model's
+        fields = np.zeros((3, 3))
+        fields[1, 0] = E
+        stack = F(fields) if model.kind == "born-infeld" else F(np.zeros((3, 3)), fields)
+        with pytest.raises(DomainExceeded):
+            dL_dE(model, stack)
+
+
 class TestTaylorReference:
     def test_born_infeld_coefficients_and_ratio(self):
         ref = taylor_reference(born_infeld(1.0))
