@@ -128,6 +128,10 @@ def _resolve(args: argparse.Namespace) -> dict:
     if not isinstance(cfg["higher_order"], bool):
         raise ConfigurationError(
             f"higher_order must be true or false, got {cfg['higher_order']!r}")
+    fmt = cfg["output"]["format"]
+    if fmt not in (None, "json", "csv") or (fmt == "csv" and args.command != "profile"):
+        raise ConfigurationError(f"output format must be 'json' or, for profile, 'csv'; "
+                                 f"got {fmt!r}")
     return cfg
 
 
@@ -192,7 +196,7 @@ def _cmd_profile(cfg: dict) -> None:
                 prof.grid.r[i], prof.D[i], prof.E[i], prof.rho[i],
                 prof.eps[i], prof.u[i], prof.phi[i])))
         _write(cfg, "\n".join(lines))
-    elif fmt == "json":
+    else:
         _emit_json(cfg, {
             "provenance": _provenance(cfg),
             "model": spec,
@@ -209,8 +213,6 @@ def _cmd_profile(cfg: dict) -> None:
             "u_erg_per_cm3": prof.u.tolist(),
             "phi_statvolt": prof.phi.tolist(),
         })
-    else:
-        raise ConfigurationError(f"unknown output format {fmt!r} (csv or json)")
 
 
 def _cmd_energy(cfg: dict) -> None:

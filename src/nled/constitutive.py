@@ -18,8 +18,9 @@ solved in ln E, and linear maps return E = D.  Maps with a fold
 in closed form; they return the lower root, the branch continuously
 connected to E = 0, and tag the ambiguity.  The same search variable
 carries a walk along the forward map from points already inverted, which
-needs no further inversion: the potential and the energy and stress
-integrals run along it on one fixed panel rule.
+needs no further inversion: _walk integrates along it on one fixed panel
+rule, and the potential and the energy and stress integrals are its two
+callers, each giving only its start points and its integrand.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainExceeded, NoSolution, UnsupportedModel
+from .errors import (ConvergenceFailure, DomainExceeded, NoSolution, NumericalError,
+                     UnsupportedModel)
 from .models import BORN_INFELD, LOG_SCHROEDINGER, MAXWELL, POLYNOMIAL, LagrangianModel
 
 RESIDUAL_LIMIT = 1e-12     # contract: achieved residual must stay below this
@@ -118,62 +120,108 @@ def _search_walk(m: LagrangianModel, D, E, delta):
     return _displacement(m, E), E, np.ones_like(E)
 
 
-def _search_steps(m: LagrangianModel, D: np.ndarray, E: np.ndarray):
-    """Offsets along the search variable from each anchor point (D, E) to the
-    one before it, and the height of the last anchor above the
-    characteristic field (-inf for a linear map, which has none)."""
-    if m.kind == BORN_INFELD:
-        return 2.0 * np.log(D[:-1] / D[1:]), 2.0 * np.log(D[-1] / m.E0)
-    scale = _characteristic_field(m)
-    height = -np.inf if scale is None else np.log(E[-1] / scale)
-    return np.log(E[:-1] / E[1:]), height
-
-
 def _unit_rule(points: int):
     """Gauss-Legendre nodes and weights on [0, 1]."""
     t, w = np.polynomial.legendre.leggauss(points)
     return 0.5 * (t + 1.0), 0.5 * w
 
 
-# The fixed quadrature rule of the walks: 16-point Gauss-Legendre panels of
-# width at most _PANEL_WIDTH in x over the segments between anchors, which sit
+# The walk's fixed quadrature rule: 16-point Gauss-Legendre panels of width
+# at most _PANEL_WIDTH in x over the segments between anchors, which sit
 # every _ANCHOR_STEP out to _WALK_DEPTH past the characteristic field, and
-# one 24-point closing panel in s = e^{k (x - x_end)} beyond the last anchor,
+# 24-point closing panels in s = e^{k (x - x_end)} beyond the end anchors,
 # where the integrand goes as e^{k x}.  16 points, not 8: the polynomial
 # D(E) has complex zeros ~0.5 from the real axis in ln E (0.54 for
 # alpha = -0.005, xi = 0.001), where 8 points leave 1.7e-10 of U and
-# 8.3e-13 of phi.
-_RULE = (_unit_rule(16), _unit_rule(24))
+# 8.3e-13 of phi.  The lower rule, 15 and 23 points on the same panels,
+# serves an error estimate.
+_RULES = ((_unit_rule(16), _unit_rule(24)), (_unit_rule(15), _unit_rule(23)))
 _PANEL_WIDTH = 0.5
 _ANCHOR_STEP = 2.0
 _WALK_DEPTH = 40.0
 
 
-def _walk_nodes(steps: np.ndarray, k: float, rule=_RULE):
-    """(anchor, offset, weight, segment) of the rule over anchors in falling
-    x, segment j running from anchor j + 1 up to anchor j over the width
-    steps[j], in ceil(step/_PANEL_WIDTH) equal panels; segment steps.size is
-    the closing panel below the last anchor, where the integrand goes as
-    e^{k x}.  Every offset is taken from the anchor at the low end of its
-    segment."""
+def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
+          lower: bool = False) -> np.ndarray:
+    """Sums per segment, shape (rows, rules, n + 2), of the integrand rows
+    f(D, E, d ln E/dx, weight) on the walk's fixed rule (with lower, rule 1
+    is the lower rule) along the search variable x, so no node is inverted.
+
+    The n + 1 anchors are the points (D, E) in falling x, then a uniform
+    tail to _WALK_DEPTH below the last one or the characteristic field,
+    whichever is lower.  Segment j runs from anchor j + 1 up to anchor j;
+    segment n is the closing panel below the last anchor.  With inner, one
+    start point also gets _WALK_DEPTH of anchors above it and segment n + 1
+    closes above them; inner(the first row's sums over segments 0..n, the
+    anchors' D, the count of inner anchors) may raise before the sums are
+    checked.  Both integrands go as r E at the Coulomb end: the closing
+    rates are k = d ln E/dx - (d ln D/dx)/2 at the end anchors.  Raises
+    NumericalError when a sum is not finite.
+    """
+    if m.kind == BORN_INFELD:  # ln D = ln E0 + x/2 in the radicand logit
+        steps, height = 2.0 * np.log(D[:-1] / D[1:]), 2.0 * np.log(D[-1] / m.E0)
+    else:
+        scale = _characteristic_field(m)
+        steps = np.log(E[:-1] / E[1:])
+        height = -np.inf if scale is None else np.log(E[-1] / scale)
+    n_in = int(_WALK_DEPTH / _ANCHOR_STEP) if inner is not None else 0
+    n_out = int(np.ceil((_WALK_DEPTH + max(height, 0.0)) / _ANCHOR_STEP))
+    with np.errstate(all="ignore"):  # a sum that is not finite raises below
+        D_t, E_t, slope = _search_walk(m, D[-1], E[-1],
+                                       _ANCHOR_STEP * np.arange(n_in, -n_out - 1, -1.0))
+        rate = slope - 0.5 * _displacement_slope(m, E_t)
+        D_a, E_a = np.append(D[:-1], D_t), np.append(E[:-1], E_t)
+        n, rules = D_a.size - 1, 2 if lower else 1
+        ends = ((n, float(rate[-1])), (0, float(rate[0])))[:1 if inner is None else 2]
+        if D.size == 1:
+            anchor, delta, weight, seg = _uniform_nodes(n, ends, rules)
+        else:
+            steps = np.append(steps, np.full(n_out, _ANCHOR_STEP))
+            anchor, delta, weight, seg = _walk_nodes(steps, ends, rules)
+        Dn, En, slope = _search_walk(m, D_a[anchor], E_a[anchor], delta)
+        sums = np.array([np.bincount(seg, weights=row, minlength=rules * (n + 2))
+                         for row in f(Dn, En, slope, weight)]).reshape(-1, rules, n + 2)
+        if inner is not None:
+            inner(sums[0, 0, :n + 1], D_a, n_in)
+    if not np.all(np.isfinite(sums)):
+        raise NumericalError(f"{m.kind}: a walk integral is not finite "
+                             "(a field or density overflows the double range)",
+                             model_kind=m.kind)
+    return sums
+
+
+def _walk_nodes(steps: np.ndarray, ends, rules: int):
+    """(anchor, offset, weight, bin) of the first rules of _RULES over
+    anchors in falling x, segment j running from anchor j + 1 up to anchor j
+    over the width steps[j] in ceil(step/_PANEL_WIDTH) equal panels, and
+    segment steps.size + i closing from the anchor of ends[i] = (anchor,
+    k) to where an integrand going as e^{k x} vanishes, below the anchor
+    for k > 0 and above it for k < 0.  Each offset is taken from the
+    anchor at the low-x end of its segment; rule r sums into bins
+    r (steps.size + 2) + segment."""
+    n = steps.size
     panels = np.ceil(steps / _PANEL_WIDTH).astype(int)
-    seg = np.repeat(np.arange(steps.size), panels)
+    seg = np.repeat(np.arange(n), panels)
     width = (steps / panels)[seg][:, None]
     start = (np.arange(seg.size) - (np.cumsum(panels) - panels)[seg])[:, None] * width
-    (t, w), closing = rule
-    d_end, w_end = _closing_nodes(k, closing)
-    delta = np.concatenate([(start + width * t).ravel(), d_end])
-    weight = np.concatenate([(width * w).ravel(), w_end])
-    owner = np.concatenate([np.repeat(seg, t.size), np.full(d_end.size, steps.size)])
-    return np.minimum(owner + 1, steps.size), delta, weight, owner
+    parts = []
+    for r, ((t, w), (s, w_s)) in enumerate(_RULES[:rules]):
+        parts.append((np.repeat(seg + 1, t.size), (start + width * t).ravel(),
+                      (width * w).ravel(), np.repeat(seg + r * (n + 2), t.size)))
+        for i, (anchor, k) in enumerate(ends):  # s = e^{k (x - x_anchor)} runs from 0 to 1
+            parts.append((np.full(s.size, anchor), np.log(s) / k, w_s / (abs(k) * s),
+                          np.full(s.size, r * (n + 2) + n + i)))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def _closing_nodes(k: float, rule):
-    """(offset, weight) of the closing panel from an anchor to where an
-    integrand going as e^{k x} vanishes: below the anchor for k > 0, above
-    it for k < 0."""
-    s, w = rule
-    return np.log(s) / k, w / (abs(k) * s)
+@lru_cache(maxsize=16)
+def _uniform_nodes(n: int, ends, rules: int):
+    """_walk_nodes over n steps of _ANCHOR_STEP: fixed by the walk's length,
+    closing rates and rules, so built once and shared read-only."""
+    nodes = _walk_nodes(np.full(n, _ANCHOR_STEP), ends, rules)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
 
 
 def displacement_from_field(m: LagrangianModel, E):

@@ -14,30 +14,24 @@ so the numeric trace must vanish to quadrature accuracy; for the linear
 theory with an inner cutoff it equals -U(r_c), the classical instability
 that historically had to be patched by non-electromagnetic forces.
 
-Both volume integrals come from one walk along the inversion's own search
-variable x (the radicand logit for born-infeld, ln E otherwise), in which
-4 pi r^2 dr = 2 pi r^3 (d ln D/dx) dx with r = sqrt(e/D): every quadrature
-node is a point of the explicit forward map, so none is inverted.  The rule
-is fixed: 16-point Gauss-Legendre panels of width 0.5 between anchors every
-2 units of x, and closing panels in s = e^{k x} where the integrand goes as
-e^{k x} (the Coulomb end, and the center when it is integrable).  A cutoff
-costs one inversion; without one the walk starts from the characteristic
-point, known in closed form, and a center whose increments do not shrink
-is reported Divergent (the linear theory).
+Both volume integrals come from the walk that also gives the potential
+(constitutive._walk): a fixed rule along the inversion's own search
+variable whose nodes are points of the explicit forward map, so none is
+inverted.  A cutoff costs one inversion; without one the walk starts from
+the characteristic point, known in closed form, and a center whose
+increments do not shrink is reported Divergent (the linear theory).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .constants import PhysicalConstants, classical_electron_radius, constants
-from .constitutive import (_ANCHOR_STEP, _RULE, _WALK_DEPTH, _characteristic_field,
-                           _closing_nodes, _displacement_slope, _search_steps, _search_walk,
-                           _unit_rule, _walk_nodes, attainable_displacement_max,
-                           field_from_displacement)
+from .constitutive import (_characteristic_field, _displacement_slope, _walk,
+                           attainable_displacement_max, field_from_displacement)
 from .errors import ConfigurationError, Divergent, NoSolution, UnsupportedModel
 from .kinematics import FOUR_PI
 from .models import (BORN_INFELD, LagrangianModel, born_infeld,
@@ -67,8 +61,8 @@ def radial_scale(m: LagrangianModel, e: float, cutoff_r: float | None = None) ->
     otherwise the cutoff when one is given, else the classical electron
     radius e^2/(m_e c^2) (both constant presets share m_e and c).
     """
-    if not e > 0:
-        raise ConfigurationError(f"charge must be positive, got {e}")
+    if not 0 < e < np.inf:
+        raise ConfigurationError(f"charge must be finite and positive, got {e}")
     if cutoff_r is not None and not cutoff_r > 0:
         raise ConfigurationError(f"cutoff radius must be positive, got {cutoff_r}")
     char = _characteristic_field(m)
@@ -77,7 +71,24 @@ def radial_scale(m: LagrangianModel, e: float, cutoff_r: float | None = None) ->
     if cutoff_r is not None:
         return float(cutoff_r)
     k = constants()
-    return e**2 / (k.m_e * k.c**2)
+    with np.errstate(over="ignore"):  # an overflowed radius fails _source_displacement
+        return float(np.float64(e) ** 2 / (k.m_e * k.c**2))
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _source_displacement(e: float, r, error=ConfigurationError):
+    """D = e/r^2 of the point charge at radii r (float or array), raising
+    error unless every D is a finite, positive, normal double."""
+    r = np.asarray(r, dtype=float)[()]  # a float's square overflows to inf, not an error
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        D = e / r**2
+    if not _TINY <= D.min() <= D.max() < np.inf:
+        i = np.argmin(np.ravel((D >= _TINY) & (D < np.inf)))  # the first one out of range
+        raise error(f"radius {float(np.ravel(r)[i])!r} cm gives D = e/r^2 = "
+                    f"{float(np.ravel(D)[i])!r}, not a finite, positive, normal double")
+    return D
 
 
 def _stress_densities(m: LagrangianModel, E, D):
@@ -92,39 +103,26 @@ def _stress_densities(m: LagrangianModel, E, D):
     return E * D / FOUR_PI - L, L
 
 
-# The error estimate repeats each sum of the walks' rule with the next lower
-# rules on the same panels and allows a few ulps per node for rounding.
-_LOWER = (_unit_rule(15), _unit_rule(23))
+# The error estimate repeats each sum of the walk's rule with the lower rule
+# on the same panels and allows a few ulps per node for rounding.
 _ROUNDING = 8.0 * np.finfo(float).eps
-
-
-@lru_cache(maxsize=16)
-def _anchor_nodes(n: int, k: float, lower: bool):
-    """_walk_nodes of the walks' rule, or of the lower one, over n anchor
-    steps with the closing rate k: fixed by the walk's length, so built once
-    and shared read-only."""
-    nodes = _walk_nodes(np.full(n, _ANCHOR_STEP), k, _LOWER if lower else _RULE)
-    for a in nodes:
-        a.flags.writeable = False
-    return nodes
 
 
 def _stress_walk(m: LagrangianModel, e: float,
                  cutoff_r: float | None) -> tuple[float, float, float, float]:
     """(U, trace, U error, trace error): the volume integrals of u and of the
-    spatial stress trace u - 2L along the inversion's search variable x.
+    spatial stress trace u - 2L, by the walk (constitutive._walk).
 
-    With r = sqrt(e/D) the volume element is 4 pi r^2 dr = 2 pi r^3
-    (d ln D/dx) dx, and every node is a walk along the explicit forward map,
-    so no node is inverted.  The walk starts from r_c after one inversion,
-    or without a cutoff from the characteristic point, whose (D, E) is
-    known in closed form, and then also walks inward, raising Divergent when
-    three consecutive inner increments do not shrink.
+    With r = sqrt(e/D) the volume element along the search variable x is
+    4 pi r^2 dr = 2 pi r^3 (d ln D/dx) dx.  The walk starts from r_c after
+    one inversion, or without a cutoff from the characteristic point, whose
+    (D, E) is known in closed form, and then also walks inward, raising
+    Divergent when three consecutive inner increments do not shrink.
     """
     r_s = radial_scale(m, e, cutoff_r)
-    n_in = 0
+    inner = None
     if cutoff_r is not None:
-        D_0 = e / cutoff_r**2
+        D_0 = _source_displacement(e, cutoff_r)
         try:
             E_0 = field_from_displacement(m, D_0).E
         except NoSolution as exc:
@@ -137,34 +135,17 @@ def _stress_walk(m: LagrangianModel, e: float,
                              note="without a cutoff the integral reaches every radius "
                                   "below radius_cm, where D exceeds the attainable maximum")
         # D = E0 for born-infeld, E = E_c otherwise (E = D for a linear map)
-        D_0 = E_0 = e / r_s**2
-        n_in = int(_WALK_DEPTH / _ANCHOR_STEP)
-    _, height = _search_steps(m, np.array([D_0]), np.array([E_0]))
-    n_out = int(np.ceil((_WALK_DEPTH + max(height, 0.0)) / _ANCHOR_STEP))
-    # anchors in falling x; segment j runs from anchor j + 1 up to anchor j,
-    # and the closing panels are segments n (outer) and n + 1 (inner)
-    D_a, E_a, dlnE = _search_walk(m, D_0, E_0, _ANCHOR_STEP * np.arange(n_in, -n_out - 1, -1.0))
-    rate = dlnE - 0.5 * _displacement_slope(m, E_a)  # the integrand goes as e^{rate x}
-    n = n_in + n_out
+        D_0 = E_0 = _source_displacement(e, r_s)
+        inner = partial(_check_inner, e)
 
-    def integrate(anchor, delta, weight, seg):
-        """Per segment, the sums of u dV, (u - 2L) dV and |u dV| + |L dV|."""
-        D, E, _ = _search_walk(m, D_a[anchor], E_a[anchor], delta)
+    def integrand(D, E, _, w):
+        """u dV, (u - 2L) dV and |u dV| + |L dV|, weighted."""
         u, L = _stress_densities(m, E, D)
         dV = 2.0 * np.pi * (e / D) ** 1.5 * _displacement_slope(m, E)
-        return np.array([np.bincount(seg, weights=weight * f, minlength=n + 2)
-                         for f in (u * dV, (u - 2.0 * L) * dV, np.abs(u * dV) + np.abs(L * dV))])
+        return w * (u * dV), w * ((u - 2.0 * L) * dV), w * (np.abs(u * dV) + np.abs(L * dV))
 
-    def inner(closing):  # the closing panel above the first anchor
-        delta, weight = _closing_nodes(rate[0], closing)
-        return np.zeros(delta.size, dtype=int), delta, weight, np.full(delta.size, n + 1)
-
-    sums = np.array([integrate(*_anchor_nodes(n, float(rate[-1]), lower))
-                     for lower in (False, True)])
-    if n_in:
-        _check_inner(e, sums[0, 0, :n + 1], D_a, n_in)
-        sums += [integrate(*inner(rule[1])) for rule in (_RULE, _LOWER)]
-    (U, trace, scale), (U_low, trace_low, _) = sums.sum(axis=2)
+    sums = _walk(m, np.array([D_0]), np.array([E_0]), integrand, inner, lower=True)
+    (U, U_low), (trace, trace_low), (scale, _) = sums.sum(axis=2)
     rounding = _ROUNDING * scale
     return U, trace, abs(U - U_low) + rounding, abs(trace - trace_low) + rounding
 
@@ -241,8 +222,8 @@ def effective_radius(convention: str, k: PhysicalConstants,
 
 def mass_from_energy(U: float, k: PhysicalConstants) -> float:
     """m = U / c^2."""
-    if U < 0:
-        raise ValueError(f"field energy must be >= 0, got {U}")
+    if not 0 <= U < np.inf:
+        raise ValueError(f"field energy must be finite and >= 0, got {U}")
     return U / k.c**2
 
 

@@ -20,6 +20,7 @@ silent clamping would corrupt downstream quadrature.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ POLYNOMIAL = "polynomial"
 MIE_SQRT = "mie-sqrt"
 
 _E0_KINDS = (BORN_INFELD, LOG_SCHROEDINGER)
+# every formula of these kinds uses E0^2: it must be a finite, normal double
+_E0_RANGE = (2.0**-511, float(np.sqrt(np.finfo(float).max)))
 KINDS = (MAXWELL, BORN_INFELD, LOG_SCHROEDINGER, POLYNOMIAL, MIE_SQRT)
 
 
@@ -66,8 +69,10 @@ class LagrangianModel:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown model kind {self.kind!r}; choose one of {KINDS}")
         if self.kind in _E0_KINDS:
-            if self.E0 is None or not (self.E0 > 0):
-                raise ConfigurationError(f"{self.kind} requires a limiting field E0 > 0, got {self.E0}")
+            if not (isinstance(self.E0, numbers.Real)
+                    and _E0_RANGE[0] <= self.E0 <= _E0_RANGE[1]):
+                raise ConfigurationError(f"{self.kind} requires a limiting field E0 in "
+                                         f"[{_E0_RANGE[0]!r}, {_E0_RANGE[1]!r}], got {self.E0}")
         elif self.E0 is not None:
             raise ConfigurationError(f"{self.kind} takes no limiting field, got E0 = {self.E0}")
         if self.kind == POLYNOMIAL and self.coeffs is None:

@@ -1,9 +1,9 @@
 """The radial-integral spec of the energy and stress integrals.
 
-The integrals themselves run on a fixed rule along the inversion's search
-variable (see energetics and constitutive._walk_nodes), so there is no
-adaptive tolerance to set: the one choice left to the caller is an inner
-cutoff radius.
+The integrals themselves run on the walk's fixed rule along the inversion's
+search variable (constitutive._walk, which also gives the potential), so
+there is no adaptive tolerance to set: the one choice left to the caller is
+an inner cutoff radius.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ The displacement field is the point-source D(r) = e/r^2; the electric field
 comes from one array inversion of the constitutive map over the grid; the
 charge density is the divergence rho = (1/4 pi r^2) d(r^2 E)/dr taken with
 high-order finite differences on the grid; eps = D/E.  The potential, the
-inward integral of E, is taken by parts along the inversion's own search
-variable: it walks the explicit forward map D(E) on fixed Gauss-Legendre
-panels, so no quadrature node is inverted and no adaptive quadrature runs.
+inward integral of E, is taken by parts on the walk along the inversion's
+own search variable (constitutive._walk), which also gives the energy and
+stress integrals: it evaluates the explicit forward map D(E) on a fixed
+rule, so no quadrature node is inverted and no adaptive quadrature runs.
 
 Grids are uniform in log r (default: 400 points over [1e-4, 1e4] r0, r0
 being energetics.radial_scale) or in r, so fixed-stencil differences apply
@@ -24,10 +25,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import energetics
-from .constitutive import (_ANCHOR_STEP, _WALK_DEPTH, _invert, _search_steps,
-                           _search_walk, _walk_nodes, attainable_displacement_max,
+from .constitutive import (_invert, _walk, attainable_displacement_max,
                            field_from_displacement)
-from .errors import ConfigurationError, NoSolution
+from .errors import ConfigurationError, NoSolution, NumericalError
 from .kinematics import FOUR_PI
 from .models import BORN_INFELD, LagrangianModel
 
@@ -146,21 +146,21 @@ def grid_integral(grid: RadialGrid, y: np.ndarray) -> float:
 
 def displacement_profile(e: float, grid: RadialGrid) -> np.ndarray:
     """Point-source displacement D(r) = e/r^2."""
-    if not e > 0:
-        raise ConfigurationError(f"charge must be positive, got {e}")
-    return e / grid.r**2
+    if not 0 < e < np.inf:
+        raise ConfigurationError(f"charge must be finite and positive, got {e}")
+    return energetics._source_displacement(e, grid.r)
 
 
 def _invert_profile(m: LagrangianModel, e: float,
-                    grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(E, v) per grid point, v = 1 - E/D held at full relative precision."""
+                    grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, v, D) per grid point, v = 1 - E/D held at full relative precision."""
     D = displacement_profile(e, grid)
     try:
         E, v, *_ = _invert(m, D)
     except NoSolution as exc:  # the first offending D is the innermost radius
         raise NoSolution(exc.d_target, exc.d_max_attainable,
                          radius_cm=float(grid.r[np.argmax(D == exc.d_target)])) from exc
-    return E, v
+    return E, v, D
 
 
 def field_profile(m: LagrangianModel, e: float, grid: RadialGrid) -> np.ndarray:
@@ -192,15 +192,14 @@ def _charge_density(e: float, grid: RadialGrid, E: np.ndarray,
 def charge_density_profile(m: LagrangianModel, e: float,
                            grid: RadialGrid) -> np.ndarray:
     """rho(r) = (1/4 pi r^2) d(r^2 E)/dr by finite differences."""
-    return _charge_density(e, grid, *_invert_profile(m, e, grid))
+    return _charge_density(e, grid, *_invert_profile(m, e, grid)[:2])
 
 
 # Potential by parts along the inversion's own search variable x, in which E
 # rises with x: phi(r_i) = int_0^{E_i} r(E) dE - r_i E_i with r(E) = sqrt(e/D(E))
-# the explicit forward map, integrated as int r E (d ln E/dx) dx on the walks'
-# fixed rule (constitutive._walk_nodes): panels over each grid segment and
-# over anchors below the last grid point, down to _WALK_DEPTH below
-# min(x_last, x_char), and one closing panel for the Coulomb tail.
+# the explicit forward map, integrated as int r E (d ln E/dx) dx by the walk
+# (constitutive._walk) from the grid points, whose segment sums accumulate
+# from the Coulomb end inward.
 # phi(0) = phi(r_h) + r_h E_h - int_0^{r_h} (E - E_h) dr; for born-infeld the
 # dropped head is (2/5) E0 r_h (r_h/r0)^4, 4e-23 of phi(0) at r_h = e^-10 r0.
 _CENTER_HEAD = np.exp(-10.0)
@@ -210,29 +209,14 @@ def _potential(m: LagrangianModel, e: float, r: np.ndarray,
                E: np.ndarray) -> np.ndarray:
     """phi at increasing radii r (cm) whose fields E are already inverted.
 
-    No quadrature node is inverted.  Every node is an offset from the anchor
-    at the low-x end of its segment, so no node carries the rounding of a
-    large absolute x, and r_i E_i is subtracted with the exact grid radius:
-    the result is first-order insensitive to inversion error in E_i, which
-    matters at the fold of a non-monotone map.  For born-infeld the walk
-    reads only D, and the inverted E_i is the walk's own point at D_i, so
-    each integral ends at the E_i that is subtracted.
+    r_i E_i is subtracted with the exact grid radius, so the result is
+    first-order insensitive to inversion error in E_i, which matters at the
+    fold of a non-monotone map.  For born-infeld the walk reads only D, and
+    the inverted E_i is the walk's own point at D_i, so each integral ends
+    at the E_i that is subtracted.
     """
-    D = e / r**2
-    steps, height = _search_steps(m, D, E)
-    n_tail = int(np.ceil((_WALK_DEPTH + max(height, 0.0)) / _ANCHOR_STEP))
-    D_t, E_t, slope_t = _search_walk(m, D[-1], E[-1],
-                                     -_ANCHOR_STEP * np.arange(1.0, n_tail + 1))
-    D_a, E_a = np.append(D, D_t), np.append(E, E_t)
-    steps = np.append(steps, np.full(n_tail, _ANCHOR_STEP))
-
-    # the Coulomb tail closes below the far anchor: with E proportional to D
-    # there, r E (d ln E/dx) = e^{kx} with k = (d ln E/dx)/2, which the far
-    # anchor holds to the last bit
-    anchor, delta, weight, owner = _walk_nodes(steps, 0.5 * slope_t[-1])
-    Dn, En, slope = _search_walk(m, D_a[anchor], E_a[anchor], delta)
-    sums = np.bincount(owner, weights=weight * np.sqrt(e / Dn) * En * slope)
-    return np.cumsum(sums[::-1])[::-1][:r.size] - r * E
+    sums = _walk(m, e / r**2, E, lambda D, E, slope, w: (w * np.sqrt(e / D) * E * slope,))
+    return np.cumsum(sums[0, 0, ::-1])[::-1][:r.size] - r * E
 
 
 def potential_profile(m: LagrangianModel, e: float, grid: RadialGrid) -> np.ndarray:
@@ -254,7 +238,7 @@ def potential_at(m: LagrangianModel, e: float, r: float) -> float:
     if r == 0 and _center_field(m) is None:
         raise ValueError(f"phi(0) is finite only for bounded-field models, not {m.kind}")
     r_eval = r or _CENTER_HEAD * energetics.radial_scale(m, e)
-    E = field_from_displacement(m, e / r_eval**2).E
+    E = field_from_displacement(m, energetics._source_displacement(e, r_eval, ValueError)).E
     phi = float(_potential(m, e, np.array([r_eval]), np.array([E]))[0])
     return phi if r > 0 else phi + r_eval * E  # phi(0) = phi(r_h) + r_h E_h
 
@@ -301,12 +285,17 @@ def compute_profile(m: LagrangianModel, e: float,
                                  note="fewer than 5 grid points remain above "
                                       "the inversion boundary")
             grid = RadialGrid(r=grid.r[keep], spacing=grid.spacing)
-    E, v = _invert_profile(m, e, grid)
-    D = displacement_profile(e, grid)
-    rho = _charge_density(e, grid, E, v)
-    eps = D / E
-    u, _ = energetics._stress_densities(m, E, D)
-    phi = _potential(m, e, grid.r, E)
+    E, v, D = _invert_profile(m, e, grid)
+    with np.errstate(all="ignore"):  # a column that is not finite raises below
+        rho = _charge_density(e, grid, E, v)
+        eps = D / E
+        u, _ = energetics._stress_densities(m, E, D)
+        phi = _potential(m, e, grid.r, E)
+    columns = {"E": E, "rho": rho, "eps": eps, "u": u, "phi": phi}
+    if not np.all(np.isfinite(list(columns.values()))):
+        bad = [name for name, a in columns.items() if not np.all(np.isfinite(a))]
+        raise NumericalError(f"profile columns {bad} are not finite "
+                             "(a field or density overflows the double range)", columns=bad)
     return SolitonProfile(
         grid=grid, D=D, E=E, rho=rho, eps=eps, u=u, phi=phi,
         r0=r0, E0=m.E0,

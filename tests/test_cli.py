@@ -186,6 +186,9 @@ class TestOtherCommands:
     {"grid": {"r_min_over_r0": "1e-4"}},
     {"grid": {"r_max_over_r0": True}},
     {"sample_scale": "0.01"},
+    {"output": {"format": "xml"}},
+    {"output": {"format": "csv"}},  # csv is the profile table only
+    {"output": {"format": 1}},
 ])
 def test_invalid_config_values_exit_2(tmp_path, bad):
     cfg = tmp_path / "cfg.json"
@@ -193,6 +196,27 @@ def test_invalid_config_values_exit_2(tmp_path, bad):
     for command in ("invariants", "expand", "energy"):
         assert run([command, "--model", "born-infeld", "--E0", "1.0",
                     "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("args, config, code", [
+    (["energy", "--E0", "inf"], None, 2),
+    (["energy", "--E0", "1e155"], None, 2),
+    (["profile", "--E0", "1e-300"], None, 2),
+    (["energy", "--E0", "1.0"], {"quad": {"cutoff_r_cm": 1e300}}, 2),
+    (["profile", "--E0", "1.0"], {"output": {"format": "xml"}}, 2),
+    (["energy", "--E0", "1e150"], None, 3),
+    (["profile", "--E0", "1e154"], None, 3),
+], ids=["E0_inf", "E0_square_overflows", "E0_square_underflows", "cutoff_far",
+        "profile_format", "energy_overflows", "profile_overflows"])
+def test_out_of_range_exits_with_json_error(tmp_path, args, config, code):
+    extra = []
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        extra = ["--config", str(tmp_path / "cfg.json")]
+    proc = run_cli(*args, "--model", "born-infeld", *extra)
+    assert proc.returncode == code
+    assert json.loads(proc.stderr)["kind"]
+    assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout and "inf" not in proc.stdout
 
 
 def test_removed_laue_subcommand_exits_2():

@@ -9,7 +9,7 @@ import scipy.integrate
 from numpy.testing import assert_allclose
 from scipy.special import gamma
 
-from nled import (ConfigurationError, Divergent, NoSolution, PhysicalConstants,
+from nled import (ConfigurationError, Divergent, NoSolution, NumericalError, PhysicalConstants,
                   QuadratureSpec, SolitonProfile, UnsupportedModel,
                   attainable_displacement_max, born_infeld,
                   born_infeld_energy_constant, check_stress_divergence,
@@ -142,6 +142,11 @@ class TestRadialScale:
         with pytest.raises(ConfigurationError):
             radial_scale(BI, 0.0)
 
+    @pytest.mark.parametrize("e", [np.inf, np.nan])
+    def test_nonfinite_charge_rejected(self, e):
+        with pytest.raises(ConfigurationError):
+            radial_scale(BI, e)
+
 
 class TestTotalEnergy:
     def test_born_infeld_constant(self):
@@ -169,6 +174,35 @@ class TestTotalEnergy:
         for m in (maxwell(), BI):
             with pytest.raises(ConfigurationError):
                 total_energy(m, K.e, QuadratureSpec(cutoff_r=cutoff))
+
+    @pytest.mark.parametrize("cutoff", [1e300, 1e160, np.inf])
+    def test_cutoff_outside_double_range_rejected(self, cutoff):
+        # e/r_c^2 underflows: the walk would start at D = 0
+        for m in (maxwell(), BI):
+            with pytest.raises(ConfigurationError):
+                total_energy(m, K.e, QuadratureSpec(cutoff_r=cutoff))
+
+    @pytest.mark.parametrize("e", [1e-100, 1e100, 1e200])
+    def test_classical_radius_outside_double_range_rejected(self, e):
+        with pytest.raises(ConfigurationError):
+            total_energy(maxwell(), e)
+
+    @pytest.mark.parametrize("m, e, cutoff", [(maxwell(), 1.0, 1e150),
+                                              (born_infeld(1e150), K.e, None),
+                                              (polynomial(alpha=1e-250), K.e, None)],
+                             ids=["maxwell_far_cutoff", "born_infeld_1e150", "polynomial"])
+    def test_walk_outside_double_range_raises(self, m, e, cutoff):
+        # nodes whose densities overflow give a numerical failure, not a NaN
+        for f in (total_energy, stress_integrals):
+            with pytest.raises(NumericalError):
+                f(m, e, QuadratureSpec(cutoff_r=cutoff))
+
+    @pytest.mark.parametrize("e", [1e-54, 1e54])
+    def test_divergence_reported_before_overflow(self, e):
+        # the walk's innermost nodes overflow for these charges, but the
+        # first inner increments already show the center diverging
+        with pytest.raises(Divergent):
+            total_energy(maxwell(), e)
 
     def test_born_infeld_constant_across_limiting_fields(self):
         # deep inside, the walked E rounds up to E0 for many E0: L must stay defined
@@ -236,9 +270,13 @@ class TestVirial:
     E_in) - e r_in E_in + (4 pi/3) r_in^3 L_in, and the trace against its
     closed boundary term -e r_c E_c + 4 pi r_c^3 L_c."""
 
-    def test_born_infeld_center(self):
-        U, _ = total_energy(BI, K.e)
-        assert_allclose(U, (2 / 3) * K.e * potential_at(BI, K.e, 0.0), rtol=1e-13)
+    @pytest.mark.parametrize("E0", [*np.geomspace(1e-100, 1e100, 21).tolist(), E0],
+                             ids=lambda E0: f"E0={E0:.3g}")
+    def test_born_infeld_center(self, E0):
+        # the potential and the energy integral are the walk's two callers
+        m = born_infeld(E0)
+        U, _ = total_energy(m, K.e)
+        assert_allclose(U, (2 / 3) * K.e * potential_at(m, K.e, 0.0), rtol=1e-13)
 
     @pytest.mark.parametrize("name", ["log_model_cutoff", "polynomial", "maxwell_cutoff",
                                       "polynomial_negative_alpha_cutoff"])
@@ -366,6 +404,11 @@ class TestMass:
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
             mass_from_energy(-1.0, K)
+
+    @pytest.mark.parametrize("U", [np.nan, np.inf])
+    def test_nonfinite_energy_rejected(self, U):
+        with pytest.raises(ValueError):
+            mass_from_energy(U, K)
 
 
 class TestStressDivergence:

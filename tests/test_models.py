@@ -202,6 +202,17 @@ class TestModelConstruction:
         with pytest.raises(ConfigurationError):
             model_from_config({"kind": "born-infeld"})
 
+    @pytest.mark.parametrize("E0", [np.inf, np.nan, 1e155, 1e-300, 0.0, -1.0, "1e15"])
+    @pytest.mark.parametrize("kind", ["born-infeld", "log-schroedinger"])
+    def test_e0_whose_square_leaves_double_range_rejected(self, kind, E0):
+        with pytest.raises(ConfigurationError):
+            model_from_config({"kind": kind, "E0": E0})
+
+    @pytest.mark.parametrize("E0", [2.0**-511, float(np.sqrt(np.finfo(float).max))])
+    def test_e0_range_is_inclusive(self, E0):
+        assert np.isfinite(E0**2) and E0**2 >= np.finfo(float).tiny
+        assert born_infeld(E0).E0 == E0
+
     def test_e0_on_scale_free_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             model_from_config({"kind": "maxwell", "E0": 1.0})

@@ -5,7 +5,7 @@ import scipy.integrate
 from numpy.testing import assert_allclose
 from scipy.special import ellipk, ellipkinc
 
-from nled import (ConfigurationError, NoSolution, RadialGrid, born_infeld,
+from nled import (ConfigurationError, NoSolution, NumericalError, RadialGrid, born_infeld,
                   charge_density_profile, classical_electron_radius,
                   compute_profile, constants, default_grid, displacement_profile,
                   field_from_displacement, field_profile, integrated_charge,
@@ -198,7 +198,7 @@ class TestPotential:
         with pytest.raises(ValueError):
             potential_at(model, K.e, 0.0)
 
-    @pytest.mark.parametrize("r", [-R0, np.nan])
+    @pytest.mark.parametrize("r", [-R0, np.nan, np.inf, 1e200])
     def test_radius_rejected(self, r):
         with pytest.raises(ValueError):
             potential_at(BI, K.e, r)
@@ -303,6 +303,22 @@ class TestAssembledProfile:
         prof = compute_profile(m, K.e)
         assert prof.grid.n == 400 and prof.grid.r[-1] > 0.11
         assert max(field_from_displacement(m, d).residual for d in prof.D) <= 1e-12
+
+    @pytest.mark.parametrize("grid", [log_grid(1e140, 1e160, 5), log_grid(1e-200, 1e-100, 5)],
+                             ids=["underflow", "overflow"])
+    def test_grid_outside_double_range_rejected(self, grid):
+        with pytest.raises(ConfigurationError):
+            compute_profile(born_infeld(1.0), 1.0, grid)
+
+    @pytest.mark.parametrize("e", [np.inf, np.nan, 0.0])
+    def test_charge_rejected(self, e):
+        with pytest.raises(ConfigurationError):
+            displacement_profile(e, default_grid(R0))
+
+    def test_overflowing_column_raises(self):
+        # u = E D/4pi - L overflows at the center for this limiting field
+        with pytest.raises(NumericalError, match="'u'"):
+            compute_profile(born_infeld(1e154), K.e)
 
     def test_log_model_grid_fully_invalid(self):
         ls = log_schroedinger(E0)
