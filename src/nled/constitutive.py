@@ -239,15 +239,18 @@ def displacement_from_field(m: LagrangianModel, E):
 
 def _characteristic_field(m: LagrangianModel) -> float | None:
     """Field scale where the nonlinearity of D(E) becomes order one, or None
-    when the map at H = 0 is linear and has no scale."""
+    when the map at H = 0 is linear and has no scale.  A polynomial takes
+    the lower of its terms' scales: the first term to matter sets it."""
     if m.E0 is not None:
         return m.E0
     if m.kind == POLYNOMIAL:
         c = m.coeffs
+        scales = []
         if c.alpha != 0.0:
-            return 1.0 / np.sqrt(16.0 * np.pi * abs(c.alpha))
+            scales.append(1.0 / np.sqrt(16.0 * np.pi * abs(c.alpha)))
         if c.xi != 0.0:
-            return (24.0 * np.pi * abs(c.xi)) ** -0.25
+            scales.append((24.0 * np.pi * abs(c.xi)) ** -0.25)
+        return min(scales, default=None)
     return None
 
 

@@ -103,16 +103,15 @@ def interaction_suite(states: int = 1_000, seed: int = 0,
     Per state: |form_a - form_b|, the energy-momentum identity residual, and
     the drift of form_a under a boost of magnitude ``boost_beta`` along a
     random direction with the full (rho, v, phi, A) transformation applied.
-    All normalized by max(1, |value|).  The states are drawn one by one and
-    evaluated as one stack.
+    All normalized by max(1, |value|).  Blocks drawn in turn: the velocity
+    directions u, normal (states, 3); A, uniform(-2, 2) (states, 3); the boost
+    directions, normal (states, 3); the speeds in units of 0.9 c, uniform
+    (states,); and (rho, e, phi), uniform(-2, 2) (3, states).
     """
     rng = np.random.default_rng(seed)
-    u, A, direction = np.empty((3, states, 3))
-    speed, rho, e, phi = np.empty((4, states))
-    for i in range(states):
-        u[i] = rng.normal(size=3)
-        speed[i], rho[i], e[i], phi[i] = rng.uniform(), *rng.uniform(-2, 2, 3)
-        A[i], direction[i] = rng.uniform(-2, 2, 3), rng.normal(size=3)
+    u, A = rng.normal(size=(states, 3)), rng.uniform(-2, 2, (states, 3))
+    direction, speed = rng.normal(size=(states, 3)), rng.uniform(size=states)
+    rho, e, phi = rng.uniform(-2, 2, (3, states))
     k = PhysicalConstants(e=4.8032e-10, m_e=9.1094e-28, c=c, preset_name="suite")
     s = ChargeState(rho=rho, v=_unit(u) * (0.9 * c) * speed[:, None], e=e)
     p = FourPotential(phi=phi, A=A)

@@ -33,6 +33,7 @@ LS = log_schroedinger(E0)
 POLY = polynomial(alpha=0.01, xi=0.001)
 POLY_XI = polynomial(xi=0.001)
 POLY_NEG = polynomial(alpha=-0.005, xi=0.001)  # monotone: no fold
+POLY_STIFF_XI = polynomial(alpha=1e-30, xi=1e30)  # xi's scale is far below alpha's
 
 
 def spec_at(cutoff_r):
@@ -45,6 +46,7 @@ CASES = {
     "log_model_cutoff": (LS, 2 * R0),
     "polynomial": (POLY, None),
     "polynomial_xi": (POLY_XI, None),
+    "polynomial_stiff_xi": (POLY_STIFF_XI, None),
     "polynomial_negative_alpha_cutoff": (POLY_NEG, 0.5 * radial_scale(POLY_NEG, K.e)),
     "maxwell_cutoff": (maxwell(), R0),
 }
@@ -235,8 +237,8 @@ class TestTotalEnergy:
 class TestFieldSpaceReference:
     """U and the trace against 40-digit field-space quadratures."""
 
-    @pytest.mark.parametrize("name", ["polynomial", "polynomial_xi", "log_model_cutoff",
-                                      "polynomial_negative_alpha_cutoff"])
+    @pytest.mark.parametrize("name", ["polynomial", "polynomial_xi", "polynomial_stiff_xi",
+                                      "log_model_cutoff", "polynomial_negative_alpha_cutoff"])
     def test_energy_and_trace(self, name):
         m, cutoff = CASES[name]
         U_ref, trace_ref = field_space_reference(name)

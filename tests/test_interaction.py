@@ -121,23 +121,25 @@ class TestBoostInvariance:
 
 
 def interaction_per_state(states, seed, c=2.9979e10, boost_beta=0.6):
+    """The suite's blocks, evaluated one state at a time with the scalar calls."""
     rng = np.random.default_rng(seed)
+    us = rng.normal(size=(states, 3))
+    As = rng.uniform(-2, 2, (states, 3))
+    directions = rng.normal(size=(states, 3))
+    speeds = rng.uniform(size=states)
+    rhos, es, phis = rng.uniform(-2, 2, (3, states))
     worst_forms = worst_identity = worst_boost = 0.0
     k = PhysicalConstants(e=4.8032e-10, m_e=9.1094e-28, c=c, preset_name="suite")
-    for _ in range(states):
-        u = rng.normal(size=3)
-        u /= np.linalg.norm(u)
-        v = u * (0.9 * c) * rng.uniform()
-        s = ChargeState(rho=rng.uniform(-2, 2), v=v, e=rng.uniform(-2, 2))
-        p = FourPotential(phi=rng.uniform(-2, 2), A=rng.uniform(-2, 2, 3))
+    for u, A, direction, speed, rho, e, phi in zip(us, As, directions, speeds, rhos, es, phis):
+        v = u / np.linalg.norm(u) * (0.9 * c) * speed
+        s = ChargeState(rho=rho, v=v, e=e)
+        p = FourPotential(phi=phi, A=A)
         form_a, form_b = interaction_lagrangian_density(s, p, c)
         worst_forms = max(worst_forms, abs(form_a - form_b) / max(1.0, abs(form_a)))
         _, _, resid = interaction_energy_momentum(s.e, p, k)
         lhs_scale = abs(s.e**2 * (float(p.A @ p.A) - p.phi**2))
         worst_identity = max(worst_identity, resid / max(1.0, lhs_scale))
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        beta = direction * boost_beta
+        beta = direction / np.linalg.norm(direction) * boost_beta
         boosted_a, _ = interaction_lagrangian_density(
             boost_charge_state(s, beta, c), boost_four_potential(p, beta), c)
         worst_boost = max(worst_boost, abs(boosted_a - form_a) / max(1.0, abs(form_a)))
@@ -148,11 +150,16 @@ class TestStacks:
     """The public functions take stacks; the suite makes one call per
     formula on the whole stack."""
 
-    @pytest.mark.parametrize("seed", [0, 2, 5, 27, 38])
-    def test_suite_equals_per_state_calls(self, seed):
-        rep = interaction_suite(states=1000, seed=seed, c=C)
+    @pytest.mark.parametrize("states, seed", [*((1000, s) for s in (0, 2, 5, 27, 38)), (1, 0)],
+                             ids=["0", "2", "5", "27", "38", "states=1"])
+    def test_suite_equals_per_state_calls(self, states, seed):
+        rep = interaction_suite(states=states, seed=seed, c=C)
         assert (rep["max_rel_err_forms"], rep["max_rel_err_energy_momentum_identity"],
-                rep["max_rel_err_boosted_form_a"]) == interaction_per_state(1000, seed, c=C)
+                rep["max_rel_err_boosted_form_a"]) == interaction_per_state(states, seed, c=C)
+
+    def test_suite_draws_blocks(self, generator_calls):
+        few = generator_calls(lambda: interaction_suite(states=10, c=C))
+        assert few and generator_calls(lambda: interaction_suite(states=1000, c=C)) == few
 
     def test_stack_matches_rows(self):
         rng = np.random.default_rng(23)

@@ -141,7 +141,7 @@ class TestGauge:
             assert_allclose(i3_after, i3_before, rtol=0, atol=1e-13)
 
 
-SEEDS = [0, 2, 5, 27, 38]  # 27 and 38: a cube root drawn as an array power moves the max
+SEEDS = [0, 2, 5, 27, 38]  # equality must hold at any seed; fixed ones make a failure reproducible
 
 
 def fierz_per_draw(draws, seed):
@@ -154,14 +154,17 @@ def fierz_per_draw(draws, seed):
 
 
 def boost_per_draw(draws, seed, beta_max=0.9):
+    """The suite's blocks, evaluated one row at a time with the scalar calls."""
     rng = np.random.default_rng(seed)
+    fields = rng.uniform(-1, 1, (draws, 2, 3))
+    directions = rng.normal(size=(draws, 3))
+    radii = rng.uniform(size=draws)
     worst = 0.0
-    for _ in range(draws):
-        Fv = F(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
+    for (E, H), direction, radius in zip(fields, directions, radii):
+        Fv = F(E, H)
+        direction = direction / np.linalg.norm(direction)
         before = invariants(Fv)
-        after = invariants(boost(Fv, direction * beta_max * rng.uniform() ** (1 / 3)))
+        after = invariants(boost(Fv, direction * beta_max * np.cbrt(radius)))
         scale = float(Fv.E @ Fv.E + Fv.H @ Fv.H)
         worst = max(worst, abs(after.I1 - before.I1) / scale,
                     abs(after.I2 - before.I2) / scale)
@@ -176,9 +179,15 @@ class TestStacks:
     def test_fierz_suite_equals_per_draw_calls(self, seed):
         assert fierz_suite(2000, seed)["max_rel_err_fierz"] == fierz_per_draw(2000, seed)
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_boost_suite_equals_per_draw_calls(self, seed):
-        assert boost_invariance_suite(1000, seed)["max_rel_err_boost"] == boost_per_draw(1000, seed)
+    @pytest.mark.parametrize("draws, seed", [*((1000, s) for s in SEEDS), (1, 0)],
+                             ids=[*map(str, SEEDS), "draws=1"])
+    def test_boost_suite_equals_per_draw_calls(self, draws, seed):
+        assert (boost_invariance_suite(draws, seed)["max_rel_err_boost"]
+                == boost_per_draw(draws, seed))
+
+    def test_boost_suite_draws_blocks(self, generator_calls):
+        few = generator_calls(lambda: boost_invariance_suite(10))
+        assert few and generator_calls(lambda: boost_invariance_suite(1000)) == few
 
     def test_stack_matches_rows(self):
         rng = np.random.default_rng(17)
