@@ -12,8 +12,8 @@ from .constitutive import (InversionResult, attainable_displacement_max,
                            displacement_from_field, field_from_displacement)
 from .dirac import dirac_basis, identity_report, mass_term, slash_square
 from .energetics import (StressSummary, born_infeld_energy_constant,
-                         check_stress_divergence, effective_radius,
-                         mass_from_energy, stress_integrals, total_energy)
+                         effective_radius, mass_from_energy, stress_integrals,
+                         total_energy)
 from .errors import (ConfigurationError, ConvergenceFailure, Divergent,
                      DomainExceeded, IllConditioned, NledError, NoSolution,
                      NumericalError, UnsupportedModel)
@@ -31,9 +31,9 @@ from .models import (LagrangianModel, PolynomialCoeffs, TaylorReference,
                      taylor_reference)
 from .quadrature import QuadratureSpec
 from .soliton import (RadialGrid, SolitonProfile, charge_density_profile,
-                      compute_profile, default_grid, displacement_profile,
-                      field_profile, integrated_charge, linear_grid, log_grid,
-                      potential_at, potential_profile)
+                      check_stress_divergence, compute_profile, default_grid,
+                      displacement_profile, field_profile, integrated_charge,
+                      linear_grid, log_grid, potential_at, potential_profile)
 
 __version__ = "0.1.0"
 

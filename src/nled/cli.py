@@ -118,6 +118,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     if not g["r_min_over_r0"] < g["r_max_over_r0"]:
         raise ConfigurationError(
             f"need 0 < r_min < r_max, got ({g['r_min_over_r0']}, {g['r_max_over_r0']})")
+    if g["spacing"] not in (soliton.LOG, soliton.LINEAR):
+        raise ConfigurationError(f"grid spacing must be 'log' or 'linear', got {g['spacing']!r}")
     q = cfg["quad"]
     if q["cutoff_r_cm"] is not None:
         _require_positive("quad cutoff_r_cm", q["cutoff_r_cm"])
@@ -179,23 +181,16 @@ def _cmd_profile(cfg: dict) -> None:
     model, k, spec = _require_model(cfg)
     g = cfg["grid"]
     unit = energetics.radial_scale(model, k.e)
-    if g["spacing"] == "log":
-        grid = soliton.log_grid(g["r_min_over_r0"] * unit, g["r_max_over_r0"] * unit,
-                                g["points"])
-    elif g["spacing"] == "linear":
-        grid = soliton.linear_grid(g["r_min_over_r0"] * unit, g["r_max_over_r0"] * unit,
-                                   g["points"])
-    else:
-        raise ConfigurationError(f"unknown grid spacing {g['spacing']!r}")
+    make_grid = soliton.log_grid if g["spacing"] == soliton.LOG else soliton.linear_grid
+    grid = make_grid(g["r_min_over_r0"] * unit, g["r_max_over_r0"] * unit, g["points"])
     prof = soliton.compute_profile(model, k.e, grid)
+    # one column table for both formats: the CSV header names the JSON arrays
+    columns = dict(zip(CSV_HEADER.split(","),
+                       (prof.grid.r, prof.D, prof.E, prof.rho, prof.eps, prof.u, prof.phi)))
     fmt = cfg["output"]["format"] or "csv"
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for i in range(prof.grid.n):
-            lines.append(",".join(f"{v:.16e}" for v in (
-                prof.grid.r[i], prof.D[i], prof.E[i], prof.rho[i],
-                prof.eps[i], prof.u[i], prof.phi[i])))
-        _write(cfg, "\n".join(lines))
+        rows = (",".join(f"{v:.16e}" for v in row) for row in zip(*columns.values()))
+        _write(cfg, "\n".join([CSV_HEADER, *rows]))
     else:
         _emit_json(cfg, {
             "provenance": _provenance(cfg),
@@ -205,13 +200,7 @@ def _cmd_profile(cfg: dict) -> None:
             "E0_statvolt_per_cm": prof.E0,
             "E_center_statvolt_per_cm": prof.E_center,
             "inversion_failed_below_r": prof.inversion_failed_below_r,
-            "r_cm": prof.grid.r.tolist(),
-            "D_statvolt_per_cm": prof.D.tolist(),
-            "E_statvolt_per_cm": prof.E.tolist(),
-            "rho_esu_per_cm3": prof.rho.tolist(),
-            "epsilon": prof.eps.tolist(),
-            "u_erg_per_cm3": prof.u.tolist(),
-            "phi_statvolt": prof.phi.tolist(),
+            **{name: column.tolist() for name, column in columns.items()},
         })
 
 

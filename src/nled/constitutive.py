@@ -25,15 +25,15 @@ callers, each giving only its start points and its integrand.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (ConvergenceFailure, DomainExceeded, NoSolution, NumericalError,
                      UnsupportedModel)
-from .models import BORN_INFELD, LOG_SCHROEDINGER, MAXWELL, POLYNOMIAL, LagrangianModel
+from .models import (BORN_INFELD, LOG_SCHROEDINGER, MAXWELL, POLYNOMIAL, LagrangianModel,
+                     _term)
 
 RESIDUAL_LIMIT = 1e-12     # contract: achieved residual must stay below this
 
@@ -48,8 +48,7 @@ class InversionResult:
     ``iterations`` counts evaluations of the forward map (0 for a linear
     map).  ``coulomb_deviation`` is v = 1 - E/D held at full relative precision
     even where v is many orders below 1 (the far Coulomb tail); recomputing
-    it from the rounded E and D would lose it to cancellation, and the
-    charge-density differentiation needs it clean.
+    it from the rounded E and D would lose it to cancellation.
     """
 
     E: float
@@ -73,17 +72,6 @@ def _displacement(m: LagrangianModel, E):
     raise UnsupportedModel(f"{m.kind} has no constitutive map")
 
 
-def _term(k: float, E, p: int):
-    """k E^p, finite wherever the product is: 0 for k = 0, where 0 times an
-    overflowed power would be NaN, and k E E ... E where E^p alone overflows."""
-    if k == 0.0:
-        return 0.0
-    E = np.asarray(E, dtype=float)[()]  # a float's power overflows to inf, not an error
-    with np.errstate(over="ignore"):
-        power = E**p
-        return np.where(np.isfinite(power), k * power, reduce(operator.mul, [E] * p, k))[()]
-
-
 def _displacement_slope(m: LagrangianModel, E):
     """d ln D/dx along the search variable x at field E (float or array):
     1/2 in the radicand logit for born-infeld, E D'(E)/D in x = ln E for the
@@ -102,6 +90,24 @@ def _displacement_slope(m: LagrangianModel, E):
     raise UnsupportedModel(f"{m.kind} has no constitutive map")
 
 
+def _charge_factor(m: LagrangianModel, E, D):
+    """1 - d ln E/d ln D at points (D, E) of the map (float or array) in
+    closed form, at full relative precision in the Coulomb tail, where it
+    vanishes: the charge density is E (1 - d ln E/d ln D)/(2 pi r)."""
+    if m.kind == MAXWELL:
+        return np.zeros_like(E)
+    if m.kind == BORN_INFELD:  # E = E0 D/hypot(E0, D)
+        return (D / np.hypot(m.E0, D)) ** 2
+    if m.kind == LOG_SCHROEDINGER:  # d ln D/d ln E = (1 - t)/(1 + t)
+        t = (E / m.E0) ** 2
+        return -2.0 * t / (1.0 - t)
+    if m.kind == POLYNOMIAL:  # a and x as in _displacement_slope
+        c = m.coeffs
+        a, x = _term(16.0 * np.pi * c.alpha, E, 2), _term(24.0 * np.pi * c.xi, E, 4)
+        return (2.0 * a + 4.0 * x) / (1.0 + 3.0 * a + 5.0 * x)
+    raise UnsupportedModel(f"{m.kind} has no constitutive map")
+
+
 def _search_walk(m: LagrangianModel, D, E, delta):
     """(D, E, d ln E/dx) at offsets delta along the inversion's search
     variable x from anchor points (D, E) on the forward map.
@@ -109,13 +115,16 @@ def _search_walk(m: LagrangianModel, D, E, delta):
     Nothing is inverted.  For born-infeld x is the radicand logit w, in which
     ln D = ln E0 + w/2 exactly: a node has D = D_a e^{delta/2},
     E = D E0 / hypot(E0, D) = E0 sqrt(sigmoid(w)), held at or below E0 where
-    it rounds above deep inside, and d ln E/dw = (E/D)^2 / 2.  The other
+    it rounds above deep inside and taken as E0 (D/hypot) where E0/hypot is
+    subnormal (D/E0 above ~1e308), and d ln E/dw = (E/D)^2 / 2.  The other
     kinds walk x = ln E: E = E_a e^delta, D from the forward map.
     """
     if m.kind == BORN_INFELD:
         D = D * np.exp(0.5 * delta)
-        ratio = m.E0 / np.hypot(m.E0, D)
-        return D, np.minimum(D * ratio, m.E0), 0.5 * ratio**2
+        h = np.hypot(m.E0, D)
+        ratio = m.E0 / h
+        E = np.where(ratio >= np.finfo(float).tiny, D * ratio, m.E0 * (D / h))
+        return D, np.minimum(E, m.E0), 0.5 * ratio**2
     E = E * np.exp(delta)
     return _displacement(m, E), E, np.ones_like(E)
 
@@ -265,6 +274,8 @@ def _map_shape(m: LagrangianModel) -> tuple[float, float]:
     120 pi x t^2 + 48 pi a t + 1 = 0; with no positive root, or a double
     one, the map rises throughout.
     """
+    if m.kind not in (MAXWELL, BORN_INFELD, LOG_SCHROEDINGER, POLYNOMIAL):
+        raise UnsupportedModel(f"{m.kind} has no constitutive map")
     E_peak = np.inf
     if m.kind == LOG_SCHROEDINGER:
         E_peak = m.E0
@@ -297,7 +308,8 @@ def _log_field_limit(m: LagrangianModel) -> float:
 
 
 def attainable_displacement_max(m: LagrangianModel) -> float:
-    """sup of D over the field domain (inf for monotone unbounded maps)."""
+    """sup of D over the field domain (inf for monotone unbounded maps);
+    UnsupportedModel for a kind with no constitutive map."""
     return _map_shape(m)[1]
 
 
@@ -337,12 +349,10 @@ def _invert(m: LagrangianModel, D: np.ndarray):
     returns the peak.  NoSolution and ConvergenceFailure name the first
     offending element.
     """
-    if m.kind not in (MAXWELL, BORN_INFELD, LOG_SCHROEDINGER, POLYNOMIAL):
-        raise UnsupportedModel(f"{m.kind} has no constitutive map")
+    E_peak, D_max = _map_shape(m)  # raises UnsupportedModel for a kind with no map
     if _characteristic_field(m) is None:
         zero = np.zeros_like(D)
         return D.copy(), zero, zero.astype(int), zero, zero.astype(bool)
-    E_peak, D_max = _map_shape(m)
     above = D > D_max * (1.0 + 1e-13)
     if np.count_nonzero(above):
         raise NoSolution(float(D[np.argmax(above)]), D_max)

@@ -1,5 +1,5 @@
-"""Total self-energy, von Laue stress integrals, effective-radius
-conventions and the radial stress-conservation check.
+"""Total self-energy, von Laue stress integrals and effective-radius
+conventions.
 
 For a static spherical solution the stress components are
 
@@ -226,22 +226,3 @@ def mass_from_energy(U: float, k: PhysicalConstants) -> float:
         raise ValueError(f"field energy must be finite and >= 0, got {U}")
     return U / k.c**2
 
-
-def check_stress_divergence(profile) -> float:
-    """Max residual of dT_rr/dr + (2/r)(T_rr - T_thth) = 0 on the profile.
-
-    Normalized by the largest magnitude of the two terms that must cancel,
-    so a fabricated non-conserved profile scores O(1) even when one term
-    vanishes identically.
-    """
-    from .soliton import grid_derivative  # deferred: soliton imports this module
-
-    r = profile.grid.r
-    T_rr = profile.u
-    geom = (2.0 / r) * (profile.E * profile.D / FOUR_PI)  # (2/r)(T_rr - T_thth)
-    dT = grid_derivative(profile.grid, T_rr)
-    resid = dT + geom
-    scale = float(np.max(np.abs(dT) + np.abs(geom)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(resid)) / scale)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IllConditioned
 from .kinematics import FieldVectors, invariants
-from .models import LagrangianModel, MIE_SQRT, density_from_invariants, polynomial
+from .models import LagrangianModel, density_from_invariants, polynomial
 
 MAX_SAMPLE_SCALE = 0.05
 CONDITION_LIMIT = 1e8
@@ -85,8 +85,6 @@ def estimate_taylor_coefficients(m: LagrangianModel, sample_scale: float = 0.01,
     if not (0.0 < sample_scale <= MAX_SAMPLE_SCALE):
         raise ConfigurationError(
             f"sample_scale must be in (0, {MAX_SAMPLE_SCALE}], got {sample_scale}")
-    if m.kind == MIE_SQRT:
-        raise ConfigurationError(f"{m.kind} is not a function of (I1, I2)")
     s = _sample_field(m, sample_scale)
     design = s * np.asarray(_CONFIGS_HIGHER if higher_order else _CONFIGS)
     inv = invariants(FieldVectors(E=design[:, 0], H=design[:, 1]))

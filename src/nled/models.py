@@ -20,6 +20,7 @@ silent clamping would corrupt downstream quadrature.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -122,6 +123,17 @@ def _bi_radicand(m: LagrangianModel, i1, i2):
     return rad
 
 
+def _term(k: float, x, p: int):
+    """k x^p, finite wherever the product is: 0 for k = 0, where 0 times an
+    overflowed power would be NaN, and k x x ... x where x^p alone overflows."""
+    if k == 0.0:
+        return 0.0
+    x = np.asarray(x, dtype=float)[()]  # a float's power overflows to inf, not an error
+    with np.errstate(over="ignore"):
+        power = x**p
+        return np.where(np.isfinite(power), k * power, math.prod([x] * p, start=k))[()]
+
+
 def density_from_invariants(m: LagrangianModel, i1, i2):
     """L(I1, I2) for the field-strength kinds; scalar or array arguments."""
     i1 = np.asarray(i1, dtype=float)
@@ -140,8 +152,8 @@ def density_from_invariants(m: LagrangianModel, i1, i2):
         out = (m.E0**2 / EIGHT_PI) * np.log1p(arg)
     elif m.kind == POLYNOMIAL:
         c = m.coeffs
-        out = (i1 / EIGHT_PI + c.alpha * i1**2 + c.beta * i2**2 + c.gamma * i1 * i2
-               + c.xi * i1**3 + c.zeta * i1 * i2**2)
+        out = (i1 / EIGHT_PI + _term(c.alpha, i1, 2) + _term(c.beta, i2, 2)
+               + c.gamma * i1 * i2 + _term(c.xi, i1, 3) + c.zeta * i1 * i2**2)
     else:
         raise UnsupportedModel(f"{m.kind} is not a function of (I1, I2)")
     return float(out) if scalar else out
@@ -180,7 +192,8 @@ def _dL_dI(m: LagrangianModel, i1, i2):
         return 1.0 / (EIGHT_PI * (1.0 + arg)), 0.0
     if m.kind == POLYNOMIAL:
         c = m.coeffs
-        d1 = 1.0 / EIGHT_PI + 2.0 * c.alpha * i1 + c.gamma * i2 + 3.0 * c.xi * i1**2 + c.zeta * i2**2
+        d1 = (1.0 / EIGHT_PI + 2.0 * c.alpha * i1 + c.gamma * i2 + _term(3.0 * c.xi, i1, 2)
+              + _term(c.zeta, i2, 2))
         d2 = 2.0 * c.beta * i2 + c.gamma * i1 + 2.0 * c.zeta * i1 * i2
         return d1, d2
     raise UnsupportedModel(f"{m.kind} has no field-gradient structure")

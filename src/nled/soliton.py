@@ -2,18 +2,18 @@
 
 The displacement field is the point-source D(r) = e/r^2; the electric field
 comes from one array inversion of the constitutive map over the grid; the
-charge density is the divergence rho = (1/4 pi r^2) d(r^2 E)/dr taken with
-high-order finite differences on the grid; eps = D/E.  The potential, the
+charge density rho = (1/4 pi r^2) d(r^2 E)/dr is closed form at each point,
+from the map's own d ln E/d ln D; eps = D/E.  The potential, the
 inward integral of E, is taken by parts on the walk along the inversion's
 own search variable (constitutive._walk), which also gives the energy and
 stress integrals: it evaluates the explicit forward map D(E) on a fixed
 rule, so no quadrature node is inverted and no adaptive quadrature runs.
 
 Grids are uniform in log r (default: 400 points over [1e-4, 1e4] r0, r0
-being energetics.radial_scale) or in r, so fixed-stencil differences apply
-in the uniform coordinate.  r = 0 is never a grid point; the r -> 0 field
-limit is attached separately where it exists in closed form (the limiting
-field E0 of the bounded model).
+being energetics.radial_scale) or in r; no profile column is differenced,
+and the fixed stencils in the uniform coordinate serve the stress check.
+r = 0 is never a grid point; the r -> 0 field limit is attached separately
+where it exists in closed form (the limiting field E0 of the bounded model).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import energetics
-from .constitutive import (_invert, _walk, attainable_displacement_max,
+from .constitutive import (_charge_factor, _invert, _walk, attainable_displacement_max,
                            field_from_displacement)
 from .errors import ConfigurationError, NoSolution, NumericalError
 from .kinematics import FOUR_PI
@@ -141,6 +141,23 @@ def grid_integral(grid: RadialGrid, y: np.ndarray) -> float:
     return float(np.trapezoid(y, grid.r))
 
 
+def check_stress_divergence(profile: SolitonProfile) -> float:
+    """Max residual of dT_rr/dr + (2/r)(T_rr - T_thth) = 0 on the profile.
+
+    Normalized by the largest magnitude of the two terms that must cancel,
+    so a fabricated non-conserved profile scores O(1) even when one term
+    vanishes identically.
+    """
+    r = profile.grid.r
+    geom = (2.0 / r) * (profile.E * profile.D / FOUR_PI)  # (2/r)(T_rr - T_thth)
+    dT = grid_derivative(profile.grid, profile.u)  # T_rr = u
+    resid = dT + geom
+    scale = float(np.max(np.abs(dT) + np.abs(geom)))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(resid)) / scale)
+
+
 # ---------------------------------------------------------------------------
 # profile operations
 
@@ -152,15 +169,15 @@ def displacement_profile(e: float, grid: RadialGrid) -> np.ndarray:
 
 
 def _invert_profile(m: LagrangianModel, e: float,
-                    grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, v, D) per grid point, v = 1 - E/D held at full relative precision."""
+                    grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(E, D) per grid point."""
     D = displacement_profile(e, grid)
     try:
-        E, v, *_ = _invert(m, D)
+        E = _invert(m, D)[0]
     except NoSolution as exc:  # the first offending D is the innermost radius
         raise NoSolution(exc.d_target, exc.d_max_attainable,
                          radius_cm=float(grid.r[np.argmax(D == exc.d_target)])) from exc
-    return E, v, D
+    return E, D
 
 
 def field_profile(m: LagrangianModel, e: float, grid: RadialGrid) -> np.ndarray:
@@ -172,27 +189,19 @@ def field_profile(m: LagrangianModel, e: float, grid: RadialGrid) -> np.ndarray:
     return _invert_profile(m, e, grid)[0]
 
 
-def _charge_density(e: float, grid: RadialGrid, E: np.ndarray,
-                    v: np.ndarray) -> np.ndarray:
-    """rho(r) = (1/4 pi r^2) d(r^2 E)/dr from the inverted (E, v) profile.
-
-    Since r^2 D = e identically, r^2 E = e (1 - v) with v the Coulomb
-    deviation, so the derivative is taken per point from whichever of
-    (1 - v) and v is held to better relative precision: in the far tail v
-    decays like r^-4 and differencing r^2 E directly would lose it below
-    the double-precision floor of the constant Coulomb part.
-    """
-    s = grid.r**2 * E / e
-    ds = grid_derivative(grid, s)
-    dv = grid_derivative(grid, v)
-    deriv = np.where(np.abs(v) < 0.5, -dv, ds) + 0.0  # normalize -0.0
-    return e * deriv / (FOUR_PI * grid.r**2)
+def _charge_density(m: LagrangianModel, r: np.ndarray, E: np.ndarray,
+                    D: np.ndarray) -> np.ndarray:
+    """rho = (1/4 pi r^2) d(r^2 E)/dr at points (r, D = e/r^2, E) of the
+    profile.  r^2 D = e fixes d ln D/d ln r = -2, so rho = E (1 - d ln E/d ln D)
+    /(2 pi r) from each point's own (D, E), with the closed-form factor
+    constitutive._charge_factor (0 for a linear map): no grid derivative."""
+    return E * _charge_factor(m, E, D) / (2.0 * np.pi * r)
 
 
 def charge_density_profile(m: LagrangianModel, e: float,
                            grid: RadialGrid) -> np.ndarray:
-    """rho(r) = (1/4 pi r^2) d(r^2 E)/dr by finite differences."""
-    return _charge_density(e, grid, *_invert_profile(m, e, grid)[:2])
+    """rho(r) = (1/4 pi r^2) d(r^2 E)/dr from one inversion per grid point."""
+    return _charge_density(m, grid.r, *_invert_profile(m, e, grid))
 
 
 # Potential by parts along the inversion's own search variable x, in which E
@@ -285,9 +294,9 @@ def compute_profile(m: LagrangianModel, e: float,
                                  note="fewer than 5 grid points remain above "
                                       "the inversion boundary")
             grid = RadialGrid(r=grid.r[keep], spacing=grid.spacing)
-    E, v, D = _invert_profile(m, e, grid)
+    E, D = _invert_profile(m, e, grid)
     with np.errstate(all="ignore"):  # a column that is not finite raises below
-        rho = _charge_density(e, grid, E, v)
+        rho = _charge_density(m, grid.r, E, D)
         eps = D / E
         u, _ = energetics._stress_densities(m, E, D)
         phi = _potential(m, e, grid.r, E)

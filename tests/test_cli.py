@@ -189,6 +189,7 @@ class TestOtherCommands:
     {"output": {"format": "xml"}},
     {"output": {"format": "csv"}},  # csv is the profile table only
     {"output": {"format": 1}},
+    {"grid": {"spacing": "cubic"}},
 ])
 def test_invalid_config_values_exit_2(tmp_path, bad):
     cfg = tmp_path / "cfg.json"

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from nled import (ConvergenceFailure, NoSolution, attainable_displacement_max,
-                  born_infeld, compute_profile, constants, dL_dE,
-                  displacement_from_field, field_from_displacement, FieldVectors,
-                  log_schroedinger, maxwell, polynomial, total_energy)
+from nled import (ConvergenceFailure, NoSolution, UnsupportedModel,
+                  attainable_displacement_max, born_infeld, compute_profile, constants,
+                  dL_dE, displacement_from_field, field_from_displacement, FieldVectors,
+                  log_schroedinger, maxwell, mie_sqrt, polynomial, total_energy)
 from nled import constitutive
 
 FOUR_PI = 4 * np.pi
@@ -34,6 +34,9 @@ WHOLE_RANGE = [
     # the map peaks where E^p alone overflows (E_peak 8e103 and 2e62)
     (polynomial(alpha=-1e-210), 1e300),
     (polynomial(xi=-1e-250), 1e300),
+    # D/E0 passes 1e308, where E0/hypot(E0, D) is subnormal or 0
+    (born_infeld(1e-150), 1e300),
+    (born_infeld(2.0**-511), 1e300),
 ]
 
 # one model of every kind and shape for the property tests
@@ -170,6 +173,11 @@ class TestInversion:
         assert_allclose(attainable_displacement_max(log_schroedinger(2.0)),
                         1.0, rtol=1e-9)
 
+    def test_no_map_is_unsupported(self):
+        # a kind with no constitutive map is not an unbounded one
+        with pytest.raises(UnsupportedModel):
+            attainable_displacement_max(mie_sqrt())
+
     def test_coulomb_deviation_full_precision(self):
         # v = 1 - E/D: in the far tail (small D/E0) v ~ D^2/2 is many orders
         # below 1 and must carry full relative precision, not the
@@ -202,8 +210,11 @@ class TestInversion:
                 assert d > d_max
                 continue
             assert res.residual <= 1e-12
-            if model.kind == "born-infeld":  # E0 D / sqrt(E0^2 + D^2)
-                assert abs(res.E / (d / np.hypot(1.0, d)) - 1) <= 1e-12
+            if model.kind == "born-infeld":  # E0 D / sqrt(E0^2 + D^2) in 40 digits
+                with mpmath.workdps(40):
+                    d_mp = mpmath.mpf(d)
+                    exact = model.E0 * d_mp / mpmath.sqrt(model.E0**2 + d_mp**2)
+                assert abs(res.E / exact - 1) <= 1e-15
             else:
                 assert abs(displacement_from_field(model, res.E) / d - 1) <= 1e-12
 

@@ -3,9 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nled import (ConfigurationError, DomainExceeded, FieldVectors,
-                  FourPotential, UnsupportedModel, born_infeld, dL_dE,
-                  lagrangian_density, log_schroedinger, maxwell, mie_sqrt,
+                  FourPotential, PolynomialCoeffs, UnsupportedModel, born_infeld,
+                  dL_dE, lagrangian_density, log_schroedinger, maxwell, mie_sqrt,
                   model_from_config, polynomial, taylor_reference)
+from nled.models import density_from_invariants
 
 EIGHT_PI = 8 * np.pi
 
@@ -47,6 +48,15 @@ class TestDensity:
         expected = (i1 / EIGHT_PI + 0.5 * i1**2 + 0.25 * i2**2 + 0.1 * i1 * i2
                     + 0.01 * i1**3 + 0.001 * i1 * i2**2)
         assert_allclose(lagrangian_density(m, Fv), expected, rtol=1e-15)
+
+    @pytest.mark.parametrize("model, i1, want", [
+        # alpha I1^2 = 1e246 with I1^2 overflowing; the zero xi term used to
+        # turn its overflowed I1^3 into NaN
+        (polynomial(alpha=1e-250), 1e248, 1e248 / EIGHT_PI + 1e246),
+        (polynomial(xi=1e-250), -1e120, -1e120 / EIGHT_PI - 1e110),
+    ], ids=["alpha", "xi"])
+    def test_polynomial_power_overflow(self, model, i1, want):
+        assert_allclose(density_from_invariants(model, i1, 0.0), want, rtol=1e-15)
 
     def test_mie_sqrt_needs_potential(self):
         m = mie_sqrt(+1)
@@ -101,6 +111,11 @@ class TestGradient:
                     Lm = lagrangian_density(model, FieldVectors(E=E - dE, H=h_vec))
                     fd[i] = (Lp - Lm) / (2 * h)
                 assert_allclose(g, fd, rtol=1e-6, atol=1e-12)
+
+    def test_polynomial_power_overflow(self):
+        # dL/dE = 2 (1/8pi + 3 xi I1^2) E with I1^2 = 1e400 overflowing alone
+        g = dL_dE(polynomial(xi=1e-250, zeta=1e-250), F((1e100, 0, 0)))
+        assert_allclose(g, [2 * (1 / EIGHT_PI + 3e150) * 1e100, 0, 0], rtol=1e-15)
 
 
 GRADIENT_MODELS = [
@@ -161,6 +176,10 @@ class TestTaylorReference:
         assert_allclose(ref.c20, -1 / (16 * np.pi))
         assert ref.c02 == 0.0
 
+    def test_polynomial(self):
+        ref = taylor_reference(polynomial(alpha=0.5, beta=0.25, gamma=0.1, xi=0.01))
+        assert (ref.c1, ref.c20, ref.c02) == (1 / EIGHT_PI, 0.5, 0.25)
+
     def test_mie_sqrt_unsupported(self):
         with pytest.raises(UnsupportedModel):
             taylor_reference(mie_sqrt())
@@ -193,6 +212,12 @@ class TestModelConstruction:
         m2 = model_from_config({"kind": "polynomial",
                                 "coeffs": {"alpha": 1.0, "beta": 2.0}})
         assert m2.coeffs.alpha == 1.0 and m2.coeffs.zeta == 0.0
+
+    def test_polynomial_without_coeffs_is_maxwell(self):
+        m = model_from_config({"kind": "polynomial"})
+        assert m.coeffs == PolynomialCoeffs()
+        Fv = F((1.0, 2.0, 0.5), (0.3, 0.0, 1.0))
+        assert lagrangian_density(m, Fv) == lagrangian_density(maxwell(), Fv)
 
     def test_bad_kind(self):
         with pytest.raises(ConfigurationError):

@@ -5,8 +5,9 @@ import scipy.integrate
 from numpy.testing import assert_allclose
 from scipy.special import ellipk, ellipkinc
 
-from nled import (ConfigurationError, NoSolution, NumericalError, RadialGrid, born_infeld,
-                  charge_density_profile, classical_electron_radius,
+from nled import (ConfigurationError, NoSolution, NumericalError, RadialGrid,
+                  attainable_displacement_max, born_infeld, charge_density_profile,
+                  check_stress_divergence, classical_electron_radius,
                   compute_profile, constants, default_grid, displacement_profile,
                   field_from_displacement, field_profile, integrated_charge,
                   linear_grid, log_grid, log_schroedinger, maxwell, polynomial,
@@ -19,6 +20,9 @@ K = constants("historical1934")
 E0 = 9.18e15
 R0 = float(np.sqrt(K.e / E0))
 BI = born_infeld(E0)
+# just beyond the double root of D'(E) the map folds between extrema 15 % apart in E
+XI = 0.001
+NARROW = polynomial(alpha=-1.01 * np.sqrt(480 * np.pi * XI) / (48 * np.pi), xi=XI)
 
 
 def closed_field(r):
@@ -37,6 +41,27 @@ def closed_phi(r):
     # (e/r0) F(2 arctan(r0/r) | 1/2) / 2; the arccos form of the amplitude
     # would lose ~1e-9 to cancellation at large r
     return (K.e / R0) * 0.5 * ellipkinc(2.0 * np.arctan(R0 / r), 0.5)
+
+
+def rho_mp(m, e, r, E):
+    """(1/4 pi r^2) d(r^2 E)/dr in 50 digits, differentiating r^2 E(r) with
+    E(r) the root of D(E) = e/r^2 next to the double E (exact for born-infeld)."""
+    with mpmath.workdps(50):
+        e, r = mpmath.mpf(e), mpmath.mpf(r)
+
+        def forward(E):
+            if m.kind == "log-schroedinger":
+                return E / (1 + (E / m.E0) ** 2)
+            c = m.coeffs
+            return E + 16 * mpmath.pi * c.alpha * E**3 + 24 * mpmath.pi * c.xi * E**5
+
+        def r2E(x):
+            d = e / x**2
+            if m.kind == "born-infeld":
+                return x**2 * m.E0 * d / mpmath.sqrt(m.E0**2 + d**2)
+            return x**2 * mpmath.findroot(lambda E: forward(E) - d, mpmath.mpf(E))
+
+        return mpmath.diff(r2E, r) / (4 * mpmath.pi * r**2)
 
 
 def per_point_derivative(y, h):
@@ -159,6 +184,76 @@ class TestChargeDensity:
     def test_five_point_floor(self):
         with pytest.raises(ConfigurationError):
             charge_density_profile(BI, K.e, log_grid(R0, 2 * R0, 4))
+
+    @pytest.mark.parametrize("model", [BI, log_schroedinger(E0), polynomial(0.01, xi=0.001),
+                                       polynomial(-0.005, xi=0.001), NARROW],
+                             ids=["born_infeld", "log_schroedinger", "polynomial",
+                                  "monotone_negative_alpha", "narrow_fold"])
+    def test_against_derivative_in_50_digits(self, model):
+        # 16 radii of the default grid (trimmed above the fold), its ends included
+        prof = compute_profile(model, K.e)
+        for i in np.linspace(0, prof.grid.n - 1, 16).astype(int):
+            ref = rho_mp(model, K.e, prof.grid.r[i], prof.E[i])
+            assert abs(prof.rho[i] / float(ref) - 1) <= 1e-14
+
+    def test_closed_form_on_coarse_grid(self):
+        # 40 points over eight decades: a stencil would be off by 1e6 at the ends
+        g = log_grid(1e-4 * R0, 1e4 * R0, 40)
+        rho = charge_density_profile(BI, K.e, g)
+        assert np.max(np.abs(rho / closed_rho(g.r) - 1)) <= 1e-14
+
+    def test_maxwell_is_exactly_zero(self):
+        assert np.all(compute_profile(maxwell(), K.e).rho == 0.0)
+
+    @pytest.mark.parametrize("model", [log_schroedinger(E0), NARROW],
+                             ids=["log_schroedinger", "narrow_fold"])
+    def test_first_radius_one_ulp_above_fold(self, model):
+        # rho goes as (r - r_fail)^-1/2 there; a RuntimeWarning is an error here
+        r_fail = np.sqrt(K.e / attainable_displacement_max(model))
+        g = log_grid(np.nextafter(r_fail, np.inf), 100 * r_fail, 50)
+        rho = charge_density_profile(model, K.e, g)
+        assert np.all(np.isfinite(rho)) and rho[0] < rho[1] < 0
+        assert compute_profile(model, K.e, g).rho.tobytes() == rho.tobytes()
+
+    @pytest.mark.parametrize("model", [BI, log_schroedinger(E0), maxwell(), NARROW],
+                             ids=["born_infeld", "log_schroedinger", "maxwell", "narrow_fold"])
+    def test_needs_no_grid_derivative(self, model, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid_derivative called")
+
+        monkeypatch.setattr(soliton, "grid_derivative", refuse)
+        prof = compute_profile(model, K.e)
+        rho = charge_density_profile(model, K.e, prof.grid)
+        assert rho.tobytes() == prof.rho.tobytes() and np.all(np.isfinite(rho))
+
+
+class TestLinearGrid:
+    """A born-infeld profile on a grid uniform in r."""
+
+    GRID = linear_grid(1e-2 * R0, 10 * R0, 400)
+
+    def test_closed_forms(self):
+        prof = compute_profile(BI, K.e, self.GRID)
+        r = prof.grid.r
+        assert np.max(np.abs(prof.E / closed_field(r) - 1)) <= 1e-15
+        assert np.max(np.abs(prof.rho / closed_rho(r) - 1)) <= 1e-14
+        assert np.max(np.abs(prof.phi / closed_phi(r) - 1)) <= 1e-14
+
+    def test_integrated_charge_is_second_order(self):
+        # against Gauss's law, r^2 E at r_max minus r^2 E at r_min; halving
+        # the step quarters the trapezoid's error
+        errors = []
+        for points in (400, 799):
+            prof = compute_profile(BI, K.e, linear_grid(1e-2 * R0, 10 * R0, points))
+            r, E = prof.grid.r, prof.E
+            errors.append(integrated_charge(prof) / (r[-1] ** 2 * E[-1] - r[0] ** 2 * E[0]) - 1)
+        assert abs(errors[0]) <= 2e-4
+        assert 3.9 <= errors[0] / errors[1] <= 4.1
+
+    def test_stress_divergence(self):
+        # the stencil needs the step well below r, so the grid starts at r0/2
+        prof = compute_profile(BI, K.e, linear_grid(0.5 * R0, 10 * R0, 400))
+        assert check_stress_divergence(prof) <= 1e-5
 
 
 class TestPermittivity:
