@@ -149,9 +149,9 @@ def _provenance(cfg: dict) -> dict:
 
 
 def _require_model(cfg: dict):
-    if cfg["model"] is None:
-        raise ConfigurationError("this subcommand needs a model "
-                                 "(--model or the 'model' config key)")
+    if not isinstance(cfg["model"], dict):
+        raise ConfigurationError("this subcommand needs a model (--model or a 'model' "
+                                 f"config object), got {cfg['model']!r}")
     k = constants(cfg["preset"])
     spec = dict(cfg["model"])
     needs_e0 = spec.get("kind") in ("born-infeld", "log-schroedinger")

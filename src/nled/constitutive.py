@@ -19,8 +19,8 @@ in closed form; they return the lower root, the branch continuously
 connected to E = 0, and tag the ambiguity.  The same search variable
 carries a walk along the forward map from points already inverted, which
 needs no further inversion: _walk integrates along it on one fixed panel
-rule, and the potential and the energy and stress integrals are its two
-callers, each giving only its start points and its integrand.
+rule, and the potential, the energy and stress integrals and the stress
+check are its callers, each giving only its start points and its integrand.
 """
 
 from __future__ import annotations

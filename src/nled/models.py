@@ -53,8 +53,11 @@ class PolynomialCoeffs:
 
     def __post_init__(self):
         vals = (self.alpha, self.beta, self.gamma, self.xi, self.zeta)
-        if not all(np.isfinite(v) for v in vals):
-            raise ConfigurationError(f"polynomial coefficients must be finite: {vals}")
+        if not all(np.isfinite(v) and not isinstance(v, bool) for v in vals):
+            raise ConfigurationError(f"polynomial coefficients must be finite numbers: {vals}")
+        if np.isinf(16.0 * np.pi * self.alpha) or np.isinf(24.0 * np.pi * self.xi):
+            raise ConfigurationError(f"16 pi |alpha| and 24 pi |xi| must be finite, got "
+                                     f"alpha = {self.alpha!r}, xi = {self.xi!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class LagrangianModel:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown model kind {self.kind!r}; choose one of {KINDS}")
         if self.kind in _E0_KINDS:
-            if not (isinstance(self.E0, numbers.Real)
+            if not (isinstance(self.E0, numbers.Real) and not isinstance(self.E0, bool)
                     and _E0_RANGE[0] <= self.E0 <= _E0_RANGE[1]):
                 raise ConfigurationError(f"{self.kind} requires a limiting field E0 in "
                                          f"[{_E0_RANGE[0]!r}, {_E0_RANGE[1]!r}], got {self.E0}")
@@ -78,7 +81,7 @@ class LagrangianModel:
             raise ConfigurationError(f"{self.kind} takes no limiting field, got E0 = {self.E0}")
         if self.kind == POLYNOMIAL and self.coeffs is None:
             object.__setattr__(self, "coeffs", PolynomialCoeffs())
-        if self.mie_sign not in (+1, -1):
+        if isinstance(self.mie_sign, bool) or self.mie_sign not in (+1, -1):
             raise ConfigurationError(f"mie_sign must be +1 or -1, got {self.mie_sign}")
 
 
@@ -125,13 +128,11 @@ def _bi_radicand(m: LagrangianModel, i1, i2):
 
 def _term(k: float, x, p: int):
     """k x^p, finite wherever the product is: 0 for k = 0, where 0 times an
-    overflowed power would be NaN, and k x x ... x where x^p alone overflows."""
-    if k == 0.0:
-        return 0.0
-    x = np.asarray(x, dtype=float)[()]  # a float's power overflows to inf, not an error
+    overflowed power would be NaN, and k x x ... x otherwise, whose partial
+    products all lie between k and the result, so it over- or underflows
+    only where the result does."""
     with np.errstate(over="ignore"):
-        power = x**p
-        return np.where(np.isfinite(power), k * power, math.prod([x] * p, start=k))[()]
+        return 0.0 if k == 0.0 else math.prod([x] * p, start=k)
 
 
 def density_from_invariants(m: LagrangianModel, i1, i2):
@@ -250,4 +251,4 @@ def model_from_config(spec: dict) -> LagrangianModel:
         kind=kind,
         E0=spec.get("E0"),
         coeffs=coeffs,
-        mie_sign=int(spec.get("mie_sign", +1)))
+        mie_sign=spec.get("mie_sign", +1))

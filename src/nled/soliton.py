@@ -10,8 +10,9 @@ stress integrals: it evaluates the explicit forward map D(E) on a fixed
 rule, so no quadrature node is inverted and no adaptive quadrature runs.
 
 Grids are uniform in log r (default: 400 points over [1e-4, 1e4] r0, r0
-being energetics.radial_scale) or in r; no profile column is differenced,
-and the fixed stencils in the uniform coordinate serve the stress check.
+being energetics.radial_scale) or in r; no profile column is differenced.
+The stress check integrates too: between neighbouring grid points it sets
+the jump in r^2 T_rr against the walk's integral of 2 r T_thth.
 r = 0 is never a grid point; the r -> 0 field limit is attached separately
 where it exists in closed form (the limiting field E0 of the bounded model).
 """
@@ -19,14 +20,12 @@ where it exists in closed form (the limiting field E0 of the bounded model).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import energetics
-from .constitutive import (_charge_factor, _invert, _walk, attainable_displacement_max,
-                           field_from_displacement)
+from .constitutive import (_charge_factor, _displacement_slope, _invert, _walk,
+                           attainable_displacement_max, field_from_displacement)
 from .errors import ConfigurationError, NoSolution, NumericalError
 from .kinematics import FOUR_PI
 from .models import BORN_INFELD, LagrangianModel
@@ -80,86 +79,6 @@ def linear_grid(r_min: float, r_max: float, points: int = DEFAULT_POINTS) -> Rad
 def default_grid(r0: float, points: int = DEFAULT_POINTS) -> RadialGrid:
     return log_grid(DEFAULT_SPAN[0] * r0, DEFAULT_SPAN[1] * r0, points)
 
-
-# ---------------------------------------------------------------------------
-# finite differences on a uniform coordinate
-
-@lru_cache(maxsize=None)
-def _fd_weights(offsets: tuple[int, ...]) -> np.ndarray:
-    """First-derivative stencil weights (per unit step) for integer offsets."""
-    n = len(offsets)
-    A = np.array([[float(o) ** p for o in offsets] for p in range(n)])
-    rhs = np.zeros(n)
-    rhs[1] = 1.0
-    return np.linalg.solve(A, rhs)
-
-
-def _uniform_derivative(y: np.ndarray, h: float) -> np.ndarray:
-    """d y/d coord on a uniform grid.
-
-    8th-order stencils when the grid allows (>= 9 points), degrading to 6th
-    and 4th order on coarse grids; shifted one-sided stencils of the same
-    width near the edges.
-    """
-    n = y.size
-    half = 4 if n >= 9 else (3 if n >= 7 else 2)
-    width = 2 * half + 1
-    # shifted stencils lose an order of accuracy; widen them by two points
-    edge_width = min(width + 2, n)
-    out = np.empty_like(y)
-    central = _fd_weights(tuple(range(-half, half + 1)))
-    out[half:n - half] = sliding_window_view(y, width) @ central
-    for i in (*range(half), *range(n - half, n)):
-        offs = (tuple(range(-i, edge_width - i)) if i < half
-                else tuple(range(-(edge_width - (n - i)), n - i)))
-        out[i] = _fd_weights(offs) @ y[i + offs[0]:i + offs[-1] + 1]
-    return out / h
-
-
-def grid_derivative(grid: RadialGrid, y: np.ndarray) -> np.ndarray:
-    """dy/dr on the grid, differencing in the grid's uniform coordinate."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != grid.r.shape:
-        raise ValueError(f"value shape {y.shape} does not match grid {grid.r.shape}")
-    if grid.spacing == LOG:
-        t = np.log(grid.r)
-        return _uniform_derivative(y, t[1] - t[0]) / grid.r
-    return _uniform_derivative(y, grid.r[1] - grid.r[0])
-
-
-def grid_integral(grid: RadialGrid, y: np.ndarray) -> float:
-    """integral of y dr over the grid span (trapezoid in the uniform coord).
-
-    On log grids this is the trapezoid rule in t = ln r applied to y*r; its
-    Euler-Maclaurin error terms live at the endpoints, where the radial
-    integrands of interest have decayed to a negligible fraction of the peak.
-    """
-    y = np.asarray(y, dtype=float)
-    if grid.spacing == LOG:
-        t = np.log(grid.r)
-        return float(np.trapezoid(y * grid.r, t))
-    return float(np.trapezoid(y, grid.r))
-
-
-def check_stress_divergence(profile: SolitonProfile) -> float:
-    """Max residual of dT_rr/dr + (2/r)(T_rr - T_thth) = 0 on the profile.
-
-    Normalized by the largest magnitude of the two terms that must cancel,
-    so a fabricated non-conserved profile scores O(1) even when one term
-    vanishes identically.
-    """
-    r = profile.grid.r
-    geom = (2.0 / r) * (profile.E * profile.D / FOUR_PI)  # (2/r)(T_rr - T_thth)
-    dT = grid_derivative(profile.grid, profile.u)  # T_rr = u
-    resid = dT + geom
-    scale = float(np.max(np.abs(dT) + np.abs(geom)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(resid)) / scale)
-
-
-# ---------------------------------------------------------------------------
-# profile operations
 
 def displacement_profile(e: float, grid: RadialGrid) -> np.ndarray:
     """Point-source displacement D(r) = e/r^2."""
@@ -271,6 +190,7 @@ class SolitonProfile:
     phi: np.ndarray
     r0: float
     E0: float | None
+    model: LagrangianModel
     inversion_failed_below_r: float | None = None
     E_center: float | None = None
 
@@ -307,12 +227,56 @@ def compute_profile(m: LagrangianModel, e: float,
                              "(a field or density overflows the double range)", columns=bad)
     return SolitonProfile(
         grid=grid, D=D, E=E, rho=rho, eps=eps, u=u, phi=phi,
-        r0=r0, E0=m.E0,
+        r0=r0, E0=m.E0, model=m,
         inversion_failed_below_r=boundary,
         E_center=_center_field(m))
 
 
 def integrated_charge(profile: SolitonProfile) -> float:
-    """Total charge from the density profile: integral of rho 4 pi r^2 dr."""
+    """Total charge from the density profile: integral of rho 4 pi r^2 dr by
+    the trapezoid rule in the grid's uniform coordinate.
+
+    On log grids that is t = ln r, with the integrand times r; its
+    Euler-Maclaurin error terms live at the endpoints, where rho has decayed
+    to a negligible fraction of the peak.
+    """
     r = profile.grid.r
-    return grid_integral(profile.grid, profile.rho * FOUR_PI * r**2)
+    y = profile.rho * FOUR_PI * r**2
+    if profile.grid.spacing == LOG:
+        return float(np.trapezoid(y * r, np.log(r)))
+    return float(np.trapezoid(y, r))
+
+
+# E may rise outward by this much relative to its inner neighbour and still
+# count as one branch (ln E kinds)
+_ROUNDING = 8.0 * np.finfo(float).eps
+
+
+def check_stress_divergence(profile: SolitonProfile) -> float:
+    """Max residual of d(r^2 T_rr)/dr = 2 r T_thth = -2 r L between
+    neighbouring grid points, in integral form: the jump in r^2 u against
+    -int 2 r L dr on the walk (constitutive._walk) anchored at the profile's
+    own (D, E).  With r^2 = e/D, 2 r dr = -(e/D) (d ln D/dx) dx along the
+    search variable x, so no profile column is differenced.
+
+    Normalized by the largest magnitude of the two terms that must cancel,
+    so a fabricated non-conserved profile scores O(1) even when one term
+    vanishes identically.  A profile whose E rises outward beyond rounding is
+    not on one branch of an ln E kind's map and scores inf; born-infeld's
+    walk reads only D.
+    """
+    m, r, D, E = profile.model, profile.grid.r, profile.D, profile.E
+    if m.kind != BORN_INFELD and np.any(E[1:] > E[:-1] * (1.0 + _ROUNDING)):
+        return float("inf")
+    e = r[0] ** 2 * D[0]
+
+    def integrand(D, E, _, w):
+        L = energetics._stress_densities(m, E, D)[1]
+        return (w * (e / D) * L * _displacement_slope(m, E),)
+
+    integral = _walk(m, D, E, integrand)[0, 0, :r.size - 1]  # int 2 r L dr per step
+    jump = np.diff(r**2 * profile.u)  # T_rr = u
+    scale = float(np.max(np.abs(jump) + np.abs(integral)))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(jump + integral)) / scale)

@@ -33,3 +33,18 @@ def generator_calls(monkeypatch):
         run()
         return list(log)
     return calls
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """recorded(module, name): replace module.name by a wrapper that logs the
+    positional arguments of each call, and return that log."""
+    def record(module, name):
+        log, original = [], getattr(module, name)
+
+        def logging(*args):
+            log.append(args)
+            return original(*args)
+        monkeypatch.setattr(module, name, logging)
+        return log
+    return record

@@ -200,21 +200,27 @@ def test_invalid_config_values_exit_2(tmp_path, bad):
 
 
 @pytest.mark.parametrize("args, config, code", [
-    (["energy", "--E0", "inf"], None, 2),
-    (["energy", "--E0", "1e155"], None, 2),
-    (["profile", "--E0", "1e-300"], None, 2),
-    (["energy", "--E0", "1.0"], {"quad": {"cutoff_r_cm": 1e300}}, 2),
-    (["profile", "--E0", "1.0"], {"output": {"format": "xml"}}, 2),
-    (["energy", "--E0", "1e150"], None, 3),
-    (["profile", "--E0", "1e154"], None, 3),
+    (["energy", "--model", "born-infeld", "--E0", "inf"], None, 2),
+    (["energy", "--model", "born-infeld", "--E0", "1e155"], None, 2),
+    (["profile", "--model", "born-infeld", "--E0", "1e-300"], None, 2),
+    (["energy", "--model", "born-infeld", "--E0", "1.0"], {"quad": {"cutoff_r_cm": 1e300}}, 2),
+    (["profile", "--model", "born-infeld", "--E0", "1.0"], {"output": {"format": "xml"}}, 2),
+    (["energy", "--model", "born-infeld", "--E0", "1e150"], None, 3),
+    (["profile", "--model", "born-infeld", "--E0", "1e154"], None, 3),
+    (["energy"], {"model": "born-infeld"}, 2),
+    (["energy"], {"model": {"kind": "mie-sqrt", "mie_sign": "a"}}, 2),
+    (["energy"], {"model": {"kind": "born-infeld", "E0": True}}, 2),
+    (["energy"], {"model": {"kind": "polynomial", "coeffs": {"alpha": 1e308}}}, 2),
+    (["energy"], {"model": {"kind": "polynomial", "coeffs": {"xi": True}}}, 2),
 ], ids=["E0_inf", "E0_square_overflows", "E0_square_underflows", "cutoff_far",
-        "profile_format", "energy_overflows", "profile_overflows"])
+        "profile_format", "energy_overflows", "profile_overflows", "model_not_object",
+        "mie_sign_text", "E0_bool", "alpha_map_overflows", "coeff_bool"])
 def test_out_of_range_exits_with_json_error(tmp_path, args, config, code):
     extra = []
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         extra = ["--config", str(tmp_path / "cfg.json")]
-    proc = run_cli(*args, "--model", "born-infeld", *extra)
+    proc = run_cli(*args, *extra)
     assert proc.returncode == code
     assert json.loads(proc.stderr)["kind"]
     assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout and "inf" not in proc.stdout

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from functools import lru_cache
@@ -14,7 +15,7 @@ from nled import (ConfigurationError, Divergent, NoSolution, NumericalError, Phy
                   attainable_displacement_max, born_infeld,
                   born_infeld_energy_constant, check_stress_divergence,
                   classical_electron_radius, compute_profile, constants,
-                  effective_radius, field_from_displacement, log_grid,
+                  effective_radius, field_from_displacement, linear_grid, log_grid,
                   log_schroedinger, mass_from_energy, maxwell, polynomial,
                   potential_at, stress_integrals, total_energy)
 from nled import energetics, quadrature
@@ -416,15 +417,41 @@ class TestMass:
 class TestStressDivergence:
     def test_born_infeld_profile(self):
         prof = compute_profile(BI, K.e)
-        assert check_stress_divergence(prof) <= 1e-5
+        assert check_stress_divergence(prof) <= 1e-12
 
     def test_maxwell_cutoff_profile(self):
         grid = log_grid(2e-13, 2e-11, 400)
         prof = compute_profile(maxwell(), K.e, grid)
-        assert check_stress_divergence(prof) <= 1e-5
+        assert check_stress_divergence(prof) <= 1e-12
+
+    @pytest.mark.parametrize("model, grid", [
+        (BI, linear_grid(1e-2 * R0, 10 * R0, 400)),
+        (BI, log_grid(1e-4 * R0, 1e4 * R0, 40)),
+        (log_schroedinger(E0), None),
+        (polynomial(0.01, xi=0.001), None),
+        (polynomial(-0.005, xi=0.001), None),
+    ], ids=["born_infeld_linear", "born_infeld_40_points", "log_schroedinger",
+            "polynomial", "monotone_negative_alpha"])
+    def test_conserved_profile(self, model, grid):
+        # a stencil scored 0.34, 4.9e-4 and 6.0e-4 on the first three
+        assert check_stress_divergence(compute_profile(model, K.e, grid)) <= 1e-12
+
+    def test_one_perturbed_energy_density_is_seen(self):
+        prof = compute_profile(polynomial(0.01, xi=0.001), K.e)
+        u = prof.u.copy()
+        u[200] *= 1 + 1e-8
+        assert check_stress_divergence(dataclasses.replace(prof, u=u)) >= 1e-9
+
+    def test_upper_branch_point_scores_inf(self):
+        # one E replaced by the upper root of D = E/(1 + E^2/E0^2): E rises outward there
+        prof = compute_profile(log_schroedinger(E0), K.e)
+        E, i = prof.E.copy(), prof.grid.n // 2
+        d = prof.D[i]
+        E[i] = E0**2 * (1 + np.sqrt(1 - (2 * d / E0) ** 2)) / (2 * d)
+        assert check_stress_divergence(dataclasses.replace(prof, E=E)) == np.inf
 
     def test_fabricated_nonconserved_profile_scores_order_one(self):
-        # constant T_rr != T_thth: dT_rr/dr = 0 but the geometric term is not
+        # constant T_rr != T_thth: d(r^2 T_rr)/dr = 2 r T_rr but 2 r T_thth differs
         r = np.geomspace(1.0, 10.0, 50)
         grid = RadialGrid(r=r)
         c1, c2 = 2.0, 0.5
@@ -433,5 +460,5 @@ class TestStressDivergence:
         prof = SolitonProfile(grid=grid, D=E.copy(), E=E,
                               rho=np.zeros_like(r), eps=np.ones_like(r),
                               u=np.full_like(r, c1), phi=np.zeros_like(r),
-                              r0=1.0, E0=None)
+                              r0=1.0, E0=None, model=maxwell())
         assert check_stress_divergence(prof) >= 0.5

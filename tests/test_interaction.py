@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from nled import (ChargeState, FourPotential, PhysicalConstants, boost_charge_state,
                   boost_four_potential, constants, electrokinetic_potential,
                   interaction_energy_momentum, interaction_lagrangian_density)
+from nled import interaction
 from nled.interaction import interaction_suite
 
 K = constants("modern")
@@ -121,7 +122,9 @@ class TestBoostInvariance:
 
 
 def interaction_per_state(states, seed, c=2.9979e10, boost_beta=0.6):
-    """The suite's blocks, evaluated one state at a time with the scalar calls."""
+    """The suite's blocks, evaluated one state at a time with the scalar calls:
+    the three worst residuals and each state's boost arguments
+    (rho, v, e, phi, A, beta)."""
     rng = np.random.default_rng(seed)
     us = rng.normal(size=(states, 3))
     As = rng.uniform(-2, 2, (states, 3))
@@ -129,6 +132,7 @@ def interaction_per_state(states, seed, c=2.9979e10, boost_beta=0.6):
     speeds = rng.uniform(size=states)
     rhos, es, phis = rng.uniform(-2, 2, (3, states))
     worst_forms = worst_identity = worst_boost = 0.0
+    rows = []
     k = PhysicalConstants(e=4.8032e-10, m_e=9.1094e-28, c=c, preset_name="suite")
     for u, A, direction, speed, rho, e, phi in zip(us, As, directions, speeds, rhos, es, phis):
         v = u / np.linalg.norm(u) * (0.9 * c) * speed
@@ -140,10 +144,11 @@ def interaction_per_state(states, seed, c=2.9979e10, boost_beta=0.6):
         lhs_scale = abs(s.e**2 * (float(p.A @ p.A) - p.phi**2))
         worst_identity = max(worst_identity, resid / max(1.0, lhs_scale))
         beta = direction / np.linalg.norm(direction) * boost_beta
+        rows.append((rho, v, e, phi, A, beta))
         boosted_a, _ = interaction_lagrangian_density(
             boost_charge_state(s, beta, c), boost_four_potential(p, beta), c)
         worst_boost = max(worst_boost, abs(boosted_a - form_a) / max(1.0, abs(form_a)))
-    return worst_forms, worst_identity, worst_boost
+    return (worst_forms, worst_identity, worst_boost), rows
 
 
 class TestStacks:
@@ -152,10 +157,19 @@ class TestStacks:
 
     @pytest.mark.parametrize("states, seed", [*((1000, s) for s in (0, 2, 5, 27, 38)), (1, 0)],
                              ids=["0", "2", "5", "27", "38", "states=1"])
-    def test_suite_equals_per_state_calls(self, states, seed):
+    def test_suite_equals_per_state_calls(self, states, seed, recorded):
+        charges = recorded(interaction, "boost_charge_state")
+        potentials = recorded(interaction, "boost_four_potential")
         rep = interaction_suite(states=states, seed=seed, c=C)
+        want, rows = interaction_per_state(states, seed, c=C)
         assert (rep["max_rel_err_forms"], rep["max_rel_err_energy_momentum_identity"],
-                rep["max_rel_err_boosted_form_a"]) == interaction_per_state(states, seed, c=C)
+                rep["max_rel_err_boosted_form_a"]) == want
+        [(s, beta, c)], [(p, beta_p)] = charges, potentials
+        assert c == C and beta_p.tolist() == beta.tolist()
+        # the stacked arguments, row by row and bit for bit
+        got = [[a[i].tolist() for a in (s.rho, s.v, s.e, p.phi, p.A, beta)]
+               for i in range(states)]
+        assert got == [[np.asarray(a).tolist() for a in row] for row in rows]
 
     def test_suite_draws_blocks(self, generator_calls):
         few = generator_calls(lambda: interaction_suite(states=10, c=C))

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from nled import (FieldVectors, FourPotential, boost, boost_four_potential,
                   energy_momentum_density, fierz_identity_sides, gauge_shift,
                   invariants)
+from nled import kinematics
 from nled.kinematics import boost_invariance_suite, fierz_suite
 
 
@@ -154,21 +155,24 @@ def fierz_per_draw(draws, seed):
 
 
 def boost_per_draw(draws, seed, beta_max=0.9):
-    """The suite's blocks, evaluated one row at a time with the scalar calls."""
+    """The suite's blocks, evaluated one row at a time with the scalar calls:
+    the worst drift and each row's boost arguments (E, H, beta)."""
     rng = np.random.default_rng(seed)
     fields = rng.uniform(-1, 1, (draws, 2, 3))
     directions = rng.normal(size=(draws, 3))
     radii = rng.uniform(size=draws)
-    worst = 0.0
+    worst, rows = 0.0, []
     for (E, H), direction, radius in zip(fields, directions, radii):
         Fv = F(E, H)
         direction = direction / np.linalg.norm(direction)
+        beta = direction * beta_max * np.cbrt(radius)
+        rows.append((E, H, beta))
         before = invariants(Fv)
-        after = invariants(boost(Fv, direction * beta_max * np.cbrt(radius)))
+        after = invariants(boost(Fv, beta))
         scale = float(Fv.E @ Fv.E + Fv.H @ Fv.H)
         worst = max(worst, abs(after.I1 - before.I1) / scale,
                     abs(after.I2 - before.I2) / scale)
-    return worst
+    return worst, rows
 
 
 class TestStacks:
@@ -181,9 +185,15 @@ class TestStacks:
 
     @pytest.mark.parametrize("draws, seed", [*((1000, s) for s in SEEDS), (1, 0)],
                              ids=[*map(str, SEEDS), "draws=1"])
-    def test_boost_suite_equals_per_draw_calls(self, draws, seed):
-        assert (boost_invariance_suite(draws, seed)["max_rel_err_boost"]
-                == boost_per_draw(draws, seed))
+    def test_boost_suite_equals_per_draw_calls(self, draws, seed, recorded):
+        calls = recorded(kinematics, "boost")
+        worst = boost_invariance_suite(draws, seed)["max_rel_err_boost"]
+        want, rows = boost_per_draw(draws, seed)
+        [(stack, beta)] = calls
+        assert worst == want
+        # the stacked arguments, row by row and bit for bit
+        got = [[a[i].tolist() for a in (stack.E, stack.H, beta)] for i in range(draws)]
+        assert got == [[a.tolist() for a in row] for row in rows]
 
     def test_boost_suite_draws_blocks(self, generator_calls):
         few = generator_calls(lambda: boost_invariance_suite(10))

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -49,14 +50,19 @@ class TestDensity:
                     + 0.01 * i1**3 + 0.001 * i1 * i2**2)
         assert_allclose(lagrangian_density(m, Fv), expected, rtol=1e-15)
 
-    @pytest.mark.parametrize("model, i1, want", [
+    @pytest.mark.parametrize("model, i1", [
         # alpha I1^2 = 1e246 with I1^2 overflowing; the zero xi term used to
         # turn its overflowed I1^3 into NaN
-        (polynomial(alpha=1e-250), 1e248, 1e248 / EIGHT_PI + 1e246),
-        (polynomial(xi=1e-250), -1e120, -1e120 / EIGHT_PI - 1e110),
-    ], ids=["alpha", "xi"])
-    def test_polynomial_power_overflow(self, model, i1, want):
-        assert_allclose(density_from_invariants(model, i1, 0.0), want, rtol=1e-15)
+        (polynomial(alpha=1e-250), 1e248),
+        (polynomial(xi=1e-250), -1e120),
+        # alpha I1^2 = 1e-80 with I1^2 underflowing to 0
+        (polynomial(alpha=1e250), 1e-165),
+    ], ids=["alpha", "xi", "alpha_underflow"])
+    def test_polynomial_power_overflow(self, model, i1):
+        with mpmath.workdps(40):
+            x, c = mpmath.mpf(i1), model.coeffs
+            want = x / (8 * mpmath.pi) + c.alpha * x**2 + c.xi * x**3
+        assert_allclose(density_from_invariants(model, i1, 0.0), float(want), rtol=1e-15)
 
     def test_mie_sqrt_needs_potential(self):
         m = mie_sqrt(+1)
@@ -237,6 +243,19 @@ class TestModelConstruction:
     def test_e0_range_is_inclusive(self, E0):
         assert np.isfinite(E0**2) and E0**2 >= np.finfo(float).tiny
         assert born_infeld(E0).E0 == E0
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "born-infeld", "E0": True},
+        {"kind": "mie-sqrt", "mie_sign": "a"},
+        {"kind": "mie-sqrt", "mie_sign": True},
+        {"kind": "polynomial", "coeffs": {"alpha": 1e308}},
+        {"kind": "polynomial", "coeffs": {"xi": -3e306}},
+        {"kind": "polynomial", "coeffs": {"beta": True}},
+    ], ids=["E0_bool", "mie_sign_text", "mie_sign_bool", "alpha_map_overflows",
+            "xi_map_overflows", "coeff_bool"])
+    def test_spec_rejected(self, spec):
+        with pytest.raises(ConfigurationError):
+            model_from_config(spec)
 
     def test_e0_on_scale_free_kind_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -13,7 +13,6 @@ from nled import (ConfigurationError, NoSolution, NumericalError, RadialGrid,
                   linear_grid, log_grid, log_schroedinger, maxwell, polynomial,
                   potential_at, potential_profile)
 from nled import constitutive, quadrature, soliton
-from nled.soliton import grid_derivative
 
 # Historical pair: these close to each other (e/r0^2 = E0) by construction.
 K = constants("historical1934")
@@ -64,23 +63,6 @@ def rho_mp(m, e, r, E):
         return mpmath.diff(r2E, r) / (4 * mpmath.pi * r**2)
 
 
-def per_point_derivative(y, h):
-    """The stencil loop _uniform_derivative vectorizes, one point at a time."""
-    n = y.size
-    half = 4 if n >= 9 else (3 if n >= 7 else 2)
-    edge_width = min(2 * half + 3, n)
-    out = np.empty(n)
-    for i in range(n):
-        if i < half:
-            offs = tuple(range(-i, edge_width - i))
-        elif i >= n - half:
-            offs = tuple(range(-(edge_width - (n - i)), n - i))
-        else:
-            offs = tuple(range(-half, half + 1))
-        out[i] = soliton._fd_weights(offs) @ y[i + offs[0]:i + offs[-1] + 1]
-    return out / h
-
-
 class TestGrid:
     def test_too_few_points(self):
         with pytest.raises(ConfigurationError):
@@ -116,17 +98,10 @@ class TestDisplacement:
         assert_allclose(D[4] / D[0], 1 / 256, rtol=1e-12)  # r x16 -> D/256
 
     def test_gauss_consistency(self):
-        # d(r^2 D)/d ln r must vanish away from the origin (r^2 D = e)
+        # r^2 D = e at every radius, to rounding
         g = default_grid(R0)
         D = displacement_profile(K.e, g)
-        resid = grid_derivative(g, g.r**2 * D) * g.r
-        assert np.max(np.abs(resid)) <= 1e-12 * K.e
-
-    @pytest.mark.parametrize("n", [5, 7, 9, 400])
-    def test_vectorized_stencil_matches_per_point(self, n):
-        y = np.random.default_rng(n).uniform(-1.0, 1.0, n)
-        assert_allclose(soliton._uniform_derivative(y, 0.1),
-                        per_point_derivative(y, 0.1), rtol=1e-13, atol=0)
+        assert np.max(np.abs(g.r**2 * D / K.e - 1)) <= 4 * np.finfo(float).eps
 
 
 class TestFieldProfile:
@@ -215,17 +190,6 @@ class TestChargeDensity:
         assert np.all(np.isfinite(rho)) and rho[0] < rho[1] < 0
         assert compute_profile(model, K.e, g).rho.tobytes() == rho.tobytes()
 
-    @pytest.mark.parametrize("model", [BI, log_schroedinger(E0), maxwell(), NARROW],
-                             ids=["born_infeld", "log_schroedinger", "maxwell", "narrow_fold"])
-    def test_needs_no_grid_derivative(self, model, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("grid_derivative called")
-
-        monkeypatch.setattr(soliton, "grid_derivative", refuse)
-        prof = compute_profile(model, K.e)
-        rho = charge_density_profile(model, K.e, prof.grid)
-        assert rho.tobytes() == prof.rho.tobytes() and np.all(np.isfinite(rho))
-
 
 class TestLinearGrid:
     """A born-infeld profile on a grid uniform in r."""
@@ -251,9 +215,8 @@ class TestLinearGrid:
         assert 3.9 <= errors[0] / errors[1] <= 4.1
 
     def test_stress_divergence(self):
-        # the stencil needs the step well below r, so the grid starts at r0/2
-        prof = compute_profile(BI, K.e, linear_grid(0.5 * R0, 10 * R0, 400))
-        assert check_stress_divergence(prof) <= 1e-5
+        prof = compute_profile(BI, K.e, self.GRID)
+        assert check_stress_divergence(prof) <= 1e-12
 
 
 class TestPermittivity:
