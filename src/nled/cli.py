@@ -197,7 +197,7 @@ def _cmd_profile(cfg: dict) -> None:
             "model": spec,
             "r_unit_cm": unit,
             "r0_cm": prof.r0,
-            "E0_statvolt_per_cm": prof.E0,
+            "E0_statvolt_per_cm": prof.model.E0,
             "E_center_statvolt_per_cm": prof.E_center,
             "inversion_failed_below_r": prof.inversion_failed_below_r,
             **{name: column.tolist() for name, column in columns.items()},

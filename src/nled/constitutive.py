@@ -19,8 +19,9 @@ in closed form; they return the lower root, the branch continuously
 connected to E = 0, and tag the ambiguity.  The same search variable
 carries a walk along the forward map from points already inverted, which
 needs no further inversion: _walk integrates along it on one fixed panel
-rule, and the potential, the energy and stress integrals and the stress
-check are its callers, each giving only its start points and its integrand.
+rule, its panels as wide as the map's nearest complex singularity allows,
+and the potential, the energy and stress integrals and the stress check
+are its callers, each giving only its start points and its integrand.
 """
 
 from __future__ import annotations
@@ -135,19 +136,27 @@ def _unit_rule(points: int):
     return 0.5 * (t + 1.0), 0.5 * w
 
 
-# The walk's fixed quadrature rule: 16-point Gauss-Legendre panels of width
-# at most _PANEL_WIDTH in x over the segments between anchors, which sit
-# every _ANCHOR_STEP out to _WALK_DEPTH past the characteristic field, and
-# 24-point closing panels in s = e^{k (x - x_end)} beyond the end anchors,
-# where the integrand goes as e^{k x}.  16 points, not 8: the polynomial
-# D(E) has complex zeros ~0.5 from the real axis in ln E (0.54 for
-# alpha = -0.005, xi = 0.001), where 8 points leave 1.7e-10 of U and
-# 8.3e-13 of phi.  The lower rule, 15 and 23 points on the same panels,
-# serves an error estimate.
+# The walk's fixed quadrature rule: 16-point Gauss-Legendre panels over the
+# segments between anchors, which sit every _ANCHOR_STEP out to _WALK_DEPTH
+# past the characteristic field, and 24-point closing panels in
+# s = e^{k (x - x_end)} beyond the end anchors, where the integrand goes as
+# e^{k x}.  Panels are _panel_width wide: with the nearest complex
+# singularity that far off the real axis, the 16-point error goes as
+# (2 + sqrt 5)^-32 < 1e-20.  The floor is the width 16 points were sized on:
+# polynomial(alpha = -0.005, xi = 0.001) has zeros of D(E) 0.548 off the
+# real axis in ln E, where 8 points leave 1.7e-10 of U and 8.3e-13 of phi.
+# The lower rule, 15 and 23 points on the same panels, serves an error
+# estimate.
 _RULES = ((_unit_rule(16), _unit_rule(24)), (_unit_rule(15), _unit_rule(23)))
-_PANEL_WIDTH = 0.5
+_PANEL_FLOOR = 0.5
 _ANCHOR_STEP = 2.0
 _WALK_DEPTH = 40.0
+# The closing panel needs a Coulomb-end rate k > 0 that drifts by at most
+# _RATE_TOL (relative) over the last anchor step: the closed tail holds at
+# most 2e-5 of a sum (born-infeld's U, k = 1/4), so that drift moves the sum
+# by ~2e-15 of itself, and a tail in its exponential regime drifts by
+# rounding only.
+_RATE_TOL = 1e-10
 
 
 def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
@@ -165,7 +174,8 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
     anchors' D, the count of inner anchors) may raise before the sums are
     checked.  Both integrands go as r E at the Coulomb end: the closing
     rates are k = d ln E/dx - (d ln D/dx)/2 at the end anchors.  Raises
-    NumericalError when a sum is not finite.
+    NumericalError when the Coulomb-end k is not positive and settled to
+    _RATE_TOL against k one anchor in, or when a sum is not finite.
     """
     if m.kind == BORN_INFELD:  # ln D = ln E0 + x/2 in the radicand logit
         steps, height = 2.0 * np.log(D[:-1] / D[1:]), 2.0 * np.log(D[-1] / m.E0)
@@ -179,14 +189,22 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
         D_t, E_t, slope = _search_walk(m, D[-1], E[-1],
                                        _ANCHOR_STEP * np.arange(n_in, -n_out - 1, -1.0))
         rate = slope - 0.5 * _displacement_slope(m, E_t)
+        if not (rate[-1] > 0.0 and abs(rate[-1] - rate[-2]) <= _RATE_TOL * rate[-1]):
+            raise NumericalError(
+                f"{m.kind}: the walk's Coulomb-end rate k = {rate[-1]!r} (k = {rate[-2]!r} "
+                "one anchor in) is not a settled positive rate, so its closing panel "
+                "does not hold", model_kind=m.kind, rate=float(rate[-1]))
         D_a, E_a = np.append(D[:-1], D_t), np.append(E[:-1], E_t)
         n, rules = D_a.size - 1, 2 if lower else 1
         ends = ((n, float(rate[-1])), (0, float(rate[0])))[:1 if inner is None else 2]
+        width = _panel_width(m)
         if D.size == 1:
-            anchor, delta, weight, seg = _uniform_nodes(n, ends, rules)
+            anchor, delta, weight, seg = _uniform_nodes(
+                n, int(np.ceil(_ANCHOR_STEP / width)), ends, rules)
         else:
             steps = np.append(steps, np.full(n_out, _ANCHOR_STEP))
-            anchor, delta, weight, seg = _walk_nodes(steps, ends, rules)
+            anchor, delta, weight, seg = _walk_nodes(
+                steps, np.ceil(steps / width).astype(int), ends, rules)
         Dn, En, slope = _search_walk(m, D_a[anchor], E_a[anchor], delta)
         sums = np.array([np.bincount(seg, weights=row, minlength=rules * (n + 2))
                          for row in f(Dn, En, slope, weight)]).reshape(-1, rules, n + 2)
@@ -199,17 +217,16 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
     return sums
 
 
-def _walk_nodes(steps: np.ndarray, ends, rules: int):
+def _walk_nodes(steps: np.ndarray, panels: np.ndarray, ends, rules: int):
     """(anchor, offset, weight, bin) of the first rules of _RULES over
     anchors in falling x, segment j running from anchor j + 1 up to anchor j
-    over the width steps[j] in ceil(step/_PANEL_WIDTH) equal panels, and
+    over the width steps[j] in panels[j] equal panels, and
     segment steps.size + i closing from the anchor of ends[i] = (anchor,
     k) to where an integrand going as e^{k x} vanishes, below the anchor
     for k > 0 and above it for k < 0.  Each offset is taken from the
     anchor at the low-x end of its segment; rule r sums into bins
     r (steps.size + 2) + segment."""
     n = steps.size
-    panels = np.ceil(steps / _PANEL_WIDTH).astype(int)
     seg = np.repeat(np.arange(n), panels)
     width = (steps / panels)[seg][:, None]
     start = (np.arange(seg.size) - (np.cumsum(panels) - panels)[seg])[:, None] * width
@@ -224,10 +241,11 @@ def _walk_nodes(steps: np.ndarray, ends, rules: int):
 
 
 @lru_cache(maxsize=16)
-def _uniform_nodes(n: int, ends, rules: int):
-    """_walk_nodes over n steps of _ANCHOR_STEP: fixed by the walk's length,
-    closing rates and rules, so built once and shared read-only."""
-    nodes = _walk_nodes(np.full(n, _ANCHOR_STEP), ends, rules)
+def _uniform_nodes(n: int, panels: int, ends, rules: int):
+    """_walk_nodes over n steps of _ANCHOR_STEP in panels panels each: fixed
+    by the walk's length, panel count, closing rates and rules, so built
+    once and shared read-only."""
+    nodes = _walk_nodes(np.full(n, _ANCHOR_STEP), np.full(n, panels), ends, rules)
     for a in nodes:
         a.flags.writeable = False
     return nodes
@@ -263,6 +281,28 @@ def _characteristic_field(m: LagrangianModel) -> float | None:
     return None
 
 
+def _quadratic_roots(b: float, c: float) -> tuple[complex, ...]:
+    """The roots t of 1 + b t + c t^2 for finite b and c (none when both
+    vanish), as complex numbers.
+
+    Solved in tau = s t with s = max(|b|, sqrt|c|), whose coefficients are
+    at most 1 in magnitude, so neither b^2 nor 4c overflows.  A root beyond
+    the double range, the second root of a linear polynomial included,
+    comes back as the signed infinity of -b/c.
+    """
+    s = max(abs(b), np.sqrt(abs(c)))
+    if s == 0.0:
+        return ()
+    b, c = np.float64(b) / s, np.float64(c) / s / s
+    disc = b * b - 4.0 * c
+    if disc < 0.0:  # a conjugate pair, c > 0
+        t = complex(-b, np.sqrt(-disc)) / (2.0 * c) / s
+        return t, t.conjugate()
+    q = -0.5 * (b + np.copysign(np.sqrt(disc), b))  # no cancellation
+    with np.errstate(divide="ignore", over="ignore"):
+        return complex(q / c / s), complex(1.0 / q / s)
+
+
 @lru_cache(maxsize=64)
 def _map_shape(m: LagrangianModel) -> tuple[float, float]:
     """(E_peak, D_max): the field where D(E) first stops rising and the
@@ -270,9 +310,10 @@ def _map_shape(m: LagrangianModel) -> tuple[float, float]:
 
     Closed form per kind: born-infeld and the linear maps rise throughout;
     the log model peaks at E0.  The polynomial's D'(E) = 1 + 48 pi a E^2 +
-    120 pi x E^4 first vanishes at E^2 = t, the smallest positive root of
-    120 pi x t^2 + 48 pi a t + 1 = 0; with no positive root, or a double
-    one, the map rises throughout.
+    120 pi x E^4 first vanishes at E^2 = t, the smallest positive simple
+    root; with none (a double root only touches zero) the map rises
+    throughout.  In T = 3t the coefficients are 16 pi a and 40 pi x/3, both
+    finite for every accepted model.
     """
     if m.kind not in (MAXWELL, BORN_INFELD, LOG_SCHROEDINGER, POLYNOMIAL):
         raise UnsupportedModel(f"{m.kind} has no constitutive map")
@@ -280,16 +321,35 @@ def _map_shape(m: LagrangianModel) -> tuple[float, float]:
     if m.kind == LOG_SCHROEDINGER:
         E_peak = m.E0
     elif m.kind == POLYNOMIAL:
-        a, b = 48.0 * np.pi * m.coeffs.alpha, 120.0 * np.pi * m.coeffs.xi
-        disc = a * a - 4.0 * b
-        roots = ()
-        if b == 0.0 and a != 0.0:
-            roots = (-1.0 / a,)
-        elif b != 0.0 and disc > 0.0:
-            q = -0.5 * (a + np.copysign(np.sqrt(disc), a))  # no cancellation
-            roots = (q / b, 1.0 / q)
-        E_peak = float(np.sqrt(min((t for t in roots if t > 0.0), default=np.inf)))
+        roots = _quadratic_roots(16.0 * np.pi * m.coeffs.alpha,
+                                 40.0 * np.pi / 3.0 * m.coeffs.xi)
+        folds = [T.real for T in roots if T.imag == 0.0 and T.real > 0.0 and roots.count(T) == 1]
+        E_peak = float(np.sqrt(min(folds, default=np.inf) / 3.0))
     return E_peak, (np.inf if E_peak == np.inf else float(_displacement(m, E_peak)))
+
+
+@lru_cache(maxsize=64)
+def _panel_width(m: LagrangianModel) -> float:
+    """The walk's panel width in its search variable x: the distance from
+    the real axis of the integrands' nearest complex singularity, clipped
+    to [_PANEL_FLOOR, _ANCHOR_STEP].
+
+    Closed form per kind: pi for born-infeld (the sigmoid in
+    E = E0 sqrt(sigmoid(w)) has its poles at w = +-i pi), pi/2 for the log model (1 + E^2/E0^2 vanishes
+    at ln E = ln E0 +- i pi/2), none for maxwell, and for the polynomial
+    half the smallest |arg t| over the zeros t of D/E = 1 + 16 pi a t +
+    24 pi x t^2 in t = E^2 = e^{2x}: pi/2 for a negative zero, the floor for
+    a positive one.
+    """
+    distance = np.inf
+    if m.kind == BORN_INFELD:
+        distance = np.pi
+    elif m.kind == LOG_SCHROEDINGER:
+        distance = 0.5 * np.pi
+    elif m.kind == POLYNOMIAL:
+        roots = _quadratic_roots(16.0 * np.pi * m.coeffs.alpha, 24.0 * np.pi * m.coeffs.xi)
+        distance = 0.5 * float(np.min(np.abs(np.angle(roots)), initial=np.inf))
+    return min(max(distance, _PANEL_FLOOR), _ANCHOR_STEP)
 
 
 @lru_cache(maxsize=64)

@@ -189,7 +189,6 @@ class SolitonProfile:
     u: np.ndarray
     phi: np.ndarray
     r0: float
-    E0: float | None
     model: LagrangianModel
     inversion_failed_below_r: float | None = None
     E_center: float | None = None
@@ -227,7 +226,7 @@ def compute_profile(m: LagrangianModel, e: float,
                              "(a field or density overflows the double range)", columns=bad)
     return SolitonProfile(
         grid=grid, D=D, E=E, rho=rho, eps=eps, u=u, phi=phi,
-        r0=r0, E0=m.E0, model=m,
+        r0=r0, model=m,
         inversion_failed_below_r=boundary,
         E_center=_center_field(m))
 

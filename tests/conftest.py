@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from nled import constitutive
+
 
 class _LoggingGenerator:
     """A numpy Generator that logs the name of each method called on it."""
@@ -48,3 +50,15 @@ def recorded(monkeypatch):
         monkeypatch.setattr(module, name, logging)
         return log
     return record
+
+
+@pytest.fixture
+def floor_layout(monkeypatch):
+    """floor_layout(run): run() with the walk's panels 0.5 wide in x for
+    every model, the floor width, whatever its singularities allow; the
+    reference layout that wider panels must agree with."""
+    def under(run):
+        with monkeypatch.context() as patch:
+            patch.setattr(constitutive, "_panel_width", lambda m: 0.5)
+            return run()
+    return under

@@ -323,3 +323,74 @@ class TestNarrowFold:
             total_energy(NARROW, K.e)
         d_max = attainable_displacement_max(NARROW)
         assert exc_info.value.details["radius_cm"] == np.sqrt(K.e / d_max)
+
+
+def fold_mp(m):
+    """(E_peak, D_max) of a folding polynomial in 40 digits: E_peak^2 is the
+    smaller positive root t of 120 pi xi t^2 + 48 pi alpha t + 1 = 0
+    (alpha < 0), written without cancellation."""
+    with mpmath.workdps(40):
+        a, b = 48 * mpmath.pi * mpmath.mpf(m.coeffs.alpha), 120 * mpmath.pi * mpmath.mpf(m.coeffs.xi)
+        e_peak = mpmath.sqrt(2 / (-a + mpmath.sqrt(a * a - 4 * b)))
+        return e_peak, forward_mp(m, e_peak)
+
+
+class TestOverflowSafeFold:
+    """Folds whose 48 pi |alpha| or (48 pi alpha)^2 overflows a double."""
+
+    @pytest.mark.parametrize("m", [polynomial(alpha=-2e306), polynomial(alpha=-1e200, xi=1e-10)],
+                             ids=["48_pi_alpha_overflows", "its_square_overflows"])
+    def test_fold_found(self, m):
+        e_peak, d_peak = fold_mp(m)
+        d_max = attainable_displacement_max(m)
+        assert abs(d_max / d_peak - 1) <= 1e-14
+        for d in (1.01 * d_max, 1e-100):
+            with pytest.raises(NoSolution):
+                field_from_displacement(m, d)
+        for d in d_max * np.array([1e-6, 0.5, 0.99]):
+            res = field_from_displacement(m, d)
+            assert res.branch == "lower-of-two"
+            assert res.E < e_peak  # the rising branch
+            assert abs(forward_mp(m, res.E) / d - 1) <= 1e-14
+
+
+def width_mp(m):
+    """The panel width from the zeros of D/E = 1 + 16 pi alpha t + 24 pi xi t^2
+    by mpmath.polyroots: half the smallest |arg t|, clipped to [0.5, 2]."""
+    c = m.coeffs
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots([24 * mpmath.pi * mpmath.mpf(c.xi),
+                                  16 * mpmath.pi * mpmath.mpf(c.alpha), 1],
+                                 maxsteps=200, extraprec=200)
+        distance = min(abs(mpmath.arg(t)) for t in roots) / 2
+    return min(max(float(distance), 0.5), 2.0)
+
+
+# log10 |alpha| and log10 xi over sixty decades, either sign of alpha
+PLANE = st.builds(lambda sign, la, lx: polynomial(alpha=sign * 10.0**la, xi=10.0**lx),
+                  st.sampled_from([-1.0, 1.0]), st.floats(-30.0, 30.0), st.floats(-30.0, 30.0))
+
+
+class TestPanelWidth:
+    """The walk's panels are as wide as each map's nearest complex
+    singularity allows, from 0.5 to one anchor step of 2."""
+
+    @pytest.mark.parametrize("m, width", [
+        (born_infeld(E0), 2.0),  # w = +-i pi
+        (log_schroedinger(E0), np.pi / 2),  # ln E = ln E0 +- i pi/2
+        (maxwell(), 2.0),  # no singularity
+        (polynomial(alpha=0.01), np.pi / 2),  # one negative zero of D/E in E^2
+        (polynomial(alpha=-0.01), 0.5),  # a positive zero: the floor
+        (polynomial(xi=0.001), np.pi / 4),
+        # zeros of D/E at (-b +- i sqrt(4c - b^2))/2c, b = 16 pi alpha, c = 24 pi xi
+        (polynomial(alpha=-0.005, xi=0.001),
+         0.5 * np.arctan2(np.sqrt(96 * np.pi * 0.001 - (0.08 * np.pi) ** 2), 0.08 * np.pi)),
+    ], ids=["born_infeld", "log_model", "maxwell", "alpha", "negative_alpha", "xi",
+            "monotone_negative_alpha"])
+    def test_closed_forms(self, m, width):
+        assert_allclose(constitutive._panel_width(m), width, rtol=1e-15)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(m=PLANE)
+    def test_against_polyroots(self, m):
+        assert_allclose(constitutive._panel_width(m), width_mp(m), rtol=1e-12)

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import gamma
 
@@ -18,7 +19,7 @@ from nled import (ConfigurationError, Divergent, NoSolution, NumericalError, Phy
                   effective_radius, field_from_displacement, linear_grid, log_grid,
                   log_schroedinger, mass_from_energy, maxwell, polynomial,
                   potential_at, stress_integrals, total_energy)
-from nled import energetics, quadrature
+from nled import constitutive, energetics, quadrature
 from nled.energetics import radial_scale
 from nled.models import density_from_invariants
 from nled.soliton import RadialGrid
@@ -346,6 +347,81 @@ class TestWork:
         assert details["D"] > details["D_max_attainable"]
 
 
+def walk_outputs(m, cutoff):
+    """(U, trace, phi) from the walk: the stress integrals with the cutoff,
+    and phi at the cutoff, or without one at the radial scale and, for
+    born-infeld, at the center."""
+    s = stress_integrals(m, K.e, spec_at(cutoff))
+    phi = [potential_at(m, K.e, cutoff or radial_scale(m, K.e))]
+    if cutoff is None and m.kind == "born-infeld":
+        phi.append(potential_at(m, K.e, 0.0))
+    return s.U_total, s.laue_trace, np.array(phi)
+
+
+def assert_agrees_with_floor_layout(floor_layout, m, cutoff):
+    (U, trace, phi), (U_ref, trace_ref, phi_ref) = (
+        walk_outputs(m, cutoff), floor_layout(lambda: walk_outputs(m, cutoff)))
+    assert abs(U - U_ref) <= 1e-14 * abs(U_ref)
+    assert abs(trace - trace_ref) <= 1e-14 * abs(U_ref)
+    assert_allclose(phi, phi_ref, rtol=1e-14)
+
+
+class TestPanelLayout:
+    """Panels as wide as each map's nearest complex singularity allows give
+    the walk's outputs of the 0.5-wide layout to 1e-14, for fewer nodes."""
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_agrees_with_floor_layout(self, name, floor_layout):
+        m, cutoff = CASES[name]
+        assert_agrees_with_floor_layout(floor_layout, m, cutoff)
+        phi = compute_profile(m, K.e).phi
+        assert_allclose(phi, floor_layout(lambda: compute_profile(m, K.e).phi), rtol=1e-14)
+
+    # floor_layout patches only inside each call, so it holds nothing between inputs
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sign=st.sampled_from([-1.0, 1.0]), la=st.floats(-30.0, 30.0),
+           lx=st.floats(-30.0, 30.0))
+    def test_polynomial_plane_agrees_with_floor_layout(self, sign, la, lx, floor_layout):
+        # log10 |alpha| and log10 xi over sixty decades; a folding map is cut
+        # off at twice its fold radius
+        m = polynomial(alpha=sign * 10.0**la, xi=10.0**lx)
+        d_max = attainable_displacement_max(m)
+        cutoff = 2 * np.sqrt(K.e / d_max) if np.isfinite(d_max) else None
+        assert_agrees_with_floor_layout(floor_layout, m, cutoff)
+
+    def test_born_infeld_node_count(self, recorded):
+        # one 16-point panel per anchor step, against four at the floor width
+        # (5 095 nodes)
+        log = recorded(constitutive, "_search_walk")
+        stress_integrals(BI, K.e)
+        assert sum(np.size(delta) for *_, delta in log) <= 1400
+
+
+class TestClosingRate:
+    """The closing panel below the last anchor assumes an integrand going as
+    e^{k x} with k > 0; a tail that ends before that holds raises."""
+
+    def test_tail_ending_where_xi_dominates_raises(self, monkeypatch):
+        # with alpha's scale, far above xi's, the tail ends where D ~ E^5 and
+        # k = 1 - 5/2; the closing panel then ran upward and gave U = 2.18e-11
+        m = POLY_STIFF_XI
+        alpha_scale = 1.0 / np.sqrt(16 * np.pi * m.coeffs.alpha)
+        for module in (constitutive, energetics):
+            monkeypatch.setattr(module, "_characteristic_field", lambda m: alpha_scale)
+        with pytest.raises(NumericalError) as exc_info:
+            stress_integrals(m, 1.0)
+        assert exc_info.value.details["rate"] == pytest.approx(-1.5)
+
+    def test_tail_cut_short_raises(self, monkeypatch):
+        # 4 below the cutoff the log model's k is ~1e-5 above 1/2 and drifting
+        monkeypatch.setattr(constitutive, "_WALK_DEPTH", 4.0)
+        m, cutoff = CASES["log_model_cutoff"]
+        with pytest.raises(NumericalError) as exc_info:
+            stress_integrals(m, K.e, spec_at(cutoff))
+        assert exc_info.value.details["rate"] > 0
+
+
 class TestEffectiveRadius:
     def test_paper_convention_matches_tabulated_value(self):
         r0 = effective_radius("paper", K)
@@ -460,5 +536,5 @@ class TestStressDivergence:
         prof = SolitonProfile(grid=grid, D=E.copy(), E=E,
                               rho=np.zeros_like(r), eps=np.ones_like(r),
                               u=np.full_like(r, c1), phi=np.zeros_like(r),
-                              r0=1.0, E0=None, model=maxwell())
+                              r0=1.0, model=maxwell())
         assert check_stress_divergence(prof) >= 0.5

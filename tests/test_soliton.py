@@ -313,7 +313,7 @@ class TestAssembledProfile:
         assert np.all(prof.E <= prof.D * (1 + 1e-15))
         assert_allclose(prof.eps, prof.D / prof.E, rtol=1e-15)
         assert prof.inversion_failed_below_r is None
-        assert prof.r0 == R0 and prof.E0 == E0
+        assert prof.r0 == R0 and prof.model.E0 == E0
 
     def test_inverts_once_per_grid_point(self, monkeypatch):
         # one call of the array inversion kernel, holding every grid point
