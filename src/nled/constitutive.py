@@ -7,27 +7,29 @@ Forward map: D = 4 pi |dL/dE| evaluated at H = 0, which gives
     log-schroedinger  D = E / (1 + E^2/E0^2)            (max E0/2 at E = E0)
     polynomial        D = E + 16 pi a E^3 + 24 pi x E^5
 
-Inversion walks the forward map, never an inverse formula: one safeguarded
-Newton-bisection runs elementwise on an array of D in a search variable x,
-with Newton's slope d ln D/dx.  For the bounded-domain (born-infeld) kind x
-is the logit w of the radicand q = 1 - E^2/E0^2, in which ln D = ln E0 + w/2
-exactly, so the walk's point at D itself is the root and the solve stays
-well conditioned across ~600 decades of D; the other nonlinear kinds are
-solved in ln E, and linear maps return E = D.  Maps with a fold
-(log-schroedinger, a polynomial with a large negative alpha) have their peak
-in closed form; they return the lower root, the branch continuously
-connected to E = 0, and tag the ambiguity.  The same search variable
-carries a walk along the forward map from points already inverted, which
-needs no further inversion: _walk integrates along it on one fixed panel
-rule, its panels as wide as the map's nearest complex singularity allows,
-and the potential, the energy and stress integrals and the stress check
-are its callers, each giving only its start points and its integrand.
+Each map is described once at a point, and once in its constants: the
+kinds walked in ln E by _map_terms (g = D/E, h = g - 1 and q = dg/d ln E,
+in closed form), born-infeld by its own branches, and every kind by one
+cached _shape.  Inversion walks the forward map, never an inverse formula:
+one safeguarded Newton-bisection runs elementwise on an array of D in a
+search variable x, with Newton's slope d ln D/dx.  For born-infeld x is
+the logit w of the radicand 1 - E^2/E0^2, in which ln D = ln E0 + w/2
+exactly, so the walk's point at D itself is the root across ~600 decades
+of D; the other nonlinear kinds are solved in ln E, and linear maps return
+E = D.  Maps with a fold return the lower root, the branch connected to
+E = 0, and tag the ambiguity.  The same variable carries _walk, one fixed
+panel rule along the forward map from points already inverted, so nothing
+more is inverted: its panels are as wide as the map's nearest complex
+singularity allows, and without a cutoff its center reaches past the
+map's top.  The potential, the energy and stress integrals and the stress
+check are its callers, each giving only its start points and integrand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,75 +61,74 @@ class InversionResult:
     coulomb_deviation: float = 0.0
 
 
-def _displacement(m: LagrangianModel, E):
-    """D(E) at H = 0 for a field magnitude (float or array), unchecked."""
-    if m.kind == MAXWELL:
-        return E
-    if m.kind == BORN_INFELD:
-        return E / np.sqrt(1.0 - (E / m.E0) ** 2)
-    if m.kind == LOG_SCHROEDINGER:
-        return E / (1.0 + (E / m.E0) ** 2)
-    if m.kind == POLYNOMIAL:
-        c = m.coeffs
-        return np.abs(E + _term(16.0 * np.pi * c.alpha, E, 3) + _term(24.0 * np.pi * c.xi, E, 5))
-    raise UnsupportedModel(f"{m.kind} has no constitutive map")
-
-
-def _displacement_slope(m: LagrangianModel, E):
-    """d ln D/dx along the search variable x at field E (float or array):
-    1/2 in the radicand logit for born-infeld, E D'(E)/D in x = ln E for the
-    other kinds."""
-    if m.kind == BORN_INFELD:
-        return np.full_like(E, 0.5)
-    if m.kind == MAXWELL:
-        return np.ones_like(E)
-    if m.kind == LOG_SCHROEDINGER:
+def _map_terms(m: LagrangianModel, E):
+    """(g, h, q) of a map walked in ln E at field E (float or array): g = D/E,
+    and h = g - 1 and q = dg/d ln E in closed form, which do not cancel where
+    g -> 1.  Then D = E g, d ln D/d ln E = (g + q)/g, v = 1 - E/D = h/g and
+    1 - d ln E/d ln D = q/(g + q)."""
+    if m.kind == LOG_SCHROEDINGER:  # g = 1/(1 + t), t = (E/E0)^2
         t = (E / m.E0) ** 2
-        return (1.0 - t) / (1.0 + t)
-    if m.kind == POLYNOMIAL:  # in powers of E^2, finite wherever D(E) is
+        g = 1.0 / (1.0 + t)
+        return g, -t * g, -2.0 * t * g**2
+    if m.kind == POLYNOMIAL:  # g = 1 + a + x in powers of E^2
         c = m.coeffs
         a, x = _term(16.0 * np.pi * c.alpha, E, 2), _term(24.0 * np.pi * c.xi, E, 4)
-        return (1.0 + 3.0 * a + 5.0 * x) / (1.0 + a + x)
+        return 1.0 + a + x, a + x, 2.0 * a + 4.0 * x
+    if m.kind == MAXWELL:
+        return np.ones_like(E), np.zeros_like(E), np.zeros_like(E)
     raise UnsupportedModel(f"{m.kind} has no constitutive map")
+
+
+def _displacement(m: LagrangianModel, E):
+    """D(E) at H = 0 for a field magnitude (float or array), unchecked."""
+    if m.kind == BORN_INFELD:
+        return E / np.sqrt(1.0 - (E / m.E0) ** 2)
+    return np.abs(E * _map_terms(m, E)[0])
 
 
 def _charge_factor(m: LagrangianModel, E, D):
     """1 - d ln E/d ln D at points (D, E) of the map (float or array) in
     closed form, at full relative precision in the Coulomb tail, where it
     vanishes: the charge density is E (1 - d ln E/d ln D)/(2 pi r)."""
-    if m.kind == MAXWELL:
-        return np.zeros_like(E)
     if m.kind == BORN_INFELD:  # E = E0 D/hypot(E0, D)
         return (D / np.hypot(m.E0, D)) ** 2
-    if m.kind == LOG_SCHROEDINGER:  # d ln D/d ln E = (1 - t)/(1 + t)
-        t = (E / m.E0) ** 2
-        return -2.0 * t / (1.0 - t)
-    if m.kind == POLYNOMIAL:  # a and x as in _displacement_slope
-        c = m.coeffs
-        a, x = _term(16.0 * np.pi * c.alpha, E, 2), _term(24.0 * np.pi * c.xi, E, 4)
-        return (2.0 * a + 4.0 * x) / (1.0 + 3.0 * a + 5.0 * x)
-    raise UnsupportedModel(f"{m.kind} has no constitutive map")
+    g, _, q = _map_terms(m, E)
+    return q / (g + q)
+
+
+def _coulomb_deviation(m: LagrangianModel, E, D):
+    """v = 1 - E/D at a point (D, E) of the map without subtractive
+    cancellation (float or array)."""
+    if m.kind == BORN_INFELD:  # E/D = E0/h, h = hypot(E0, D): v = D^2/(h (h + E0))
+        h = np.hypot(m.E0, D)
+        return (D / h) * (D / (h + m.E0))
+    g, h, _ = _map_terms(m, E)
+    return h / g
 
 
 def _search_walk(m: LagrangianModel, D, E, delta):
-    """(D, E, d ln E/dx) at offsets delta along the inversion's search
-    variable x from anchor points (D, E) on the forward map.
+    """(D, E, d ln E/dx, d ln D/dx) at offsets delta along the inversion's
+    search variable x from anchor points (D, E) on the forward map.
 
     Nothing is inverted.  For born-infeld x is the radicand logit w, in which
     ln D = ln E0 + w/2 exactly: a node has D = D_a e^{delta/2},
     E = D E0 / hypot(E0, D) = E0 sqrt(sigmoid(w)), held at or below E0 where
     it rounds above deep inside and taken as E0 (D/hypot) where E0/hypot is
     subnormal (D/E0 above ~1e308), and d ln E/dw = (E/D)^2 / 2.  The other
-    kinds walk x = ln E: E = E_a e^delta, D from the forward map.
+    kinds walk x = ln E: E = E_a e^delta, and D and d ln D/dx from
+    _map_terms, except for maxwell, whose D is E.
     """
     if m.kind == BORN_INFELD:
         D = D * np.exp(0.5 * delta)
         h = np.hypot(m.E0, D)
         ratio = m.E0 / h
         E = np.where(ratio >= np.finfo(float).tiny, D * ratio, m.E0 * (D / h))
-        return D, np.minimum(E, m.E0), 0.5 * ratio**2
+        return D, np.minimum(E, m.E0), 0.5 * ratio**2, np.full_like(D, 0.5)
     E = E * np.exp(delta)
-    return _displacement(m, E), E, np.ones_like(E)
+    if m.kind == MAXWELL:
+        return E, E, np.ones_like(E), np.ones_like(E)
+    g, _, q = _map_terms(m, E)
+    return np.abs(E * g), E, np.ones_like(E), (g + q) / g
 
 
 def _unit_rule(points: int):
@@ -138,10 +139,10 @@ def _unit_rule(points: int):
 
 # The walk's fixed quadrature rule: 16-point Gauss-Legendre panels over the
 # segments between anchors, which sit every _ANCHOR_STEP out to _WALK_DEPTH
-# past the characteristic field, and 24-point closing panels in
-# s = e^{k (x - x_end)} beyond the end anchors, where the integrand goes as
-# e^{k x}.  Panels are _panel_width wide: with the nearest complex
-# singularity that far off the real axis, the 16-point error goes as
+# past the map's scale (and inward past its top), and 24-point closing
+# panels in s = e^{k (x - x_end)} beyond the end anchors, where the
+# integrand goes as e^{k x}.  Panels are _Shape.width wide: with the nearest
+# complex singularity that far off the real axis, the 16-point error goes as
 # (2 + sqrt 5)^-32 < 1e-20.  The floor is the width 16 points were sized on:
 # polynomial(alpha = -0.005, xi = 0.001) has zeros of D(E) 0.548 off the
 # real axis in ln E, where 8 points leave 1.7e-10 of U and 8.3e-13 of phi.
@@ -151,6 +152,10 @@ _RULES = ((_unit_rule(16), _unit_rule(24)), (_unit_rule(15), _unit_rule(23)))
 _PANEL_FLOOR = 0.5
 _ANCHOR_STEP = 2.0
 _WALK_DEPTH = 40.0
+# Above the map's top its last power law holds.  Below it the center's
+# integrands fall as e^{-x/2} or faster, so past _TOP_REACH above the start
+# they hold under e^{-_WALK_DEPTH} of a sum, and no anchor goes further.
+_TOP_REACH = 2.0 * _WALK_DEPTH
 # The closing panel needs a Coulomb-end rate k > 0 that drifts by at most
 # _RATE_TOL (relative) over the last anchor step: the closed tail holds at
 # most 2e-5 of a sum (born-infeld's U, k = 1/4), so that drift moves the sum
@@ -162,33 +167,38 @@ _RATE_TOL = 1e-10
 def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
           lower: bool = False) -> np.ndarray:
     """Sums per segment, shape (rows, rules, n + 2), of the integrand rows
-    f(D, E, d ln E/dx, weight) on the walk's fixed rule (with lower, rule 1
-    is the lower rule) along the search variable x, so no node is inverted.
+    f(D, E, d ln E/dx, d ln D/dx, weight) on the walk's fixed rule (with
+    lower, rule 1 is the lower rule) along the search variable x, so no
+    node is inverted.
 
     The n + 1 anchors are the points (D, E) in falling x, then a uniform
-    tail to _WALK_DEPTH below the last one or the characteristic field,
-    whichever is lower.  Segment j runs from anchor j + 1 up to anchor j;
-    segment n is the closing panel below the last anchor.  With inner, one
-    start point also gets _WALK_DEPTH of anchors above it and segment n + 1
-    closes above them; inner(the first row's sums over segments 0..n, the
+    tail to _WALK_DEPTH below the last one or the map's scale, whichever is
+    lower.  Segment j runs from anchor j + 1 up to anchor j; segment n is
+    the closing panel below the last anchor.  With inner, one start point
+    also gets anchors to _WALK_DEPTH above it or above the map's top
+    (within _TOP_REACH), whichever is higher, and segment n + 1 closes
+    above them; inner(the first row's sums over segments 0..n, the
     anchors' D, the count of inner anchors) may raise before the sums are
     checked.  Both integrands go as r E at the Coulomb end: the closing
     rates are k = d ln E/dx - (d ln D/dx)/2 at the end anchors.  Raises
     NumericalError when the Coulomb-end k is not positive and settled to
     _RATE_TOL against k one anchor in, or when a sum is not finite.
     """
+    shape = _shape(m)
     if m.kind == BORN_INFELD:  # ln D = ln E0 + x/2 in the radicand logit
         steps, height = 2.0 * np.log(D[:-1] / D[1:]), 2.0 * np.log(D[-1] / m.E0)
     else:
-        scale = _characteristic_field(m)
         steps = np.log(E[:-1] / E[1:])
-        height = -np.inf if scale is None else np.log(E[-1] / scale)
-    n_in = int(_WALK_DEPTH / _ANCHOR_STEP) if inner is not None else 0
+        height = -np.inf if shape.scale is None else np.log(E[-1] / shape.scale)
+    n_in = 0
+    if inner is not None:  # lift: the top's height above the start
+        lift = 0.0 if shape.top is None else np.log(shape.top / shape.scale) - height
+        n_in = int(np.ceil((_WALK_DEPTH + min(max(lift, 0.0), _TOP_REACH)) / _ANCHOR_STEP))
     n_out = int(np.ceil((_WALK_DEPTH + max(height, 0.0)) / _ANCHOR_STEP))
     with np.errstate(all="ignore"):  # a sum that is not finite raises below
-        D_t, E_t, slope = _search_walk(m, D[-1], E[-1],
-                                       _ANCHOR_STEP * np.arange(n_in, -n_out - 1, -1.0))
-        rate = slope - 0.5 * _displacement_slope(m, E_t)
+        D_t, E_t, e_slope, d_slope = _search_walk(
+            m, D[-1], E[-1], _ANCHOR_STEP * np.arange(n_in, -n_out - 1, -1.0))
+        rate = e_slope - 0.5 * d_slope
         if not (rate[-1] > 0.0 and abs(rate[-1] - rate[-2]) <= _RATE_TOL * rate[-1]):
             raise NumericalError(
                 f"{m.kind}: the walk's Coulomb-end rate k = {rate[-1]!r} (k = {rate[-2]!r} "
@@ -197,17 +207,16 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
         D_a, E_a = np.append(D[:-1], D_t), np.append(E[:-1], E_t)
         n, rules = D_a.size - 1, 2 if lower else 1
         ends = ((n, float(rate[-1])), (0, float(rate[0])))[:1 if inner is None else 2]
-        width = _panel_width(m)
         if D.size == 1:
             anchor, delta, weight, seg = _uniform_nodes(
-                n, int(np.ceil(_ANCHOR_STEP / width)), ends, rules)
+                n, int(np.ceil(_ANCHOR_STEP / shape.width)), ends, rules)
         else:
             steps = np.append(steps, np.full(n_out, _ANCHOR_STEP))
             anchor, delta, weight, seg = _walk_nodes(
-                steps, np.ceil(steps / width).astype(int), ends, rules)
-        Dn, En, slope = _search_walk(m, D_a[anchor], E_a[anchor], delta)
+                steps, np.ceil(steps / shape.width).astype(int), ends, rules)
+        nodes = _search_walk(m, D_a[anchor], E_a[anchor], delta)
         sums = np.array([np.bincount(seg, weights=row, minlength=rules * (n + 2))
-                         for row in f(Dn, En, slope, weight)]).reshape(-1, rules, n + 2)
+                         for row in f(*nodes, weight)]).reshape(-1, rules, n + 2)
         if inner is not None:
             inner(sums[0, 0, :n + 1], D_a, n_in)
     if not np.all(np.isfinite(sums)):
@@ -264,23 +273,6 @@ def displacement_from_field(m: LagrangianModel, E):
     return float(D) if E.ndim == 0 else D
 
 
-def _characteristic_field(m: LagrangianModel) -> float | None:
-    """Field scale where the nonlinearity of D(E) becomes order one, or None
-    when the map at H = 0 is linear and has no scale.  A polynomial takes
-    the lower of its terms' scales: the first term to matter sets it."""
-    if m.E0 is not None:
-        return m.E0
-    if m.kind == POLYNOMIAL:
-        c = m.coeffs
-        scales = []
-        if c.alpha != 0.0:
-            scales.append(1.0 / np.sqrt(16.0 * np.pi * abs(c.alpha)))
-        if c.xi != 0.0:
-            scales.append((24.0 * np.pi * abs(c.xi)) ** -0.25)
-        return min(scales, default=None)
-    return None
-
-
 def _quadratic_roots(b: float, c: float) -> tuple[complex, ...]:
     """The roots t of 1 + b t + c t^2 for finite b and c (none when both
     vanish), as complex numbers.
@@ -303,89 +295,73 @@ def _quadratic_roots(b: float, c: float) -> tuple[complex, ...]:
         return complex(q / c / s), complex(1.0 / q / s)
 
 
-@lru_cache(maxsize=64)
-def _map_shape(m: LagrangianModel) -> tuple[float, float]:
-    """(E_peak, D_max): the field where D(E) first stops rising and the
-    displacement there, both inf for a map that rises throughout.
+class _Shape(NamedTuple):
+    """The constants of a map that the solver and the walk read."""
 
-    Closed form per kind: born-infeld and the linear maps rise throughout;
-    the log model peaks at E0.  The polynomial's D'(E) = 1 + 48 pi a E^2 +
-    120 pi x E^4 first vanishes at E^2 = t, the smallest positive simple
-    root; with none (a double root only touches zero) the map rises
-    throughout.  In T = 3t the coefficients are 16 pi a and 40 pi x/3, both
-    finite for every accepted model.
-    """
-    if m.kind not in (MAXWELL, BORN_INFELD, LOG_SCHROEDINGER, POLYNOMIAL):
-        raise UnsupportedModel(f"{m.kind} has no constitutive map")
-    E_peak = np.inf
-    if m.kind == LOG_SCHROEDINGER:
-        E_peak = m.E0
-    elif m.kind == POLYNOMIAL:
-        roots = _quadratic_roots(16.0 * np.pi * m.coeffs.alpha,
-                                 40.0 * np.pi / 3.0 * m.coeffs.xi)
-        folds = [T.real for T in roots if T.imag == 0.0 and T.real > 0.0 and roots.count(T) == 1]
-        E_peak = float(np.sqrt(min(folds, default=np.inf) / 3.0))
-    return E_peak, (np.inf if E_peak == np.inf else float(_displacement(m, E_peak)))
+    scale: float | None  # where the nonlinearity becomes order one (None: linear)
+    top: float | None    # where the map's last power law sets in
+    E_peak: float        # where D(E) first stops rising (inf: it never does)
+    D_max: float         # D(E_peak)
+    width: float         # the walk's panel width in its search variable
+    log_limit: float     # the largest ln E at which D(E) is finite
 
 
 @lru_cache(maxsize=64)
-def _panel_width(m: LagrangianModel) -> float:
-    """The walk's panel width in its search variable x: the distance from
-    the real axis of the integrands' nearest complex singularity, clipped
-    to [_PANEL_FLOOR, _ANCHOR_STEP].
+def _shape(m: LagrangianModel) -> _Shape:
+    """The map's _Shape in closed form per kind; UnsupportedModel for a kind
+    with no constitutive map.
 
-    Closed form per kind: pi for born-infeld (the sigmoid in
-    E = E0 sqrt(sigmoid(w)) has its poles at w = +-i pi), pi/2 for the log model (1 + E^2/E0^2 vanishes
-    at ln E = ln E0 +- i pi/2), none for maxwell, and for the polynomial
-    half the smallest |arg t| over the zeros t of D/E = 1 + 16 pi a t +
-    24 pi x t^2 in t = E^2 = e^{2x}: pi/2 for a negative zero, the floor for
-    a positive one.
+    The panel width is the distance from the real axis of the walk
+    integrands' nearest complex singularity in x, clipped to
+    [_PANEL_FLOOR, _ANCHOR_STEP].  A polynomial's scale is the lower of its
+    terms' scales, the first term to matter; above its top, xi's scale or
+    where xi's term overtakes alpha's (E^2 = |16 pi a/24 pi x|), only its
+    highest power matters.  Its D'(E) = 1 + 48 pi a E^2 + 120 pi x E^4
+    first vanishes at E^2 = t, the smallest positive simple root; in T = 3t
+    the coefficients 16 pi a and 40 pi x/3 are finite for every accepted
+    model.  Its ln E limit comes by bisection (E = 7.5e61 for (0.01, 0.001)).
     """
-    distance = np.inf
-    if m.kind == BORN_INFELD:
+    scale = top = None
+    E_peak, distance, log_limit = np.inf, np.inf, np.inf
+    if m.kind == BORN_INFELD:  # the sigmoid in E = E0 sqrt(sigmoid(w)) has poles at w = +-i pi
+        scale = top = m.E0
         distance = np.pi
-    elif m.kind == LOG_SCHROEDINGER:
+    elif m.kind == LOG_SCHROEDINGER:  # 1 + E^2/E0^2 vanishes at ln E = ln E0 +- i pi/2
+        scale = top = E_peak = m.E0
         distance = 0.5 * np.pi
     elif m.kind == POLYNOMIAL:
-        roots = _quadratic_roots(16.0 * np.pi * m.coeffs.alpha, 24.0 * np.pi * m.coeffs.xi)
-        distance = 0.5 * float(np.min(np.abs(np.angle(roots)), initial=np.inf))
-    return min(max(distance, _PANEL_FLOOR), _ANCHOR_STEP)
-
-
-@lru_cache(maxsize=64)
-def _log_field_limit(m: LagrangianModel) -> float:
-    """Largest ln E at which the forward map is still finite in double
-    precision (7.5e61 for polynomial(0.01, xi=0.001)), by bisection."""
-    lo, hi = 0.0, np.log(np.finfo(float).max)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            if np.isfinite(_displacement(m, np.exp(mid))):
-                lo = mid
-            else:
-                hi = mid
-    return lo
+        a, x = 16.0 * np.pi * m.coeffs.alpha, 24.0 * np.pi * m.coeffs.xi
+        scales = [1.0 / np.sqrt(abs(a))] if a != 0.0 else []
+        if x != 0.0:
+            scales.append(abs(x) ** -0.25)
+        scale = min(scales, default=None)
+        top = scales[-1] if scales else None  # xi's scale, or the one scale
+        if len(scales) == 2:  # or where xi's term overtakes alpha's, if higher
+            top = max(top, np.sqrt(abs(a)) / np.sqrt(abs(x)))
+        roots = _quadratic_roots(a, 40.0 * np.pi / 3.0 * m.coeffs.xi)
+        folds = [T.real for T in roots if T.imag == 0.0 and T.real > 0.0 and roots.count(T) == 1]
+        E_peak = float(np.sqrt(min(folds, default=np.inf) / 3.0))
+        # half the smallest |arg t| over the zeros t of D/E in t = E^2 = e^{2x}
+        distance = 0.5 * float(np.min(np.abs(np.angle(_quadratic_roots(a, x))), initial=np.inf))
+        log_limit, hi = 0.0, np.log(np.finfo(float).max)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(64):
+                mid = 0.5 * (log_limit + hi)
+                if np.isfinite(_displacement(m, np.exp(mid))):
+                    log_limit = mid
+                else:
+                    hi = mid
+    elif m.kind != MAXWELL:
+        raise UnsupportedModel(f"{m.kind} has no constitutive map")
+    D_max = np.inf if E_peak == np.inf else float(_displacement(m, E_peak))
+    return _Shape(scale, top, E_peak, D_max, min(max(distance, _PANEL_FLOOR), _ANCHOR_STEP),
+                  log_limit)
 
 
 def attainable_displacement_max(m: LagrangianModel) -> float:
     """sup of D over the field domain (inf for monotone unbounded maps);
     UnsupportedModel for a kind with no constitutive map."""
-    return _map_shape(m)[1]
-
-
-def _coulomb_deviation(m: LagrangianModel, E, D):
-    """v = 1 - E/D at a point (D, E) of the map without subtractive
-    cancellation (float or array)."""
-    if m.kind == BORN_INFELD:
-        # E/D = E0/h with h = hypot(E0, D), so v = (h - E0)/h = D^2/(h (h + E0))
-        h = np.hypot(m.E0, D)
-        return (D / h) * (D / (h + m.E0))
-    if m.kind == LOG_SCHROEDINGER:
-        # E/D = 1 + (E/E0)^2 exactly
-        return -((E / m.E0) ** 2)
-    c = m.coeffs
-    extra = _term(16.0 * np.pi * c.alpha, E, 3) + _term(24.0 * np.pi * c.xi, E, 5)
-    return extra / (E + extra)
+    return _shape(m).D_max
 
 
 _X_TOL = 1e-15   # a step, or a bracket, this small in x ends the solve
@@ -393,7 +369,7 @@ _MAX_EVALS = 200
 
 
 def _invert(m: LagrangianModel, D: np.ndarray):
-    """(E, v, evaluations, residual, lower) for an array of displacements
+    """(E, evaluations, residual, lower) for an array of displacements
     D > 0 by one safeguarded Newton-bisection, elementwise.
 
     Each element walks the forward map (_search_walk) from the point
@@ -402,36 +378,36 @@ def _invert(m: LagrangianModel, D: np.ndarray):
     full precision; Newton's slope is d ln D/dx.  Born-infeld, whose walk
     reads only D, starts at its root.  The ln E kinds bracket the root
     between E_top and min(D, the smallest normal float), where D(E) = E to
-    double precision, and bisect where Newton would leave the bracket.  An element
-    takes its last step when that step or its bracket is below _X_TOL, so
-    an array call equals the per-element calls bit for bit.  ``lower`` tags
+    double precision, and bisect where Newton would leave the bracket.  An
+    element takes its last step when that step or its bracket is below
+    _X_TOL, so an array call equals the per-element calls bit for bit.  ``lower`` tags
     lower-of-two roots, and D in the accepted band at or just above D_max
     returns the peak.  NoSolution and ConvergenceFailure name the first
     offending element.
     """
-    E_peak, D_max = _map_shape(m)  # raises UnsupportedModel for a kind with no map
-    if _characteristic_field(m) is None:
+    shape = _shape(m)  # raises UnsupportedModel for a kind with no map
+    if shape.scale is None:
         zero = np.zeros_like(D)
-        return D.copy(), zero, zero.astype(int), zero, zero.astype(bool)
-    above = D > D_max * (1.0 + 1e-13)
+        return D.copy(), zero.astype(int), zero, zero.astype(bool)
+    above = D > shape.D_max * (1.0 + 1e-13)
     if np.count_nonzero(above):
-        raise NoSolution(float(D[np.argmax(above)]), D_max)
-    lower = (D < D_max * (1.0 - 1e-12)) & (D_max < np.inf)
+        raise NoSolution(float(D[np.argmax(above)]), shape.D_max)
+    lower = (D < shape.D_max * (1.0 - 1e-12)) & (shape.D_max < np.inf)
     if m.kind == BORN_INFELD:
         E, lo, hi = D, np.zeros_like(D), np.zeros_like(D)
     else:
-        E_top = min(E_peak, np.exp(_log_field_limit(m)))
-        E = np.where(D >= D_max, E_top, np.minimum(D, E_top))
+        E_top = min(shape.E_peak, np.exp(shape.log_limit))
+        E = np.where(D >= shape.D_max, E_top, np.minimum(D, E_top))
         ln_E = np.log(E)
         lo = np.log(np.minimum(D, np.finfo(float).tiny)) - ln_E
         hi = np.log(E_top) - ln_E
 
-    # the elements still solving (act): target d, current point (dx, e) and
-    # the bracket [lo, hi] in offsets from it; born-infeld starts at its root
-    Dx, E, _ = _search_walk(m, D, E, 0.0)
+    # the elements still solving (act): target d, point (dx, e) and its slope,
+    # and the bracket [lo, hi] in offsets from it; born-infeld starts at its root
+    Dx, E, _, slope = _search_walk(m, D, E, 0.0)
     evals = np.ones(D.shape, dtype=int)
     act = np.flatnonzero(lo < hi)
-    d, dx, e, lo, hi = D[act], Dx[act], E[act], lo[act], hi[act]
+    d, dx, e, slope, lo, hi = D[act], Dx[act], E[act], slope[act], lo[act], hi[act]
     k = 1
     while act.size:
         k += 1
@@ -441,20 +417,20 @@ def _invert(m: LagrangianModel, D: np.ndarray):
         f = np.log(dx / d)
         lo, hi = np.where(f <= 0.0, 0.0, lo), np.where(f >= 0.0, 0.0, hi)
         # a flat or falling slope (at or past a peak) takes the bisection
-        slope = _displacement_slope(m, e)
         step = -f / np.where(slope > 0.0, slope, np.nan)
         inside = (lo < step) & (step < hi)
         if np.count_nonzero(inside) < inside.size:
             step = np.where(inside, step, 0.5 * (lo + hi))
         last = np.minimum(hi - lo, np.abs(step)) <= _X_TOL
-        dx, e, _ = _search_walk(m, dx, e, step)
+        dx, e, _, slope = _search_walk(m, dx, e, step)
         n_last = np.count_nonzero(last)
         if n_last:
             Dx[act[last]], E[act[last]], evals[act[last]] = dx[last], e[last], k
             if n_last == act.size:
                 break
             keep = ~last
-            act, d, dx, e, lo, hi, step = (a[keep] for a in (act, d, dx, e, lo, hi, step))
+            act, d, dx, e, slope, lo, hi, step = (
+                a[keep] for a in (act, d, dx, e, slope, lo, hi, step))
         lo, hi = lo - step, hi - step
     residual = np.abs(Dx - D) / D
     bad = residual > RESIDUAL_LIMIT
@@ -464,7 +440,7 @@ def _invert(m: LagrangianModel, D: np.ndarray):
             f"inversion residual {residual[i]:.3e} above {RESIDUAL_LIMIT} "
             f"for {m.kind} at D = {float(D[i])!r}",
             residual=float(residual[i]), D=float(D[i]))
-    return E, _coulomb_deviation(m, E, Dx), evals, residual, lower
+    return E, evals, residual, lower
 
 
 def field_from_displacement(m: LagrangianModel, D: float) -> InversionResult:
@@ -478,8 +454,8 @@ def field_from_displacement(m: LagrangianModel, D: float) -> InversionResult:
         raise ValueError(f"displacement must be finite and >= 0, got {D}")
     if d_target == 0.0:
         return InversionResult(E=0.0, iterations=0, residual=0.0, branch=BRANCH_UNIQUE)
-    E, v, evals, residual, lower = _invert(m, np.array([d_target]))
+    E, evals, residual, lower = _invert(m, np.array([d_target]))
     return InversionResult(E=float(E[0]), iterations=int(evals[0]),
                            residual=float(residual[0]),
                            branch=BRANCH_LOWER if lower[0] else BRANCH_UNIQUE,
-                           coulomb_deviation=float(v[0]))
+                           coulomb_deviation=float(_coulomb_deviation(m, E[0], d_target)))

@@ -30,8 +30,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .constants import PhysicalConstants, classical_electron_radius, constants
-from .constitutive import (_characteristic_field, _displacement_slope, _walk,
-                           attainable_displacement_max, field_from_displacement)
+from .constitutive import (_shape, _walk, attainable_displacement_max,
+                           field_from_displacement)
 from .errors import ConfigurationError, Divergent, NoSolution, UnsupportedModel
 from .kinematics import FOUR_PI
 from .models import (BORN_INFELD, LagrangianModel, born_infeld,
@@ -56,18 +56,18 @@ class StressSummary:
 def radial_scale(m: LagrangianModel, e: float, cutoff_r: float | None = None) -> float:
     """The radial unit r_s of profile grids and radial integrals.
 
-    sqrt(e/E0) for the limiting-field kinds; sqrt(e/E_c) for polynomial
-    models, E_c being the field where their nonlinearity becomes order one;
-    otherwise the cutoff when one is given, else the classical electron
-    radius e^2/(m_e c^2) (both constant presets share m_e and c).
+    sqrt(e/E_c) for a map with a scale E_c (E0, or where a polynomial's
+    nonlinearity becomes order one); otherwise the cutoff when one is given,
+    else the classical electron radius e^2/(m_e c^2) (both constant presets
+    share m_e and c).
     """
     if not 0 < e < np.inf:
         raise ConfigurationError(f"charge must be finite and positive, got {e}")
     if cutoff_r is not None and not cutoff_r > 0:
         raise ConfigurationError(f"cutoff radius must be positive, got {cutoff_r}")
-    char = _characteristic_field(m)
-    if char is not None:
-        return float(np.sqrt(e / char))
+    scale = _shape(m).scale  # UnsupportedModel for a kind with no constitutive map
+    if scale is not None:
+        return float(np.sqrt(e / scale))
     if cutoff_r is not None:
         return float(cutoff_r)
     k = constants()
@@ -138,10 +138,10 @@ def _stress_walk(m: LagrangianModel, e: float,
         D_0 = E_0 = _source_displacement(e, r_s)
         inner = partial(_check_inner, e)
 
-    def integrand(D, E, _, w):
+    def integrand(D, E, _, slope, w):
         """u dV, (u - 2L) dV and |u dV| + |L dV|, weighted."""
         u, L = _stress_densities(m, E, D)
-        dV = 2.0 * np.pi * (e / D) ** 1.5 * _displacement_slope(m, E)
+        dV = 2.0 * np.pi * (e / D) ** 1.5 * slope
         return w * (u * dV), w * ((u - 2.0 * L) * dV), w * (np.abs(u * dV) + np.abs(L * dV))
 
     sums = _walk(m, np.array([D_0]), np.array([E_0]), integrand, inner, lower=True)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energetics
-from .constitutive import (_charge_factor, _displacement_slope, _invert, _walk,
-                           attainable_displacement_max, field_from_displacement)
+from .constitutive import (_charge_factor, _invert, _walk, attainable_displacement_max,
+                           field_from_displacement)
 from .errors import ConfigurationError, NoSolution, NumericalError
 from .kinematics import FOUR_PI
 from .models import BORN_INFELD, LagrangianModel
@@ -143,7 +143,7 @@ def _potential(m: LagrangianModel, e: float, r: np.ndarray,
     the inverted E_i is the walk's own point at D_i, so each integral ends
     at the E_i that is subtracted.
     """
-    sums = _walk(m, e / r**2, E, lambda D, E, slope, w: (w * np.sqrt(e / D) * E * slope,))
+    sums = _walk(m, e / r**2, E, lambda D, E, slope, _, w: (w * np.sqrt(e / D) * E * slope,))
     return np.cumsum(sums[0, 0, ::-1])[::-1][:r.size] - r * E
 
 
@@ -269,9 +269,9 @@ def check_stress_divergence(profile: SolitonProfile) -> float:
         return float("inf")
     e = r[0] ** 2 * D[0]
 
-    def integrand(D, E, _, w):
+    def integrand(D, E, _, slope, w):
         L = energetics._stress_densities(m, E, D)[1]
-        return (w * (e / D) * L * _displacement_slope(m, E),)
+        return (w * (e / D) * L * slope,)
 
     integral = _walk(m, D, E, integrand)[0, 0, :r.size - 1]  # int 2 r L dr per step
     jump = np.diff(r**2 * profile.u)  # T_rr = u

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from nled import constitutive
+from nled import constitutive, polynomial
+
+# log10 |alpha| and log10 xi over sixty decades, either sign of alpha
+PLANE = st.builds(lambda sign, la, lx: polynomial(alpha=sign * 10.0**la, xi=10.0**lx),
+                  st.sampled_from([-1.0, 1.0]), st.floats(-30.0, 30.0), st.floats(-30.0, 30.0))
 
 
 class _LoggingGenerator:
@@ -59,6 +64,7 @@ def floor_layout(monkeypatch):
     reference layout that wider panels must agree with."""
     def under(run):
         with monkeypatch.context() as patch:
-            patch.setattr(constitutive, "_panel_width", lambda m: 0.5)
+            shape = constitutive._shape
+            patch.setattr(constitutive, "_shape", lambda m: shape(m)._replace(width=0.5))
             return run()
     return under

@@ -10,7 +10,10 @@ from nled import (ConvergenceFailure, NoSolution, UnsupportedModel,
                   log_schroedinger, maxwell, mie_sqrt, polynomial, total_energy)
 from nled import constitutive
 
+from conftest import PLANE
+
 FOUR_PI = 4 * np.pi
+EPS = np.finfo(float).eps
 K = constants("historical1934")
 E0 = 9.18e15
 
@@ -68,6 +71,21 @@ def forward_mp(m, E):
             return E
         c = m.coeffs
         return abs(E + 16 * mpmath.pi * c.alpha * E**3 + 24 * mpmath.pi * c.xi * E**5)
+
+
+def map_terms_mp(m, E):
+    """(D, d ln D/d ln E, v = 1 - E/D, 1 - d ln E/d ln D) in 40 digits at the
+    double E, for the log model and the polynomial, each in a form that does
+    not cancel."""
+    with mpmath.workdps(40):
+        E = mpmath.mpf(E)
+        if m.kind == "log-schroedinger":
+            t = (E / m.E0) ** 2
+            return E / (1 + t), (1 - t) / (1 + t), -t, -2 * t / (1 - t)
+        a = 16 * mpmath.pi * mpmath.mpf(m.coeffs.alpha) * E**2
+        x = 24 * mpmath.pi * mpmath.mpf(m.coeffs.xi) * E**4
+        return (E * (1 + a + x), (1 + 3 * a + 5 * x) / (1 + a + x), (a + x) / (1 + a + x),
+                (2 * a + 4 * x) / (1 + 3 * a + 5 * x))
 
 
 def narrow_extrema():
@@ -248,6 +266,37 @@ class TestInversion:
         assert_allclose(displacement_from_field(m, res.E), 1e70, rtol=1e-12)
 
 
+class TestMapAlgebra:
+    """The point form of the kinds walked in ln E: D, d ln D/d ln E,
+    v = 1 - E/D and 1 - d ln E/d ln D within a few ulp of 40-digit
+    references, from 1e-150 E_c up to 0.9 of the peak field (or to the
+    largest field where D is finite)."""
+
+    @pytest.mark.parametrize("m", [m for m, _ in WHOLE_RANGE
+                                   if m.kind in ("log-schroedinger", "polynomial")])
+    def test_against_references(self, m):
+        shape = constitutive._shape(m)
+        E = np.geomspace(1e-150 * shape.scale,
+                         min(0.9 * shape.E_peak, np.exp(shape.log_limit)), 121)
+        D = displacement_from_field(m, E)
+        got = (D, constitutive._search_walk(m, D, E, 0.0)[3],
+               constitutive._coulomb_deviation(m, E, D), constitutive._charge_factor(m, E, D))
+        for i, e in enumerate(E):
+            for name, value, want in zip(("D", "slope", "v", "factor"), got, map_terms_mp(m, e)):
+                # eight ulp, and a few subnormal steps where a term underflows
+                assert abs(value[i] - float(want)) <= 8 * EPS * abs(want) + 4 * 2.0**-1074, \
+                    (name, e)
+
+    def test_tail_deviation_keeps_its_power(self):
+        # h = a + x goes as E^2; 16 pi alpha E^3 underflowed here, and v read 0.0
+        res = field_from_displacement(polynomial(alpha=1.0), 1e-120)
+        assert abs(res.coulomb_deviation / (16 * np.pi * 1e-240) - 1) <= 1e-15
+
+    def test_displacement_past_the_fold(self):
+        # D = E g: E + E h would cancel to 0 this far past the log model's fold
+        assert abs(displacement_from_field(log_schroedinger(1.0), 1e10) / 1e-10 - 1) <= 1e-15
+
+
 class TestKernel:
     """The array inversion behind field_from_displacement and the profiles."""
 
@@ -255,10 +304,11 @@ class TestKernel:
     def test_array_equals_per_point(self, model, d_top):
         D = np.geomspace(1e-300, d_top, 601)
         D = D[D <= attainable_displacement_max(model)]
-        E, v, evals, residual, lower = constitutive._invert(model, D)
+        E, evals, residual, lower = constitutive._invert(model, D)
         points = [field_from_displacement(model, d) for d in D]
         for got, want in [(E, [p.E for p in points]),
-                          (v, [p.coulomb_deviation for p in points]),
+                          (constitutive._coulomb_deviation(model, E, D),
+                           [p.coulomb_deviation for p in points]),
                           (residual, [p.residual for p in points])]:
             assert got.tobytes() == np.array(want).tobytes()
         assert evals.tolist() == [p.iterations for p in points]
@@ -271,7 +321,7 @@ class TestKernel:
         # D -> E -> D across 300 decades around the characteristic field,
         # the way back in 40 digits
         m = SHAPES[name]
-        d = 10.0**decades * (constitutive._characteristic_field(m) or 1.0)
+        d = 10.0**decades * (constitutive._shape(m).scale or 1.0)
         d_max = attainable_displacement_max(m)
         try:
             res = field_from_displacement(m, d)
@@ -366,11 +416,6 @@ def width_mp(m):
     return min(max(float(distance), 0.5), 2.0)
 
 
-# log10 |alpha| and log10 xi over sixty decades, either sign of alpha
-PLANE = st.builds(lambda sign, la, lx: polynomial(alpha=sign * 10.0**la, xi=10.0**lx),
-                  st.sampled_from([-1.0, 1.0]), st.floats(-30.0, 30.0), st.floats(-30.0, 30.0))
-
-
 class TestPanelWidth:
     """The walk's panels are as wide as each map's nearest complex
     singularity allows, from 0.5 to one anchor step of 2."""
@@ -388,9 +433,9 @@ class TestPanelWidth:
     ], ids=["born_infeld", "log_model", "maxwell", "alpha", "negative_alpha", "xi",
             "monotone_negative_alpha"])
     def test_closed_forms(self, m, width):
-        assert_allclose(constitutive._panel_width(m), width, rtol=1e-15)
+        assert_allclose(constitutive._shape(m).width, width, rtol=1e-15)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(m=PLANE)
     def test_against_polyroots(self, m):
-        assert_allclose(constitutive._panel_width(m), width_mp(m), rtol=1e-12)
+        assert_allclose(constitutive._shape(m).width, width_mp(m), rtol=1e-12)

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings
 from numpy.testing import assert_allclose
 from scipy.special import gamma
 
@@ -23,6 +23,8 @@ from nled import constitutive, energetics, quadrature
 from nled.energetics import radial_scale
 from nled.models import density_from_invariants
 from nled.soliton import RadialGrid
+
+from conftest import PLANE
 
 # Independent closed form for the self-energy constant.
 C_EXACT = float(gamma(0.25) ** 2 / (6 * np.sqrt(np.pi)))
@@ -97,6 +99,39 @@ def field_space_reference(name):
         else:
             limits = [0, mpmath.sqrt(field_from_displacement(m, K.e / cutoff**2).E)]
         return tuple(float(mpmath.quad(lambda t: integrand(t, trace), limits))
+                     for trace in (False, True))
+
+
+def two_term_polynomial(lift):
+    """polynomial(alpha=1, xi) with xi's scale lift e-folds above alpha's, so
+    that xi's term overtakes alpha's 2 lift e-folds above alpha's scale."""
+    E_alpha = (16 * np.pi) ** -0.5
+    return polynomial(alpha=1.0, xi=(E_alpha * np.exp(lift)) ** -4 / (24 * np.pi))
+
+
+@lru_cache(maxsize=None)
+def log_field_reference(m):
+    """(U, trace) at e = 1 without a cutoff for a monotone polynomial with
+    alpha > 0 and xi > 0, by 30-digit quadrature over s = ln E in 8-wide
+    pieces: from 90 e-folds below the lower term scale, where the integrands
+    go as e^{s/2}, to 60 above where xi's term takes over, where they go as
+    e^{-3s/2}."""
+    a, x = mpmath.mpf(m.coeffs.alpha), mpmath.mpf(m.coeffs.xi)
+    E_alpha, E_xi = (16 * np.pi * m.coeffs.alpha) ** -0.5, (24 * np.pi * m.coeffs.xi) ** -0.25
+    lo = np.log(min(E_alpha, E_xi)) - 90
+    hi = np.log(max(E_alpha, E_xi, E_xi**2 / E_alpha)) + 60
+
+    def integrand(s, trace):
+        E = mpmath.exp(s)
+        D = E + 16 * mpmath.pi * a * E**3 + 24 * mpmath.pi * x * E**5
+        dD = 1 + 48 * mpmath.pi * a * E**2 + 120 * mpmath.pi * x * E**4
+        L = E**2 / (8 * mpmath.pi) + a * E**4 + x * E**6
+        u = E * D / (4 * mpmath.pi) - L
+        return (u - 2 * L if trace else u) * 2 * mpmath.pi * D**-2.5 * dD * E
+
+    with mpmath.workdps(30):
+        pieces = [*np.arange(lo, hi, 8.0), hi]
+        return tuple(float(mpmath.quad(lambda s: integrand(s, trace), pieces))
                      for trace in (False, True))
 
 
@@ -301,6 +336,49 @@ class TestVirial:
         assert abs(s.laue_trace) <= 1e-14 * s.U_total
 
 
+class TestCenterTop:
+    """Without a cutoff the center walk reaches past the map's top, where its
+    last power law sets in: with alpha > 0, xi's term overtakes alpha's at
+    E^2 = 16 pi alpha/24 pi xi.  When that lay 8-16 e-folds past a walk
+    that stopped 40 above alpha's scale, the center closed on alpha's rate
+    and both rules agreed on the wrong tail (U off by 2.1e-12, quad_error
+    4.2e-13 of U)."""
+
+    @pytest.mark.parametrize("lift", [24, 25, 26, 28])
+    def test_against_log_field_reference(self, lift):
+        m = two_term_polynomial(lift)
+        U_ref, trace_ref = log_field_reference(m)
+        s = stress_integrals(m, 1.0)
+        assert abs(s.U_total - U_ref) <= 1e-14 * U_ref
+        assert abs(s.U_total - U_ref) <= s.quad_error
+        assert abs(s.laue_trace - trace_ref) <= 1e-14 * U_ref
+
+    def test_top_beyond_reach(self):
+        # xi's term takes over ~350 e-folds above alpha's scale, where the
+        # walk's densities overflow; the anchors stop short, and U is alpha's
+        s = stress_integrals(polynomial(alpha=1e100, xi=1e-100), 1.0)
+        assert_allclose(s.U_total, stress_integrals(polynomial(alpha=1e100), 1.0).U_total,
+                         rtol=1e-14)
+        assert abs(s.laue_trace) <= 1e-14 * s.U_total
+
+
+class TestVonLaue:
+    """The integrated stress trace of a finite-energy static soliton
+    vanishes (von Laue; Derrick, J. Math. Phys. 5, 1252, 1964): a
+    model-independent oracle over the polynomial plane, without a cutoff."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(m=PLANE)
+    @example(m=two_term_polynomial(24))
+    @example(m=two_term_polynomial(25))
+    @example(m=two_term_polynomial(26))
+    @example(m=two_term_polynomial(28))
+    def test_trace_vanishes_on_the_plane(self, m):
+        assume(attainable_displacement_max(m) == np.inf)  # a fold has no energy without a cutoff
+        s = stress_integrals(m, K.e)
+        assert abs(s.laue_trace) <= 1e-13 * s.U_total
+
+
 class TestWork:
     """What an energy call costs: no QUADPACK, no inversion at a node."""
 
@@ -380,12 +458,9 @@ class TestPanelLayout:
     # floor_layout patches only inside each call, so it holds nothing between inputs
     @settings(max_examples=60, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(sign=st.sampled_from([-1.0, 1.0]), la=st.floats(-30.0, 30.0),
-           lx=st.floats(-30.0, 30.0))
-    def test_polynomial_plane_agrees_with_floor_layout(self, sign, la, lx, floor_layout):
-        # log10 |alpha| and log10 xi over sixty decades; a folding map is cut
-        # off at twice its fold radius
-        m = polynomial(alpha=sign * 10.0**la, xi=10.0**lx)
+    @given(m=PLANE)
+    def test_polynomial_plane_agrees_with_floor_layout(self, m, floor_layout):
+        # a folding map is cut off at twice its fold radius
         d_max = attainable_displacement_max(m)
         cutoff = 2 * np.sqrt(K.e / d_max) if np.isfinite(d_max) else None
         assert_agrees_with_floor_layout(floor_layout, m, cutoff)
@@ -407,8 +482,9 @@ class TestClosingRate:
         # k = 1 - 5/2; the closing panel then ran upward and gave U = 2.18e-11
         m = POLY_STIFF_XI
         alpha_scale = 1.0 / np.sqrt(16 * np.pi * m.coeffs.alpha)
+        shape = constitutive._shape
         for module in (constitutive, energetics):
-            monkeypatch.setattr(module, "_characteristic_field", lambda m: alpha_scale)
+            monkeypatch.setattr(module, "_shape", lambda m: shape(m)._replace(scale=alpha_scale))
         with pytest.raises(NumericalError) as exc_info:
             stress_integrals(m, 1.0)
         assert exc_info.value.details["rate"] == pytest.approx(-1.5)
