@@ -17,12 +17,12 @@ the logit w of the radicand 1 - E^2/E0^2, in which ln D = ln E0 + w/2
 exactly, so the walk's point at D itself is the root across ~600 decades
 of D; the other nonlinear kinds are solved in ln E, and linear maps return
 E = D.  Maps with a fold return the lower root, the branch connected to
-E = 0, and tag the ambiguity.  The same variable carries _walk, one fixed
-panel rule along the forward map from points already inverted, so nothing
-more is inverted: its panels are as wide as the map's nearest complex
-singularity allows, and without a cutoff its center reaches past the
-map's top.  The potential, the energy and stress integrals and the stress
-check are its callers, each giving only its start points and integrand.
+E = 0, and tag the ambiguity.  The same variable carries _walk, Gauss
+panels along the forward map from points already inverted: as wide, and on
+each segment with as few points (4 to 16), as the map's nearest complex
+singularity allows, and without a cutoff reaching past the map's top.  The
+potential, the energy and stress integrals and the stress check are its
+callers, each giving only its start points and integrand.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def _coulomb_deviation(m: LagrangianModel, E, D):
     return h / g
 
 
-def _search_walk(m: LagrangianModel, D, E, delta):
+def _search_walk(m: LagrangianModel, D, E, delta, slope: bool = True):
     """(D, E, d ln E/dx, d ln D/dx) at offsets delta along the inversion's
     search variable x from anchor points (D, E) on the forward map.
 
@@ -115,8 +115,8 @@ def _search_walk(m: LagrangianModel, D, E, delta):
     E = D E0 / hypot(E0, D) = E0 sqrt(sigmoid(w)), held at or below E0 where
     it rounds above deep inside and taken as E0 (D/hypot) where E0/hypot is
     subnormal (D/E0 above ~1e308), and d ln E/dw = (E/D)^2 / 2.  The other
-    kinds walk x = ln E: E = E_a e^delta, and D and d ln D/dx from
-    _map_terms, except for maxwell, whose D is E.
+    kinds walk x = ln E: E = E_a e^delta, and D and d ln D/dx (None without
+    slope) from _map_terms, except for maxwell, whose D is E.
     """
     if m.kind == BORN_INFELD:
         D = D * np.exp(0.5 * delta)
@@ -128,27 +128,34 @@ def _search_walk(m: LagrangianModel, D, E, delta):
     if m.kind == MAXWELL:
         return E, E, np.ones_like(E), np.ones_like(E)
     g, _, q = _map_terms(m, E)
-    return np.abs(E * g), E, np.ones_like(E), (g + q) / g
+    return np.abs(E * g), E, np.ones_like(E), (g + q) / g if slope else None
 
 
-def _unit_rule(points: int):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    t, w = np.polynomial.legendre.leggauss(points)
-    return 0.5 * (t + 1.0), 0.5 * w
+@lru_cache(maxsize=1)
+def _rule_table():
+    """The walk's Gauss-Legendre rules on [0, 1] in two flat arrays, built on
+    first use: the m-point rule at [m (m - 1)/2, m (m + 1)/2) for m up to
+    _MAX_ORDER, then the closing rule and its lower rule."""
+    x, v = zip(*map(np.polynomial.legendre.leggauss,
+                    (*range(1, _MAX_ORDER + 1), _CLOSING_ORDER, _CLOSING_ORDER - 1)))
+    return 0.5 * (np.concatenate(x) + 1.0), 0.5 * np.concatenate(v)
 
 
-# The walk's fixed quadrature rule: 16-point Gauss-Legendre panels over the
-# segments between anchors, which sit every _ANCHOR_STEP out to _WALK_DEPTH
-# past the map's scale (and inward past its top), and 24-point closing
-# panels in s = e^{k (x - x_end)} beyond the end anchors, where the
-# integrand goes as e^{k x}.  Panels are _Shape.width wide: with the nearest
-# complex singularity that far off the real axis, the 16-point error goes as
-# (2 + sqrt 5)^-32 < 1e-20.  The floor is the width 16 points were sized on:
-# polynomial(alpha = -0.005, xi = 0.001) has zeros of D(E) 0.548 off the
-# real axis in ln E, where 8 points leave 1.7e-10 of U and 8.3e-13 of phi.
-# The lower rule, 15 and 23 points on the same panels, serves an error
-# estimate.
-_RULES = ((_unit_rule(16), _unit_rule(24)), (_unit_rule(15), _unit_rule(23)))
+# The walk's rule: Gauss-Legendre panels over the segments between anchors,
+# which sit every _ANCHOR_STEP out to _WALK_DEPTH past the map's scale (and
+# inward past its top), and 24-point closing panels in s = e^{k (x - x_end)}
+# beyond the end anchors, where the integrand goes as e^{k x}.  Panels are
+# at most d = _Shape.width wide, the nearest complex singularity's distance
+# from the real axis, so each segment's panels of width h take the fewest
+# points n in [4, 16] with an error bound rho^-2n below _PANEL_TOL, where
+# rho = z + sqrt(z^2 + 1), z = 2 d/h (Trefethen, SIAM Rev. 50, 67, 2008):
+# 16 where h = d, 7 on a default log grid's 0.18-wide steps.  The floor
+# width is the one 16 points were sized on: polynomial(-0.005, xi = 0.001)
+# has zeros of D(E) 0.548 off the real axis in ln E, where 8 points leave
+# 1.7e-10 of U and 8.3e-13 of phi.  The lower rule, n - 1 and 23 points on
+# the same panels, serves an error estimate.
+_MIN_ORDER, _MAX_ORDER, _CLOSING_ORDER = 4, 16, 24
+_PANEL_TOL = 1e-20
 _PANEL_FLOOR = 0.5
 _ANCHOR_STEP = 2.0
 _WALK_DEPTH = 40.0
@@ -165,11 +172,11 @@ _RATE_TOL = 1e-10
 
 
 def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
-          lower: bool = False) -> np.ndarray:
+          lower: bool = False, slope: bool = True) -> np.ndarray:
     """Sums per segment, shape (rows, rules, n + 2), of the integrand rows
-    f(D, E, d ln E/dx, d ln D/dx, weight) on the walk's fixed rule (with
-    lower, rule 1 is the lower rule) along the search variable x, so no
-    node is inverted.
+    f(D, E, d ln E/dx, d ln D/dx or None without slope, weight) on the
+    walk's rule (with lower, rule 1 is the lower rule) along the search
+    variable x, so no node is inverted.
 
     The n + 1 anchors are the points (D, E) in falling x, then a uniform
     tail to _WALK_DEPTH below the last one or the map's scale, whichever is
@@ -208,13 +215,11 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
         n, rules = D_a.size - 1, 2 if lower else 1
         ends = ((n, float(rate[-1])), (0, float(rate[0])))[:1 if inner is None else 2]
         if D.size == 1:
-            anchor, delta, weight, seg = _uniform_nodes(
-                n, int(np.ceil(_ANCHOR_STEP / shape.width)), ends, rules)
+            anchor, delta, weight, seg = _uniform_nodes(n, shape.width, ends, rules)
         else:
-            steps = np.append(steps, np.full(n_out, _ANCHOR_STEP))
             anchor, delta, weight, seg = _walk_nodes(
-                steps, np.ceil(steps / shape.width).astype(int), ends, rules)
-        nodes = _search_walk(m, D_a[anchor], E_a[anchor], delta)
+                np.append(steps, np.full(n_out, _ANCHOR_STEP)), shape.width, ends, rules)
+        nodes = _search_walk(m, D_a[anchor], E_a[anchor], delta, slope)
         sums = np.array([np.bincount(seg, weights=row, minlength=rules * (n + 2))
                          for row in f(*nodes, weight)]).reshape(-1, rules, n + 2)
         if inner is not None:
@@ -226,35 +231,44 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
     return sums
 
 
-def _walk_nodes(steps: np.ndarray, panels: np.ndarray, ends, rules: int):
-    """(anchor, offset, weight, bin) of the first rules of _RULES over
-    anchors in falling x, segment j running from anchor j + 1 up to anchor j
-    over the width steps[j] in panels[j] equal panels, and
-    segment steps.size + i closing from the anchor of ends[i] = (anchor,
-    k) to where an integrand going as e^{k x} vanishes, below the anchor
-    for k > 0 and above it for k < 0.  Each offset is taken from the
-    anchor at the low-x end of its segment; rule r sums into bins
-    r (steps.size + 2) + segment."""
+def _walk_nodes(steps: np.ndarray, width: float, ends, rules: int):
+    """(anchor, offset, weight, bin) of the walk's rule (and its lower rule
+    for rules = 2), gathered from _rule_table in one pass per rule: segment j
+    runs from anchor j + 1 up to anchor j (anchors in falling x) over the
+    width steps[j] in ceil(steps[j]/width) equal panels, at least one, of the
+    segment's order, and segment steps.size + i closes from the anchor of
+    ends[i] = (anchor, k) to where an integrand going as e^{k x} vanishes,
+    below the anchor for k > 0 and above it for k < 0.  Each offset is taken
+    from the anchor at the low-x end of its segment; rule r sums into bins r
+    (steps.size + 2) + segment."""
     n = steps.size
-    seg = np.repeat(np.arange(n), panels)
-    width = (steps / panels)[seg][:, None]
-    start = (np.arange(seg.size) - (np.cumsum(panels) - panels)[seg])[:, None] * width
+    panels = np.maximum(np.ceil(steps / width), 1.0).astype(int)
+    seg = np.repeat(np.arange(n), panels)  # per panel
+    h = (steps / panels)[seg]
+    # the least n with rho^-2n <= _PANEL_TOL, i.e. h <= 2 width/sinh(ln(1/_PANEL_TOL)/2n)
+    order = _MIN_ORDER + np.searchsorted(2.0 * width / np.sinh(
+        -0.5 * np.log(_PANEL_TOL) / np.arange(_MIN_ORDER, _MAX_ORDER)), h)
+    start = (np.arange(seg.size) - (np.cumsum(panels) - panels)[seg]) * h
+    t, w = _rule_table()
     parts = []
-    for r, ((t, w), (s, w_s)) in enumerate(_RULES[:rules]):
-        parts.append((np.repeat(seg + 1, t.size), (start + width * t).ravel(),
-                      (width * w).ravel(), np.repeat(seg + r * (n + 2), t.size)))
-        for i, (anchor, k) in enumerate(ends):  # s = e^{k (x - x_anchor)} runs from 0 to 1
+    for r in range(rules):
+        m = order - r  # per panel; node i of its rule at m (m - 1)/2 + i in the table
+        i = np.arange(m.sum()) + np.repeat(m * (m - 1) // 2 - np.cumsum(m) + m, m)
+        j, h_i = np.repeat(seg, m), np.repeat(h, m)
+        parts.append((j + 1, np.repeat(start, m) + h_i * t[i], h_i * w[i], j + r * (n + 2)))
+        c = _MAX_ORDER * (_MAX_ORDER + 1) // 2 + r * _CLOSING_ORDER  # past the panel rules
+        s, w_s = t[c:c + _CLOSING_ORDER - r], w[c:c + _CLOSING_ORDER - r]
+        for e, (anchor, k) in enumerate(ends):  # s = e^{k (x - x_anchor)} runs from 0 to 1
             parts.append((np.full(s.size, anchor), np.log(s) / k, w_s / (abs(k) * s),
-                          np.full(s.size, r * (n + 2) + n + i)))
+                          np.full(s.size, r * (n + 2) + n + e)))
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 @lru_cache(maxsize=16)
-def _uniform_nodes(n: int, panels: int, ends, rules: int):
-    """_walk_nodes over n steps of _ANCHOR_STEP in panels panels each: fixed
-    by the walk's length, panel count, closing rates and rules, so built
-    once and shared read-only."""
-    nodes = _walk_nodes(np.full(n, _ANCHOR_STEP), np.full(n, panels), ends, rules)
+def _uniform_nodes(n: int, width: float, ends, rules: int):
+    """_walk_nodes over n steps of _ANCHOR_STEP, fixed by the walk's length,
+    panel width, closing rates and rules: built once, shared read-only."""
+    nodes = _walk_nodes(np.full(n, _ANCHOR_STEP), width, ends, rules)
     for a in nodes:
         a.flags.writeable = False
     return nodes

@@ -56,7 +56,7 @@ class RadialGrid:
             raise ConfigurationError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
         coord = np.log(r) if self.spacing == LOG else r
         steps = np.diff(coord)
-        if not np.allclose(steps, steps[0], rtol=1e-8, atol=0.0):
+        if not np.all(np.abs(steps - steps[0]) <= 1e-8 * abs(steps[0])):  # NaN fails too
             raise ConfigurationError(f"grid is not uniform in its {self.spacing} coordinate")
 
     @property
@@ -143,7 +143,8 @@ def _potential(m: LagrangianModel, e: float, r: np.ndarray,
     the inverted E_i is the walk's own point at D_i, so each integral ends
     at the E_i that is subtracted.
     """
-    sums = _walk(m, e / r**2, E, lambda D, E, slope, _, w: (w * np.sqrt(e / D) * E * slope,))
+    sums = _walk(m, e / r**2, E, lambda D, E, slope, _, w: (w * np.sqrt(e / D) * E * slope,),
+                 slope=False)
     return np.cumsum(sums[0, 0, ::-1])[::-1][:r.size] - r * E
 
 

@@ -68,3 +68,19 @@ def floor_layout(monkeypatch):
             patch.setattr(constitutive, "_shape", lambda m: shape(m)._replace(width=0.5))
             return run()
     return under
+
+
+@pytest.fixture
+def full_order(monkeypatch):
+    """full_order(run): run() with 16-point panels on every segment of the
+    walk, whatever its width and its map's nearest singularity allow; the
+    reference layout that each segment's own Gauss order must agree with."""
+    def under(run):
+        with monkeypatch.context() as patch:
+            patch.setattr(constitutive, "_MIN_ORDER", constitutive._MAX_ORDER)
+            constitutive._uniform_nodes.cache_clear()
+            try:
+                return run()
+            finally:
+                constitutive._uniform_nodes.cache_clear()
+    return under

@@ -1,8 +1,10 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from nled import (ConvergenceFailure, NoSolution, UnsupportedModel,
                   attainable_displacement_max, born_infeld, compute_profile, constants,
@@ -439,3 +441,81 @@ class TestPanelWidth:
     @given(m=PLANE)
     def test_against_polyroots(self, m):
         assert_allclose(constitutive._shape(m).width, width_mp(m), rtol=1e-12)
+
+
+def naive_walk_nodes(steps, width, ends, rules):
+    """constitutive._walk_nodes by one loop per segment, panel and node: each
+    segment takes the fewest points n in [4, 16] whose Bernstein-ellipse
+    bound rho^-2n is at most 1e-20, rho = z + sqrt(z^2 + 1) with z = 2 width/h
+    on its panels of width h (4 on a zero-width segment)."""
+    n, nodes = steps.size, []
+    for r in range(rules):
+        for j, step in enumerate(steps):
+            panels = max(math.ceil(step / width), 1)
+            h = step / panels
+            order = 4
+            if h > 0:
+                z = 2 * width / h
+                order = min(max(math.ceil(math.log(1e20) / (2 * math.log(z + math.sqrt(z * z + 1)))),
+                                4), 16)
+            x, v = np.polynomial.legendre.leggauss(order - r)
+            nodes += [(j + 1, p * h + h * t, h * w, r * (n + 2) + j)
+                      for p in range(panels) for t, w in zip(0.5 * (x + 1.0), 0.5 * v)]
+        x, v = np.polynomial.legendre.leggauss(24 - r)
+        nodes += [(anchor, np.log(s) / k, w / (abs(k) * s), r * (n + 2) + n + i)
+                  for i, (anchor, k) in enumerate(ends) for s, w in zip(0.5 * (x + 1.0), 0.5 * v)]
+    return tuple(np.array(a) for a in zip(*nodes))
+
+
+class TestWalkNodes:
+    """The walk's node builder: every segment's own Gauss order, gathered in
+    one vectorized pass, equals the per-segment construction."""
+
+    @staticmethod
+    def draw(seed):
+        """Steps of a 60-point linear grid in ln D (from ~5 down to ~0.02),
+        random steps up to 6, one zero-width step; a panel width in
+        [0.5, 2]; two closing ends of either sign."""
+        rng = np.random.default_rng(seed)
+        r = np.linspace(0.01, 10.0, 60)
+        steps = np.concatenate([2.0 * np.log(r[1:] / r[:-1]), rng.uniform(0.0, 6.0, 40), [0.0]])
+        rng.shuffle(steps)
+        n = steps.size
+        ends = ((n, float(rng.uniform(0.1, 2.0))), (0, -float(rng.uniform(0.1, 2.0))))
+        return steps, float(rng.uniform(0.5, 2.0)), ends
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("rules", [1, 2])
+    def test_equals_per_segment_loop(self, seed, rules):
+        steps, width, ends = self.draw(seed)
+        got = constitutive._walk_nodes(steps, width, ends, rules)
+        for a, b in zip(got, naive_walk_nodes(steps, width, ends, rules)):
+            assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_segment_rule(self, seed):
+        steps, width, ends = self.draw(seed)
+        n = steps.size
+        anchor, offset, weight, bins = constitutive._walk_nodes(steps, width, ends, 2)
+        panels = np.maximum(np.ceil(steps / width), 1)
+        counts = np.bincount(bins, minlength=2 * (n + 2)).reshape(2, n + 2)[:, :n]
+        order, lower = counts / panels
+        assert_array_equal(lower, order - 1)
+        assert np.all((order >= 4) & (order <= 16))
+        h = steps / panels
+        by_width = np.argsort(h, kind="stable")
+        assert np.all(np.diff(order[by_width]) >= 0)  # never rises as h falls
+        assert order[steps == 0.0].tolist() == [4]
+        assert np.all(np.isfinite(offset)) and np.all(np.isfinite(weight))
+        inner = bins % (n + 2) < n
+        seg = bins[inner] % (n + 2)
+        assert_array_equal(anchor[inner], seg + 1)
+        assert np.all((offset[inner] >= 0.0) & (offset[inner] <= steps[seg]))
+        for rule, points in enumerate((order, lower)):
+            rows = bins[inner] // (n + 2) == rule
+            x, w, j = offset[inner][rows], weight[inner][rows], seg[rows]
+            assert_allclose(np.bincount(j, weights=w, minlength=n), steps, rtol=1e-14)
+            # exact for x^(2 n_j - 1): int_0^step = step^(2 n_j)/(2 n_j)
+            p = 2 * points[j] - 1
+            assert_allclose(np.bincount(j, weights=w * x**p, minlength=n),
+                            steps ** (2 * points) / (2 * points), rtol=1e-13)

@@ -426,27 +426,56 @@ class TestWork:
 
 
 def walk_outputs(m, cutoff):
-    """(U, trace, phi) from the walk: the stress integrals with the cutoff,
-    and phi at the cutoff, or without one at the radial scale and, for
-    born-infeld, at the center."""
+    """(U, trace, quad_error/U, phi) from the walk: the stress integrals
+    with the cutoff, and phi at the cutoff, or without one at the radial
+    scale and, for born-infeld, at the center."""
     s = stress_integrals(m, K.e, spec_at(cutoff))
     phi = [potential_at(m, K.e, cutoff or radial_scale(m, K.e))]
     if cutoff is None and m.kind == "born-infeld":
         phi.append(potential_at(m, K.e, 0.0))
-    return s.U_total, s.laue_trace, np.array(phi)
+    return s.U_total, s.laue_trace, s.quad_error / s.U_total, np.array(phi)
+
+
+def profile_outputs(m):
+    """(phi, stress check) of 400-point profiles on the default log grid and
+    on a linear grid over [0.01, 10] radial scales, trimmed at a fold."""
+    r_s = radial_scale(m, K.e)
+    profiles = [compute_profile(m, K.e), compute_profile(m, K.e, linear_grid(1e-2 * r_s, 10 * r_s))]
+    return [p.phi for p in profiles], [check_stress_divergence(p) for p in profiles]
 
 
 def assert_agrees_with_floor_layout(floor_layout, m, cutoff):
-    (U, trace, phi), (U_ref, trace_ref, phi_ref) = (
+    (U, trace, _, phi), (U_ref, trace_ref, _, phi_ref) = (
         walk_outputs(m, cutoff), floor_layout(lambda: walk_outputs(m, cutoff)))
     assert abs(U - U_ref) <= 1e-14 * abs(U_ref)
     assert abs(trace - trace_ref) <= 1e-14 * abs(U_ref)
     assert_allclose(phi, phi_ref, rtol=1e-14)
 
 
+def assert_agrees_with_full_order(full_order, m, cutoff):
+    def outputs():
+        return walk_outputs(m, cutoff), profile_outputs(m)
+    ((U, trace, err, phi), (phis, checks)), ((U_ref, trace_ref, err_ref, phi_ref),
+                                             (phis_ref, checks_ref)) = outputs(), full_order(outputs)
+    assert abs(U - U_ref) <= 1e-14 * abs(U_ref)
+    assert abs(trace - trace_ref) <= 1e-14 * abs(U_ref)
+    assert abs(err - err_ref) <= 1e-14
+    for got, ref in zip([phi, *phis], [phi_ref, *phis_ref]):
+        assert_allclose(got, ref, rtol=1e-14)
+    assert_allclose(checks, checks_ref, rtol=0.0, atol=1e-14)
+
+
+def plane_cutoff(m):
+    """Twice the fold radius of a folding map, else no cutoff."""
+    d_max = attainable_displacement_max(m)
+    return 2 * np.sqrt(K.e / d_max) if np.isfinite(d_max) else None
+
+
 class TestPanelLayout:
-    """Panels as wide as each map's nearest complex singularity allows give
-    the walk's outputs of the 0.5-wide layout to 1e-14, for fewer nodes."""
+    """Panels as wide as each map's nearest complex singularity allows, and
+    on each segment as few Gauss points as that distance allows, give the
+    walk's outputs of the 0.5-wide and of the 16-point layouts to 1e-14,
+    for fewer nodes."""
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_agrees_with_floor_layout(self, name, floor_layout):
@@ -455,15 +484,23 @@ class TestPanelLayout:
         phi = compute_profile(m, K.e).phi
         assert_allclose(phi, floor_layout(lambda: compute_profile(m, K.e).phi), rtol=1e-14)
 
-    # floor_layout patches only inside each call, so it holds nothing between inputs
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_agrees_with_full_order(self, name, full_order):
+        assert_agrees_with_full_order(full_order, *CASES[name])
+
+    # floor_layout and full_order patch only inside each call, so they hold
+    # nothing between inputs
     @settings(max_examples=60, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(m=PLANE)
     def test_polynomial_plane_agrees_with_floor_layout(self, m, floor_layout):
-        # a folding map is cut off at twice its fold radius
-        d_max = attainable_displacement_max(m)
-        cutoff = 2 * np.sqrt(K.e / d_max) if np.isfinite(d_max) else None
-        assert_agrees_with_floor_layout(floor_layout, m, cutoff)
+        assert_agrees_with_floor_layout(floor_layout, m, plane_cutoff(m))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(m=PLANE)
+    def test_polynomial_plane_agrees_with_full_order(self, m, full_order):
+        assert_agrees_with_full_order(full_order, m, plane_cutoff(m))
 
     def test_born_infeld_node_count(self, recorded):
         # one 16-point panel per anchor step, against four at the floor width
@@ -471,6 +508,16 @@ class TestPanelLayout:
         log = recorded(constitutive, "_search_walk")
         stress_integrals(BI, K.e)
         assert sum(np.size(delta) for *_, delta in log) <= 1400
+
+    @pytest.mark.parametrize("m, most", [(BI, 3300), (maxwell(), 2900), (LS, 2300)],
+                             ids=["born_infeld", "maxwell", "log_model"])
+    def test_profile_node_count(self, m, most, recorded):
+        # 16 points on every segment took 6 750, 6 749 and 4 199 (the log
+        # model's count includes ~460 inversion evaluations); ~7 points now
+        # span a default log grid's step
+        log = recorded(constitutive, "_search_walk")
+        compute_profile(m, K.e)
+        assert sum(np.size(delta) for *_, delta in log) <= most
 
 
 class TestClosingRate:

@@ -76,6 +76,13 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             RadialGrid(r=np.array([1.0, 2.0, 3.0, 4.0, 5.0]), spacing="log")
 
+        def grid(off):  # log steps of 0.1, one of them off by off relative
+            steps = np.array([0.1, 0.1, 0.1 * (1.0 + off), 0.1])
+            return RadialGrid(r=np.exp(np.concatenate([[0.0], np.cumsum(steps)])), spacing="log")
+        assert grid(5e-9).n == 5  # uniform to 1e-8 relative
+        with pytest.raises(ConfigurationError):
+            grid(2e-8)
+
     def test_default_grid_span(self):
         g = default_grid(R0)
         assert g.n == 400
@@ -303,6 +310,21 @@ class TestPotential:
         phi = potential_profile(BI, K.e, g)
         for i in (0, 5, 10):
             assert_allclose(phi[i], potential_at(BI, K.e, g.r[i]), rtol=1e-10)
+
+    @pytest.mark.parametrize("model", [log_schroedinger(E0), polynomial(alpha=0.01, xi=0.001)],
+                             ids=["log_model", "polynomial"])
+    def test_walk_skips_the_slope_it_never_reads(self, model, monkeypatch):
+        # the potential's nodes, the profile's last walk, skip d ln D/dx, and
+        # computing it there would move no bit of phi
+        phi = compute_profile(model, K.e).phi
+        walk, asked = constitutive._search_walk, []
+
+        def sloped(m, D, E, delta, slope=True):
+            asked.append(slope)
+            return walk(m, D, E, delta)
+        monkeypatch.setattr(constitutive, "_search_walk", sloped)
+        assert np.array_equal(compute_profile(model, K.e).phi, phi)
+        assert asked[-1] is False and all(asked[:-1])
 
 
 class TestAssembledProfile:
