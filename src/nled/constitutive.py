@@ -106,7 +106,7 @@ def _coulomb_deviation(m: LagrangianModel, E, D):
     return h / g
 
 
-def _search_walk(m: LagrangianModel, D, E, delta, slope: bool = True):
+def _search_walk(m: LagrangianModel, D, E, delta):
     """(D, E, d ln E/dx, d ln D/dx) at offsets delta along the inversion's
     search variable x from anchor points (D, E) on the forward map.
 
@@ -115,8 +115,8 @@ def _search_walk(m: LagrangianModel, D, E, delta, slope: bool = True):
     E = D E0 / hypot(E0, D) = E0 sqrt(sigmoid(w)), held at or below E0 where
     it rounds above deep inside and taken as E0 (D/hypot) where E0/hypot is
     subnormal (D/E0 above ~1e308), and d ln E/dw = (E/D)^2 / 2.  The other
-    kinds walk x = ln E: E = E_a e^delta, and D and d ln D/dx (None without
-    slope) from _map_terms, except for maxwell, whose D is E.
+    kinds walk x = ln E: E = E_a e^delta, and D and d ln D/dx from
+    _map_terms, except for maxwell, whose D is E.
     """
     if m.kind == BORN_INFELD:
         D = D * np.exp(0.5 * delta)
@@ -128,33 +128,34 @@ def _search_walk(m: LagrangianModel, D, E, delta, slope: bool = True):
     if m.kind == MAXWELL:
         return E, E, np.ones_like(E), np.ones_like(E)
     g, _, q = _map_terms(m, E)
-    return np.abs(E * g), E, np.ones_like(E), (g + q) / g if slope else None
+    return np.abs(E * g), E, np.ones_like(E), (g + q) / g
 
 
 @lru_cache(maxsize=1)
 def _rule_table():
     """The walk's Gauss-Legendre rules on [0, 1] in two flat arrays, built on
-    first use: the m-point rule at [m (m - 1)/2, m (m + 1)/2) for m up to
-    _MAX_ORDER, then the closing rule and its lower rule."""
+    first use: the m-point rule at (m (m - 1) - l (l - 1))/2 for m from
+    l = _LOW_RULE to _MAX_ORDER, then the closing rule and its lower rule."""
     x, v = zip(*map(np.polynomial.legendre.leggauss,
-                    (*range(1, _MAX_ORDER + 1), _CLOSING_ORDER, _CLOSING_ORDER - 1)))
+                    (*range(_LOW_RULE, _MAX_ORDER + 1), _CLOSING_ORDER, _CLOSING_ORDER - 1)))
     return 0.5 * (np.concatenate(x) + 1.0), 0.5 * np.concatenate(v)
 
 
 # The walk's rule: Gauss-Legendre panels over the segments between anchors,
 # which sit every _ANCHOR_STEP out to _WALK_DEPTH past the map's scale (and
 # inward past its top), and 24-point closing panels in s = e^{k (x - x_end)}
-# beyond the end anchors, where the integrand goes as e^{k x}.  Panels are
-# at most d = _Shape.width wide, the nearest complex singularity's distance
-# from the real axis, so each segment's panels of width h take the fewest
-# points n in [4, 16] with an error bound rho^-2n below _PANEL_TOL, where
-# rho = z + sqrt(z^2 + 1), z = 2 d/h (Trefethen, SIAM Rev. 50, 67, 2008):
-# 16 where h = d, 7 on a default log grid's 0.18-wide steps.  The floor
-# width is the one 16 points were sized on: polynomial(-0.005, xi = 0.001)
-# has zeros of D(E) 0.548 off the real axis in ln E, where 8 points leave
-# 1.7e-10 of U and 8.3e-13 of phi.  The lower rule, n - 1 and 23 points on
-# the same panels, serves an error estimate.
+# beyond the end anchors, where the integrand goes as e^{k x}.  Panels of
+# width h are at most d = _Shape.width wide, the nearest complex
+# singularity's distance off the real axis clipped to [_PANEL_FLOOR,
+# _ANCHOR_STEP], and take the fewest points n in [4, 16] whose error bound
+# rho^-2n, rho = z + sqrt(z^2 + 1), z = 2 d/h (Trefethen, SIAM Rev. 50, 67,
+# 2008) is below _PANEL_TOL: 16 at h = d, 7 on a log grid's 0.18 steps.
+# polynomial(-0.005, xi = 0.001) has zeros of D(E) 0.548 off the axis in
+# ln E, where 8 points leave 1.7e-10 of U; a monotone polynomial's come as
+# near as 0.365, where 16 points on 0.5-wide panels leave 5e-17.  The lower
+# rule, n - 1 and 23 points on the same panels, serves an error estimate.
 _MIN_ORDER, _MAX_ORDER, _CLOSING_ORDER = 4, 16, 24
+_LOW_RULE = _MIN_ORDER - 1  # the lowest lower rule, _rule_table's first
 _PANEL_TOL = 1e-20
 _PANEL_FLOOR = 0.5
 _ANCHOR_STEP = 2.0
@@ -172,11 +173,11 @@ _RATE_TOL = 1e-10
 
 
 def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
-          lower: bool = False, slope: bool = True) -> np.ndarray:
+          lower: bool = False) -> np.ndarray:
     """Sums per segment, shape (rows, rules, n + 2), of the integrand rows
-    f(D, E, d ln E/dx, d ln D/dx or None without slope, weight) on the
-    walk's rule (with lower, rule 1 is the lower rule) along the search
-    variable x, so no node is inverted.
+    f(D, E, d ln E/dx, d ln D/dx, weight) on the walk's rule (with lower,
+    rule 1 is the lower rule) along the search variable x, so no node is
+    inverted.
 
     The n + 1 anchors are the points (D, E) in falling x, then a uniform
     tail to _WALK_DEPTH below the last one or the map's scale, whichever is
@@ -219,7 +220,7 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
         else:
             anchor, delta, weight, seg = _walk_nodes(
                 np.append(steps, np.full(n_out, _ANCHOR_STEP)), shape.width, ends, rules)
-        nodes = _search_walk(m, D_a[anchor], E_a[anchor], delta, slope)
+        nodes = _search_walk(m, D_a[anchor], E_a[anchor], delta)
         sums = np.array([np.bincount(seg, weights=row, minlength=rules * (n + 2))
                          for row in f(*nodes, weight)]).reshape(-1, rules, n + 2)
         if inner is not None:
@@ -233,14 +234,13 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
 
 def _walk_nodes(steps: np.ndarray, width: float, ends, rules: int):
     """(anchor, offset, weight, bin) of the walk's rule (and its lower rule
-    for rules = 2), gathered from _rule_table in one pass per rule: segment j
-    runs from anchor j + 1 up to anchor j (anchors in falling x) over the
-    width steps[j] in ceil(steps[j]/width) equal panels, at least one, of the
-    segment's order, and segment steps.size + i closes from the anchor of
-    ends[i] = (anchor, k) to where an integrand going as e^{k x} vanishes,
-    below the anchor for k > 0 and above it for k < 0.  Each offset is taken
-    from the anchor at the low-x end of its segment; rule r sums into bins r
-    (steps.size + 2) + segment."""
+    for rules = 2), gathered from _rule_table: segment j runs from anchor
+    j + 1 up to anchor j (anchors in falling x) over the width steps[j] in
+    max(ceil(steps[j]/width), 1) equal panels of the segment's order, and
+    segment steps.size + i closes from the anchor of ends[i] = (anchor, k)
+    to where an integrand going as e^{k x} vanishes, below the anchor for
+    k > 0 and above it for k < 0.  Each offset is taken from the anchor at
+    its segment's low-x end; rule r sums into bins r (steps.size + 2) + segment."""
     n = steps.size
     panels = np.maximum(np.ceil(steps / width), 1.0).astype(int)
     seg = np.repeat(np.arange(n), panels)  # per panel
@@ -252,11 +252,12 @@ def _walk_nodes(steps: np.ndarray, width: float, ends, rules: int):
     t, w = _rule_table()
     parts = []
     for r in range(rules):
-        m = order - r  # per panel; node i of its rule at m (m - 1)/2 + i in the table
-        i = np.arange(m.sum()) + np.repeat(m * (m - 1) // 2 - np.cumsum(m) + m, m)
+        m = order - r  # per panel; its rule starts at `first` in the table
+        first = (m * (m - 1) - _LOW_RULE * (_LOW_RULE - 1)) // 2
+        i = np.arange(m.sum()) + np.repeat(first - np.cumsum(m) + m, m)
         j, h_i = np.repeat(seg, m), np.repeat(h, m)
         parts.append((j + 1, np.repeat(start, m) + h_i * t[i], h_i * w[i], j + r * (n + 2)))
-        c = _MAX_ORDER * (_MAX_ORDER + 1) // 2 + r * _CLOSING_ORDER  # past the panel rules
+        c = t.size + (r - 2) * _CLOSING_ORDER + 1  # the closing rules end the table
         s, w_s = t[c:c + _CLOSING_ORDER - r], w[c:c + _CLOSING_ORDER - r]
         for e, (anchor, k) in enumerate(ends):  # s = e^{k (x - x_anchor)} runs from 0 to 1
             parts.append((np.full(s.size, anchor), np.log(s) / k, w_s / (abs(k) * s),

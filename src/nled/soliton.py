@@ -143,8 +143,7 @@ def _potential(m: LagrangianModel, e: float, r: np.ndarray,
     the inverted E_i is the walk's own point at D_i, so each integral ends
     at the E_i that is subtracted.
     """
-    sums = _walk(m, e / r**2, E, lambda D, E, slope, _, w: (w * np.sqrt(e / D) * E * slope,),
-                 slope=False)
+    sums = _walk(m, e / r**2, E, lambda D, E, slope, _, w: (w * np.sqrt(e / D) * E * slope,))
     return np.cumsum(sums[0, 0, ::-1])[::-1][:r.size] - r * E
 
 

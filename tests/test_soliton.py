@@ -311,21 +311,6 @@ class TestPotential:
         for i in (0, 5, 10):
             assert_allclose(phi[i], potential_at(BI, K.e, g.r[i]), rtol=1e-10)
 
-    @pytest.mark.parametrize("model", [log_schroedinger(E0), polynomial(alpha=0.01, xi=0.001)],
-                             ids=["log_model", "polynomial"])
-    def test_walk_skips_the_slope_it_never_reads(self, model, monkeypatch):
-        # the potential's nodes, the profile's last walk, skip d ln D/dx, and
-        # computing it there would move no bit of phi
-        phi = compute_profile(model, K.e).phi
-        walk, asked = constitutive._search_walk, []
-
-        def sloped(m, D, E, delta, slope=True):
-            asked.append(slope)
-            return walk(m, D, E, delta)
-        monkeypatch.setattr(constitutive, "_search_walk", sloped)
-        assert np.array_equal(compute_profile(model, K.e).phi, phi)
-        assert asked[-1] is False and all(asked[:-1])
-
 
 class TestAssembledProfile:
     def test_invariants(self):
