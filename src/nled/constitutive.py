@@ -15,12 +15,13 @@ one safeguarded Newton-bisection runs elementwise on an array of D in a
 search variable x, with Newton's slope d ln D/dx.  For born-infeld x is
 the logit w of the radicand 1 - E^2/E0^2, in which ln D = ln E0 + w/2
 exactly, so the walk's point at D itself is the root across ~600 decades
-of D; the other nonlinear kinds are solved in ln E, and linear maps return
-E = D.  Maps with a fold return the lower root, the branch connected to
-E = 0, and tag the ambiguity.  The same variable carries _walk, Gauss
-panels along the forward map from points already inverted: as wide, and on
-each segment with as few points (4 to 16), as the map's nearest complex
-singularity allows, and without a cutoff reaching past the map's top.  The
+of D; the other nonlinear kinds are solved in ln E from a start on the
+map's own samples, and linear maps return E = D.  Maps with a fold return
+the lower root, the branch connected to E = 0, and tag the ambiguity.
+The same variable carries _walk, Gauss panels along the forward map from
+points already inverted: as wide, and on each segment with as few points
+(4 to 16), as the map's nearest complex singularity allows, without a
+cutoff reaching past the map's top, and laid out once per pattern.  The
 potential, the energy and stress integrals and the stress check are its
 callers, each giving only its start points and integrand.
 """
@@ -121,8 +122,10 @@ def _search_walk(m: LagrangianModel, D, E, delta):
     if m.kind == BORN_INFELD:
         D = D * np.exp(0.5 * delta)
         h = np.hypot(m.E0, D)
-        ratio = m.E0 / h
-        E = np.where(ratio >= np.finfo(float).tiny, D * ratio, m.E0 * (D / h))
+        ratio, tiny = m.E0 / h, np.finfo(float).tiny
+        E = D * ratio
+        if not ratio.min() >= tiny:
+            E = np.where(ratio >= tiny, E, m.E0 * (D / h))
         return D, np.minimum(E, m.E0), 0.5 * ratio**2, np.full_like(D, 0.5)
     E = E * np.exp(delta)
     if m.kind == MAXWELL:
@@ -234,35 +237,52 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
 
 def _walk_nodes(steps: np.ndarray, width: float, ends, rules: int):
     """(anchor, offset, weight, bin) of the walk's rule (and its lower rule
-    for rules = 2), gathered from _rule_table: segment j runs from anchor
-    j + 1 up to anchor j (anchors in falling x) over the width steps[j] in
-    max(ceil(steps[j]/width), 1) equal panels of the segment's order, and
-    segment steps.size + i closes from the anchor of ends[i] = (anchor, k)
-    to where an integrand going as e^{k x} vanishes, below the anchor for
-    k > 0 and above it for k < 0.  Each offset is taken from the anchor at
-    its segment's low-x end; rule r sums into bins r (steps.size + 2) + segment."""
-    n = steps.size
+    for rules = 2): segment j runs from anchor j + 1 up to anchor j (anchors
+    in falling x) over the width steps[j] in max(ceil(steps[j]/width), 1)
+    equal panels of the segment's order, and segment steps.size + i closes
+    from the anchor of ends[i] = (anchor, k) to where an integrand going as
+    e^{k x} vanishes, below the anchor for k > 0 and above it for k < 0.
+    Each offset is taken from the anchor at its segment's low-x end; rule r
+    sums into bins r (steps.size + 2) + segment.  The unit layout comes from
+    _layout, cached by its pattern, and is scaled here by the panel widths."""
     panels = np.maximum(np.ceil(steps / width), 1.0).astype(int)
-    seg = np.repeat(np.arange(n), panels)  # per panel
-    h = (steps / panels)[seg]
+    h = steps / panels
     # the least n with rho^-2n <= _PANEL_TOL, i.e. h <= 2 width/sinh(ln(1/_PANEL_TOL)/2n)
     order = _MIN_ORDER + np.searchsorted(2.0 * width / np.sinh(
         -0.5 * np.log(_PANEL_TOL) / np.arange(_MIN_ORDER, _MAX_ORDER)), h)
-    start = (np.arange(seg.size) - (np.cumsum(panels) - panels)[seg]) * h
+    anchor, seg, panel, t, w, bins = _layout(panels.tobytes(), order.tobytes(), ends, rules)
+    h = np.append(h, 1.0)[seg]
+    return anchor, panel * h + h * t, h * w, bins
+
+
+@lru_cache(maxsize=32)
+def _layout(panels: bytes, order: bytes, ends, rules: int):
+    """(anchor, segment, panel, t, w, bin) per node of _walk_nodes's rule for
+    the segments' panel counts and orders (int arrays as bytes), ends and
+    rules: a node sits at offset (panel + t) h with weight w h, h its
+    segment's panel width, and closing nodes, scaled in t and w, on segment
+    n of width 1.  Gathered once per pattern, shared read-only."""
+    panels, order = np.frombuffer(panels, dtype=int), np.frombuffer(order, dtype=int)
+    n = panels.size
+    seg = np.repeat(np.arange(n), panels)  # per panel
+    panel = (np.arange(seg.size) - (np.cumsum(panels) - panels)[seg]).astype(float)
     t, w = _rule_table()
     parts = []
     for r in range(rules):
-        m = order - r  # per panel; its rule starts at `first` in the table
+        m = order[seg] - r  # per panel; its rule starts at `first` in the table
         first = (m * (m - 1) - _LOW_RULE * (_LOW_RULE - 1)) // 2
         i = np.arange(m.sum()) + np.repeat(first - np.cumsum(m) + m, m)
-        j, h_i = np.repeat(seg, m), np.repeat(h, m)
-        parts.append((j + 1, np.repeat(start, m) + h_i * t[i], h_i * w[i], j + r * (n + 2)))
+        j = np.repeat(seg, m)
+        parts.append((j + 1, j, np.repeat(panel, m), t[i], w[i], j + r * (n + 2)))
         c = t.size + (r - 2) * _CLOSING_ORDER + 1  # the closing rules end the table
         s, w_s = t[c:c + _CLOSING_ORDER - r], w[c:c + _CLOSING_ORDER - r]
         for e, (anchor, k) in enumerate(ends):  # s = e^{k (x - x_anchor)} runs from 0 to 1
-            parts.append((np.full(s.size, anchor), np.log(s) / k, w_s / (abs(k) * s),
-                          np.full(s.size, r * (n + 2) + n + e)))
-    return tuple(np.concatenate(a) for a in zip(*parts))
+            parts.append((np.full(s.size, anchor), np.full(s.size, n), np.zeros(s.size),
+                          np.log(s) / k, w_s / (abs(k) * s), np.full(s.size, r * (n + 2) + n + e)))
+    layout = tuple(np.concatenate(a) for a in zip(*parts))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 @lru_cache(maxsize=16)
@@ -319,6 +339,7 @@ class _Shape(NamedTuple):
     D_max: float         # D(E_peak)
     width: float         # the walk's panel width in its search variable
     log_limit: float     # the largest ln E at which D(E) is finite
+    start: tuple | None  # (ln D, ln E) on a lattice of the map, for Newton's start
 
 
 @lru_cache(maxsize=64)
@@ -335,6 +356,9 @@ def _shape(m: LagrangianModel) -> _Shape:
     first vanishes at E^2 = t, the smallest positive simple root; in T = 3t
     the coefficients 16 pi a and 40 pi x/3 are finite for every accepted
     model.  Its ln E limit comes by bisection (E = 7.5e61 for (0.01, 0.001)).
+    The ln E kinds get Newton's start: D(E) by _search_walk every _START_STEP
+    in ln E from _WALK_DEPTH below the scale, where D = E to double
+    precision, up to the solver's top (641 samples for the log model).
     """
     scale = top = None
     E_peak, distance, log_limit = np.inf, np.inf, np.inf
@@ -369,8 +393,16 @@ def _shape(m: LagrangianModel) -> _Shape:
     elif m.kind != MAXWELL:
         raise UnsupportedModel(f"{m.kind} has no constitutive map")
     D_max = np.inf if E_peak == np.inf else float(_displacement(m, E_peak))
+    start = None
+    if scale is not None and m.kind != BORN_INFELD:
+        E_top = min(E_peak, np.exp(log_limit))
+        span = _WALK_DEPTH + np.log(E_top / scale)
+        with np.errstate(over="ignore", invalid="ignore"):  # the unread slope may overflow
+            D, E = _search_walk(m, E_top, E_top, np.linspace(
+                -span, 0.0, int(np.ceil(span / _START_STEP)) + 1))[:2]
+        start = np.log(D), np.log(E)
     return _Shape(scale, top, E_peak, D_max, min(max(distance, _PANEL_FLOOR), _ANCHOR_STEP),
-                  log_limit)
+                  log_limit, start)
 
 
 def attainable_displacement_max(m: LagrangianModel) -> float:
@@ -380,6 +412,9 @@ def attainable_displacement_max(m: LagrangianModel) -> float:
 
 
 _X_TOL = 1e-15   # a step, or a bracket, this small in x ends the solve
+# Newton's start samples the map this often in ln E; linear in ln D, it starts 4e-4
+# from the root in ln E for polynomial(0.01, xi=0.001), 5e-3 by the log model's peak
+_START_STEP = 1.0 / 16.0
 _MAX_EVALS = 200
 
 
@@ -387,18 +422,20 @@ def _invert(m: LagrangianModel, D: np.ndarray):
     """(E, evaluations, residual, lower) for an array of displacements
     D > 0 by one safeguarded Newton-bisection, elementwise.
 
-    Each element walks the forward map (_search_walk) from the point
-    (D, min(D, E_top)), E_top being the peak or the largest field where
-    D(E) is finite, re-anchored at every point it reaches so that E keeps
-    full precision; Newton's slope is d ln D/dx.  Born-infeld, whose walk
-    reads only D, starts at its root.  The ln E kinds bracket the root
-    between E_top and min(D, the smallest normal float), where D(E) = E to
-    double precision, and bisect where Newton would leave the bracket.  An
-    element takes its last step when that step or its bracket is below
-    _X_TOL, so an array call equals the per-element calls bit for bit.  ``lower`` tags
-    lower-of-two roots, and D in the accepted band at or just above D_max
-    returns the peak.  NoSolution and ConvergenceFailure name the first
-    offending element.
+    Each element walks the forward map (_search_walk), re-anchored at every
+    point it reaches so that E keeps full precision; Newton's slope is
+    d ln D/dx.  Born-infeld, whose walk reads only D, starts at its root.
+    The ln E kinds start at ln E interpolated linearly in ln D on their
+    shape's table of forward-map samples, and a D outside the table at
+    min(D, E_top), E_top being the peak or the largest field where D(E) is
+    finite; they bracket the root between E_top and min(D, the smallest
+    normal float), where D(E) = E to double precision, and bisect where
+    Newton would leave the bracket.  An element's start depends on its own
+    D only, and it takes its last step when that step or its bracket is
+    below _X_TOL, so an array call equals the per-element calls bit for
+    bit.  ``lower`` tags lower-of-two roots, and D in the accepted band at
+    or just above D_max returns the peak.  NoSolution and ConvergenceFailure
+    name the first offending element.
     """
     shape = _shape(m)  # raises UnsupportedModel for a kind with no map
     if shape.scale is None:
@@ -413,6 +450,9 @@ def _invert(m: LagrangianModel, D: np.ndarray):
     else:
         E_top = min(shape.E_peak, np.exp(shape.log_limit))
         E = np.where(D >= shape.D_max, E_top, np.minimum(D, E_top))
+        ln_D, (ln_Ds, ln_Es) = np.log(D), shape.start
+        inside = (ln_Ds[0] < ln_D) & (ln_D < ln_Ds[-1])
+        E = np.where(inside, np.minimum(np.exp(np.interp(ln_D, ln_Ds, ln_Es)), E_top), E)
         ln_E = np.log(E)
         lo = np.log(np.minimum(D, np.finfo(float).tiny)) - ln_E
         hi = np.log(E_top) - ln_E

@@ -342,6 +342,47 @@ class TestKernel:
             assert abs(forward_mp(m, res.E) / d - 1) <= 1e-14
 
 
+class TestNewtonStart:
+    """The ln E kinds start Newton from a per-map table of forward-map
+    samples; a start at E = D took up to 7 evaluations."""
+
+    @pytest.mark.parametrize("m, mean, most", [
+        (log_schroedinger(1.0), 3.05, 5),  # 3.375 and 7 from E = D
+        (polynomial(alpha=0.01, xi=0.001), 3.5, 5),  # 4.65 and 7
+        (polynomial(alpha=-0.005, xi=0.001), 3.5, 5),  # 4.49 and 7
+    ], ids=["log_model", "polynomial", "fold"])
+    def test_profile_evaluations(self, m, mean, most):
+        prof = compute_profile(m, 1.0)
+        evals = constitutive._invert(m, prof.D)[1]
+        assert evals.mean() <= mean and evals.max() <= most
+
+    @pytest.mark.parametrize("m, D, most", [
+        (log_schroedinger(1.0), 0.25, 4),  # 5 from E = D
+        (polynomial(alpha=0.01, xi=0.001), 3.0, 5),  # 7
+    ], ids=["log_model", "polynomial"])
+    def test_scalar_evaluations(self, m, D, most):
+        assert field_from_displacement(m, D).iterations <= most
+
+    @pytest.mark.parametrize("m", [m for m, _ in WHOLE_RANGE
+                                   if m.kind in ("log-schroedinger", "polynomial")])
+    def test_table(self, m):
+        # every _START_STEP or less in ln E from _WALK_DEPTH below the scale
+        # up to the solver's top, rising in ln D, taken from the forward map;
+        # polynomial(alpha=2e306), about the widest span accepted, takes 6 318
+        shape = constitutive._shape(m)
+        ln_D, ln_E = shape.start
+        top = min(shape.E_peak, np.exp(shape.log_limit))
+        span = 40.0 + np.log(top / shape.scale)
+        assert ln_D.size <= 16.0 * span + 2 and ln_D.size <= 6400
+        assert_allclose(ln_E[[0, -1]], [np.log(shape.scale) - 40.0, np.log(top)], rtol=1e-13)
+        assert np.all(np.diff(ln_E) <= (1.0 + 1e-12) / 16.0) and np.all(np.diff(ln_D) > 0.0)
+        assert_allclose(ln_D, np.log(displacement_from_field(m, np.exp(ln_E))), rtol=1e-14)
+
+    @pytest.mark.parametrize("m", [born_infeld(1.0), maxwell()], ids=["born_infeld", "maxwell"])
+    def test_no_table(self, m):
+        assert constitutive._shape(m).start is None
+
+
 class TestNarrowFold:
     """A fold whose two extrema lie 15 % apart in E: the map shape must come
     from the closed-form roots of D'(E), not from sampling."""
@@ -488,9 +529,27 @@ class TestWalkNodes:
     @pytest.mark.parametrize("rules", [1, 2])
     def test_equals_per_segment_loop(self, seed, rules):
         steps, width, ends = self.draw(seed)
-        got = constitutive._walk_nodes(steps, width, ends, rules)
-        for a, b in zip(got, naive_walk_nodes(steps, width, ends, rules)):
-            assert_array_equal(a, b)
+        want = naive_walk_nodes(steps, width, ends, rules)
+        for _ in range(2):  # the second call scales the layout cached by the first
+            hits = constitutive._layout.cache_info().hits
+            got = constitutive._walk_nodes(steps, width, ends, rules)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert constitutive._layout.cache_info().hits == hits + 1
+
+    def test_reference_layouts_are_fresh(self, full_order, floor_layout, recorded):
+        # the layout cache is keyed on each segment's panel count and order,
+        # so the 16-point and the 0.5-wide references never replay the default
+        steps, width, ends = self.draw(0)
+        n, panels = steps.size, np.maximum(np.ceil(steps / width), 1)
+        constitutive._walk_nodes(steps, width, ends, 1)
+        bins = full_order(lambda: constitutive._walk_nodes(steps, width, ends, 1))[3]
+        assert_array_equal(np.bincount(bins, minlength=n + 2)[:n], 16 * panels)
+        log = recorded(constitutive, "_layout")
+        for run in (lambda f: f(), floor_layout):
+            run(lambda: compute_profile(born_infeld(E0), K.e))
+        default, floor = (np.frombuffer(panel_counts, dtype=int) for panel_counts, *_ in log)
+        assert floor.sum() > default.sum()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_each_segment_rule(self, seed):

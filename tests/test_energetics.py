@@ -516,7 +516,9 @@ class TestPanelLayout:
     def test_profile_node_count(self, m, most, recorded):
         # 16 points on every segment took 6 750, 6 749 and 4 199 (the log
         # model's count includes ~460 inversion evaluations); ~7 points now
-        # span a default log grid's step
+        # span a default log grid's step; the map's Newton-start table is
+        # sampled once per map, not per profile
+        constitutive._shape(m)
         log = recorded(constitutive, "_search_walk")
         compute_profile(m, K.e)
         assert sum(np.size(delta) for *_, delta in log) <= most

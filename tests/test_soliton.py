@@ -389,3 +389,41 @@ class TestAssembledProfile:
         ls = log_schroedinger(E0)
         with pytest.raises(NoSolution):
             compute_profile(ls, K.e, log_grid(1e-3 * R0, 1e-2 * R0, 50))
+
+
+class TestLayoutCache:
+    """The walk's unit layout is cached by its pattern: segment panel counts
+    and orders, closing ends and rules, never the steps, D or E."""
+
+    COLUMNS = ("D", "E", "rho", "eps", "u", "phi")
+
+    def test_repeated_profile(self):
+        first = compute_profile(NARROW, K.e)
+        hits = constitutive._layout.cache_info().hits
+        again = compute_profile(NARROW, K.e)
+        assert constitutive._layout.cache_info().hits > hits
+        for name in self.COLUMNS:
+            assert getattr(again, name).tobytes() == getattr(first, name).tobytes()
+
+    @pytest.mark.parametrize("kind", [born_infeld, log_schroedinger])
+    def test_default_grids_share_one_layout(self, kind, recorded):
+        # a default grid is fixed in radial-scale units, so its pattern
+        # repeats across E0 and e, and the stress check reuses it
+        log = recorded(constitutive, "_layout")
+        profiles = [compute_profile(kind(E0), e) for E0, e in ((1.0, 1.0), (7.0, K.e))]
+        check_stress_divergence(profiles[1])
+        assert len(log) == 3 and log[0] == log[1] == log[2]
+
+    @pytest.mark.parametrize("model", [BI, log_schroedinger(E0), NARROW, maxwell()],
+                             ids=["born_infeld", "log_schroedinger", "fold", "maxwell"])
+    def test_equals_cold_caches(self, model):
+        r_s = compute_profile(model, K.e).r0
+        grid = linear_grid(0.05 * r_s, 20.0 * r_s, 300)
+        warm = compute_profile(model, K.e, grid)
+        for cache in (constitutive._layout, constitutive._uniform_nodes,
+                      constitutive._rule_table, constitutive._shape):
+            cache.cache_clear()
+        cold = compute_profile(model, K.e, grid)
+        for name in self.COLUMNS:
+            assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
+        assert check_stress_divergence(cold) == check_stress_divergence(warm)
