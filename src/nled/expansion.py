@@ -97,12 +97,13 @@ def estimate_taylor_coefficients(m: LagrangianModel, sample_scale: float = 0.01,
     # Column scaling (powers of s) keeps the condition number O(1).
     col_scale = np.array([s**2, s**4, s**4, s**4, s**6, s**6][:M.shape[1]])
     Ms = M / col_scale
-    condition = float(np.linalg.cond(Ms))
+    coef_scaled, _, _, sv = np.linalg.lstsq(Ms, y, rcond=None)
+    # the condition from the solve's own singular values, not a second SVD
+    condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else np.inf
     if condition > CONDITION_LIMIT:
         raise IllConditioned(
             f"design condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
             condition=condition)
-    coef_scaled, *_ = np.linalg.lstsq(Ms, y, rcond=None)
     coefs = coef_scaled / col_scale
     residual = float(np.max(np.abs(M @ coefs - y)))
     extra = {}

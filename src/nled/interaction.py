@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants
-from .kinematics import (FourPotential, _beta, _real, _squared_speed, _unit, _vec3,
+from .kinematics import (FourPotential, _beta, _dot, _real, _squared_speed, _unit, _vec3,
                          boost_four_potential)
 
 
@@ -48,7 +48,7 @@ def electrokinetic_potential(phi: float, v, A, c: float) -> float:
     v = _vec3(v, "v")
     A = _vec3(A, "A")
     _squared_speed(v, c, "v")
-    return phi - np.vecdot(v, A) / c
+    return phi - _dot(v, A) / c
 
 
 def interaction_lagrangian_density(s: ChargeState, p: FourPotential,
@@ -62,7 +62,7 @@ def interaction_lagrangian_density(s: ChargeState, p: FourPotential,
     """
     form_a = s.rho * electrokinetic_potential(p.phi, s.v, p.A, c)
     # j_mu A_mu = (i c rho)(i phi) + rho v . A = -c rho phi + rho v . A
-    j4_a4 = -c * s.rho * p.phi + s.rho * np.vecdot(s.v, p.A)
+    j4_a4 = -c * s.rho * p.phi + s.rho * _dot(s.v, p.A)
     return form_a, -j4_a4 / c
 
 
@@ -76,8 +76,8 @@ def interaction_energy_momentum(e: float, p: FourPotential,
     """
     eps_e = e * p.phi
     p_e = np.expand_dims(e, -1) * p.A / k.c
-    lhs = e**2 * (np.vecdot(p.A, p.A) - p.phi**2)
-    rhs = -eps_e**2 + k.c**2 * np.vecdot(p_e, p_e)
+    lhs = e**2 * (_dot(p.A, p.A) - p.phi**2)
+    rhs = -eps_e**2 + k.c**2 * _dot(p_e, p_e)
     return eps_e, p_e, abs(lhs - rhs)
 
 
@@ -89,9 +89,9 @@ def boost_charge_state(s: ChargeState, beta, c: float) -> ChargeState:
     """
     b, b2, gamma = _beta(beta)
     _squared_speed(s.v, c, "v")
-    doppler = 1.0 - np.vecdot(b, s.v) / c
+    doppler = 1.0 - _dot(b, s.v) / c
     bhat = b / np.sqrt(np.where(b2 > 0.0, b2, 1.0))[..., None]  # 0 at beta = 0
-    v_par = np.vecdot(bhat, s.v)[..., None] * bhat
+    v_par = _dot(bhat, s.v)[..., None] * bhat
     v_new = (v_par - b * c + (s.v - v_par) / gamma[..., None]) / doppler[..., None]
     return ChargeState(rho=gamma * s.rho * doppler, v=v_new, e=s.e)
 
@@ -118,7 +118,7 @@ def interaction_suite(states: int = 1_000, seed: int = 0,
     form_a, form_b = interaction_lagrangian_density(s, p, c)
     scale = np.maximum(1.0, np.abs(form_a))
     _, _, resid = interaction_energy_momentum(s.e, p, k)
-    lhs_scale = np.abs(s.e**2 * (np.vecdot(p.A, p.A) - p.phi**2))
+    lhs_scale = np.abs(s.e**2 * (_dot(p.A, p.A) - p.phi**2))
     beta = _unit(direction) * boost_beta
     boosted_a, _ = interaction_lagrangian_density(
         boost_charge_state(s, beta, c), boost_four_potential(p, beta), c)

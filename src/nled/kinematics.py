@@ -52,9 +52,23 @@ def _real(x, name: str, shape: tuple = ()):
     return float(a) if a.ndim == 0 else a
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a . b over the last axis of 3-vectors or (..., 3) stacks, broadcast.
+    Elementwise, so a row gives the same bits alone as in a stack; numpy's
+    vecdot calls a dot routine once per row."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, with numpy's cross formula (the same bits)
+    but none of its axis moves and casts."""
+    a0, a1, a2, b0, b1, b2 = a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
 def _squared_speed(v: np.ndarray, c: float, name: str):
     """v . v of a velocity or a stack of them, after checking |v| < c."""
-    v2 = np.vecdot(v, v)
+    v2 = _dot(v, v)
     if np.any(v2 >= c * c):
         raise ValueError(f"|{name}| must be < {c}, got |{name}| = {np.sqrt(np.max(v2))}")
     return v2
@@ -108,16 +122,16 @@ class InvariantSet:
 def invariants(F: FieldVectors, A: FourPotential | None = None) -> InvariantSet:
     """Evaluate I1, I2 (and I3-I5 when a four-potential is given)."""
     E, H = F.E, F.H
-    i1 = np.vecdot(E, E) - np.vecdot(H, H)
-    i2 = np.vecdot(E, H)
+    i1 = _dot(E, E) - _dot(H, H)
+    i2 = _dot(E, H)
     if A is None:
         return InvariantSet(I1=i1, I2=i2)
     a, phi = A.A, A.phi
-    i3 = np.vecdot(a, a) - phi**2
-    v4 = np.expand_dims(phi, -1) * E + np.cross(a, H)
-    v5 = np.expand_dims(phi, -1) * H - np.cross(a, E)
-    i4 = -np.vecdot(E, a) ** 2 + np.vecdot(v4, v4)
-    i5 = -np.vecdot(H, a) ** 2 + np.vecdot(v5, v5)
+    i3 = _dot(a, a) - phi**2
+    v4 = np.expand_dims(phi, -1) * E + _cross(a, H)
+    v5 = np.expand_dims(phi, -1) * H - _cross(a, E)
+    i4 = -_dot(E, a) ** 2 + _dot(v4, v4)
+    i5 = -_dot(H, a) ** 2 + _dot(v5, v5)
     return InvariantSet(I1=i1, I2=i2, I3=i3, I4=i4, I5=i5)
 
 
@@ -128,10 +142,10 @@ def fierz_identity_sides(F: FieldVectors) -> tuple[float, float]:
     The two agree identically; returning both makes the check a test artifact.
     """
     E, H = F.E, F.H
-    e2, h2 = np.vecdot(E, E), np.vecdot(H, H)
-    cross = np.cross(E, H)
-    lhs = (e2 + h2) ** 2 - 4.0 * np.vecdot(cross, cross)
-    rhs = (e2 - h2) ** 2 + 4.0 * np.vecdot(E, H) ** 2
+    e2, h2 = _dot(E, E), _dot(H, H)
+    cross = _cross(E, H)
+    lhs = (e2 + h2) ** 2 - 4.0 * _dot(cross, cross)
+    rhs = (e2 - h2) ** 2 + 4.0 * _dot(E, H) ** 2
     return lhs, rhs
 
 
@@ -141,8 +155,8 @@ def energy_momentum_density(F: FieldVectors, c: float) -> tuple[float, np.ndarra
     (8 pi)^2 (U^2 - c^2 |g|^2) equals the left Fierz side by construction.
     """
     E, H = F.E, F.H
-    U = (np.vecdot(E, E) + np.vecdot(H, H)) / EIGHT_PI
-    g = np.cross(E, H) / (FOUR_PI * c)
+    U = (_dot(E, E) + _dot(H, H)) / EIGHT_PI
+    g = _cross(E, H) / (FOUR_PI * c)
     return U, g
 
 
@@ -156,8 +170,8 @@ def boost(F: FieldVectors, beta) -> FieldVectors:
     E, H = F.E, F.H
     # gamma^2/(gamma+1) = (gamma-1)/beta^2 without cancellation at small beta
     gamma, k = gamma[..., None], (gamma**2 / (gamma + 1.0))[..., None]
-    Ep = gamma * (E + np.cross(b, H)) - k * b * np.vecdot(b, E)[..., None]
-    Hp = gamma * (H - np.cross(b, E)) - k * b * np.vecdot(b, H)[..., None]
+    Ep = gamma * (E + _cross(b, H)) - k * b * _dot(b, E)[..., None]
+    Hp = gamma * (H - _cross(b, E)) - k * b * _dot(b, H)[..., None]
     return FieldVectors(E=Ep, H=Hp)
 
 
@@ -165,7 +179,7 @@ def boost_four_potential(p: FourPotential, beta) -> FourPotential:
     """Boost the 4-potential (phi, A) as a 4-vector."""
     b, b2, gamma = _beta(beta)
     k = (gamma - 1.0) / np.where(b2 > 0.0, b2, 1.0)  # 0 at beta = 0
-    bA = np.vecdot(b, p.A)
+    bA = _dot(b, p.A)
     phi_p = gamma * (p.phi - bA)
     A_p = p.A + (k * bA - gamma * p.phi)[..., None] * b
     return FourPotential(phi=phi_p, A=A_p)
@@ -182,7 +196,7 @@ def gauge_shift(p: FourPotential, grad_chi, dchi_dct: float) -> FourPotential:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.sqrt(np.vecdot(v, v))[..., None]
+    return v / np.sqrt(_dot(v, v))[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +226,6 @@ def boost_invariance_suite(draws: int = 1_000, seed: int = 0,
     F = FieldVectors(E=E, H=H)
     before = invariants(F)
     after = invariants(boost(F, _unit(direction) * beta_max * radius))
-    scale = np.vecdot(E, E) + np.vecdot(H, H)
+    scale = _dot(E, E) + _dot(H, H)
     worst = np.max(np.abs([after.I1 - before.I1, after.I2 - before.I2]) / scale, initial=0.0)
     return {"draws": draws, "beta_max": beta_max, "max_rel_err_boost": float(worst)}

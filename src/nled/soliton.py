@@ -212,7 +212,10 @@ def compute_profile(m: LagrangianModel, e: float,
                                  radius_cm=float(grid.r[-1]),
                                  note="fewer than 5 grid points remain above "
                                       "the inversion boundary")
-            grid = RadialGrid(r=grid.r[keep], spacing=grid.spacing)
+            # a tail slice of a checked grid is still uniform: skip re-checking it
+            trimmed = object.__new__(RadialGrid)
+            trimmed.__dict__.update(r=grid.r[keep], spacing=grid.spacing)
+            grid = trimmed
     E, D = _invert_profile(m, e, grid)
     with np.errstate(all="ignore"):  # a column that is not finite raises below
         rho = _charge_density(m, grid.r, E, D)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nled import (ConfigurationError, FieldVectors, born_infeld,
+from nled import expansion
+from nled import (ConfigurationError, FieldVectors, IllConditioned, born_infeld,
                   estimate_taylor_coefficients, lagrangian_density,
                   log_schroedinger, maxwell, mie_sqrt, polynomial_from_model,
                   taylor_reference)
@@ -80,6 +81,31 @@ class TestPolynomialTruncation:
         diff = abs(lagrangian_density(trunc, Fv) - lagrangian_density(parent, Fv))
         assert diff <= k_frozen * (0.1) ** 6 / (16 * np.pi)
         assert diff >= 0.1 * (0.1) ** 6 / (16 * np.pi)  # remainder is real
+
+
+@pytest.mark.parametrize("higher_order", [False, True])
+def test_condition_is_that_of_the_scaled_design(monkeypatch, higher_order):
+    designs = []
+    lstsq = np.linalg.lstsq
+
+    def recording(M, y, rcond=None):
+        designs.append(M)
+        return lstsq(M, y, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    est = estimate_taylor_coefficients(born_infeld(1.0), 0.01, higher_order=higher_order)
+    [Ms] = designs
+    assert_allclose(est.condition, np.linalg.cond(Ms), rtol=1e-12)
+
+
+def test_design_without_i2_is_ill_conditioned(monkeypatch):
+    # H = 0 on every row: the I2^2 column vanishes and the smallest singular
+    # value is zero, so the condition is inf (no divide warning)
+    monkeypatch.setattr(expansion, "_CONFIGS",
+                        tuple((E, (0.0, 0.0, 0.0)) for E, _ in expansion._CONFIGS))
+    with pytest.raises(IllConditioned, match="condition number") as err:
+        estimate_taylor_coefficients(born_infeld(1.0), 0.01)
+    assert err.value.details["condition"] > expansion.CONDITION_LIMIT
 
 
 def test_higher_order_estimation():

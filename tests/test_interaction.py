@@ -7,6 +7,7 @@ from nled import (ChargeState, FourPotential, PhysicalConstants, boost_charge_st
                   interaction_energy_momentum, interaction_lagrangian_density)
 from nled import interaction
 from nled.interaction import interaction_suite
+from nled.kinematics import _dot, _unit
 
 K = constants("modern")
 C = K.c
@@ -135,15 +136,15 @@ def interaction_per_state(states, seed, c=2.9979e10, boost_beta=0.6):
     rows = []
     k = PhysicalConstants(e=4.8032e-10, m_e=9.1094e-28, c=c, preset_name="suite")
     for u, A, direction, speed, rho, e, phi in zip(us, As, directions, speeds, rhos, es, phis):
-        v = u / np.linalg.norm(u) * (0.9 * c) * speed
+        v = _unit(u) * (0.9 * c) * speed
         s = ChargeState(rho=rho, v=v, e=e)
         p = FourPotential(phi=phi, A=A)
         form_a, form_b = interaction_lagrangian_density(s, p, c)
         worst_forms = max(worst_forms, abs(form_a - form_b) / max(1.0, abs(form_a)))
         _, _, resid = interaction_energy_momentum(s.e, p, k)
-        lhs_scale = abs(s.e**2 * (float(p.A @ p.A) - p.phi**2))
+        lhs_scale = abs(s.e**2 * (float(_dot(p.A, p.A)) - p.phi**2))
         worst_identity = max(worst_identity, resid / max(1.0, lhs_scale))
-        beta = direction / np.linalg.norm(direction) * boost_beta
+        beta = _unit(direction) * boost_beta
         rows.append((rho, v, e, phi, A, beta))
         boosted_a, _ = interaction_lagrangian_density(
             boost_charge_state(s, beta, c), boost_four_potential(p, beta), c)

@@ -164,12 +164,11 @@ def boost_per_draw(draws, seed, beta_max=0.9):
     worst, rows = 0.0, []
     for (E, H), direction, radius in zip(fields, directions, radii):
         Fv = F(E, H)
-        direction = direction / np.linalg.norm(direction)
-        beta = direction * beta_max * np.cbrt(radius)
+        beta = kinematics._unit(direction) * beta_max * np.cbrt(radius)
         rows.append((E, H, beta))
         before = invariants(Fv)
         after = invariants(boost(Fv, beta))
-        scale = float(Fv.E @ Fv.E + Fv.H @ Fv.H)
+        scale = float(kinematics._dot(Fv.E, Fv.E) + kinematics._dot(Fv.H, Fv.H))
         worst = max(worst, abs(after.I1 - before.I1) / scale,
                     abs(after.I2 - before.I2) / scale)
     return worst, rows
@@ -275,3 +274,32 @@ class TestStacks:
     def test_empty_suites_report_zero(self):
         assert fierz_suite(0, 0)["max_rel_err_fierz"] == 0.0
         assert boost_invariance_suite(0, 0)["max_rel_err_boost"] == 0.0
+
+
+class TestKernels:
+    """_dot and _cross against numpy's vecdot and cross: the cross product
+    bit for bit, the dot product within its rounding (the component sum may
+    round differently from a dot routine)."""
+
+    def test_small_integer_vectors_exact(self):
+        a, b = np.random.default_rng(4).integers(-9, 10, (2, 200, 3)).astype(float)
+        assert kinematics._dot(a, b).tolist() == np.vecdot(a, b).tolist()
+        assert kinematics._cross(a, b).tolist() == np.cross(a, b).tolist()
+        assert kinematics._dot(a[0], b[0]) == np.vecdot(a[0], b[0])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_stacks(self, seed):
+        # strided views, as the suites' transposed blocks are
+        a, b = np.random.default_rng(seed).uniform(-1, 1, (1000, 2, 3)).transpose(1, 0, 2)
+        v = np.random.default_rng(seed + 1).normal(size=3)
+        for x, y in ((a, b), (v, b), (a, v)):
+            got = kinematics._dot(x, y)
+            assert got.shape == np.vecdot(x, y).shape
+            scale = np.vecdot(np.abs(x), np.abs(y))
+            assert np.all(np.abs(got - np.vecdot(x, y)) <= 1e-15 * scale)
+            assert kinematics._cross(x, y).tolist() == np.cross(x, y).tolist()
+
+    def test_empty_stack(self):
+        z = np.empty((0, 3))
+        assert kinematics._dot(z, z).shape == (0,)
+        assert kinematics._cross(z, z).shape == (0, 3)

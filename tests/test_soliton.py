@@ -355,6 +355,19 @@ class TestAssembledProfile:
         # trimmed region still internally consistent
         assert_allclose(prof.eps, prof.D / prof.E, rtol=1e-15)
 
+    @pytest.mark.parametrize("grid", [None, linear_grid(0.5 * R0, 10 * R0, 50)],
+                             ids=["log", "linear"])
+    def test_trimmed_grid_equals_validated_grid(self, grid):
+        ls = log_schroedinger(E0)
+        prof = compute_profile(ls, K.e, grid)
+        checked = RadialGrid(r=prof.grid.r.copy(), spacing=prof.grid.spacing)
+        assert prof.grid.r.tolist() == checked.r.tolist()
+        assert prof.grid.spacing == checked.spacing and prof.grid.n == checked.n
+        again = compute_profile(ls, K.e, checked)
+        assert again.inversion_failed_below_r is None
+        for name in ("D", "E", "rho", "eps", "u", "phi"):
+            assert getattr(again, name).tolist() == getattr(prof, name).tolist()
+
     def test_maxwell_default_grid_spans_classical_radius(self):
         prof = compute_profile(maxwell(), K.e)
         r_e = classical_electron_radius(K)
