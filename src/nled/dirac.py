@@ -70,7 +70,7 @@ def mass_term(m: float, c: float) -> np.ndarray:
     return beta * (m * c**2)
 
 
-def identity_report(c: float = 1.0) -> list[dict]:
+def identity_report() -> list[dict]:
     """Pass/fail residual table for the algebraic identities (CLI `dirac`).
 
     Anticommutation residuals are exact zeros; the squared-operator check

@@ -14,12 +14,13 @@ so the numeric trace must vanish to quadrature accuracy; for the linear
 theory with an inner cutoff it equals -U(r_c), the classical instability
 that historically had to be patched by non-electromagnetic forces.
 
-Both volume integrals come from the walk that also gives the potential
+Both volume integrals, and the potential at one radius, come from the walk
 (constitutive._walk): a fixed rule along the inversion's own search
 variable whose nodes are points of the explicit forward map, so none is
-inverted.  A cutoff costs one inversion; without one the walk starts from
-the characteristic point, known in closed form, and a center whose
-increments do not shrink is reported Divergent (the linear theory).
+inverted.  _radial_walk starts it: a cutoff costs one inversion; without
+one the walk starts from the characteristic point, known in closed form,
+and a center whose increments do not shrink is reported Divergent (the
+linear theory).
 """
 
 from __future__ import annotations
@@ -108,21 +109,19 @@ def _stress_densities(m: LagrangianModel, E, D):
 _ROUNDING = 8.0 * np.finfo(float).eps
 
 
-def _stress_walk(m: LagrangianModel, e: float,
-                 cutoff_r: float | None) -> tuple[float, float, float, float]:
-    """(U, trace, U error, trace error): the volume integrals of u and of the
-    spatial stress trace u - 2L, by the walk (constitutive._walk).
-
-    With r = sqrt(e/D) the volume element along the search variable x is
-    4 pi r^2 dr = 2 pi r^3 (d ln D/dx) dx.  The walk starts from r_c after
-    one inversion, or without a cutoff from the characteristic point, whose
-    (D, E) is known in closed form, and then also walks inward, raising
-    Divergent when three consecutive inner increments do not shrink.
-    """
+def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None, integrand,
+                 lower: bool = False, error=ConfigurationError) -> np.ndarray:
+    """The walk's sums (constitutive._walk) of integrand over every radius
+    from r_c outward, or without a cutoff from the center.  A cutoff costs
+    one inversion (D = e/r_c^2 raises error unless it is a normal double;
+    NoSolution carries the fold radius).  Without one the walk starts from
+    the characteristic point, known in closed form, and also walks inward,
+    raising Divergent when three consecutive inner increments of the first
+    row do not shrink."""
     r_s = radial_scale(m, e, cutoff_r)
     inner = None
     if cutoff_r is not None:
-        D_0 = _source_displacement(e, cutoff_r)
+        D_0 = _source_displacement(e, cutoff_r, error)
         try:
             E_0 = field_from_displacement(m, D_0).E
         except NoSolution as exc:
@@ -137,14 +136,21 @@ def _stress_walk(m: LagrangianModel, e: float,
         # D = E0 for born-infeld, E = E_c otherwise (E = D for a linear map)
         D_0 = E_0 = _source_displacement(e, r_s)
         inner = partial(_check_inner, e)
+    return _walk(m, np.array([D_0]), np.array([E_0]), integrand, inner, lower)
 
+
+def _stress_walk(m: LagrangianModel, e: float,
+                 cutoff_r: float | None) -> tuple[float, float, float, float]:
+    """(U, trace, U error, trace error): the volume integrals of u and of the
+    spatial stress trace u - 2L on _radial_walk, whose volume element along
+    the search variable x is 4 pi r^2 dr = 2 pi r^3 (d ln D/dx) dx."""
     def integrand(D, E, _, slope, w):
         """u dV, (u - 2L) dV and |u dV| + |L dV|, weighted."""
         u, L = _stress_densities(m, E, D)
         dV = 2.0 * np.pi * (e / D) ** 1.5 * slope
         return w * (u * dV), w * ((u - 2.0 * L) * dV), w * (np.abs(u * dV) + np.abs(L * dV))
 
-    sums = _walk(m, np.array([D_0]), np.array([E_0]), integrand, inner, lower=True)
+    sums = _radial_walk(m, e, cutoff_r, integrand, lower=True)
     (U, U_low), (trace, trace_low), (scale, _) = sums.sum(axis=2)
     rounding = _ROUNDING * scale
     return U, trace, abs(U - U_low) + rounding, abs(trace - trace_low) + rounding

@@ -4,10 +4,11 @@ The displacement field is the point-source D(r) = e/r^2; the electric field
 comes from one array inversion of the constitutive map over the grid; the
 charge density rho = (1/4 pi r^2) d(r^2 E)/dr is closed form at each point,
 from the map's own d ln E/d ln D; eps = D/E.  The potential, the
-inward integral of E, is taken by parts on the walk along the inversion's
+inward integral of E, is E dr summed on the walk along the inversion's
 own search variable (constitutive._walk), which also gives the energy and
 stress integrals: it evaluates the explicit forward map D(E) on a fixed
 rule, so no quadrature node is inverted and no adaptive quadrature runs.
+phi(0) walks to the center as the energy integral does.
 
 Grids are uniform in log r (default: 400 points over [1e-4, 1e4] r0, r0
 being energetics.radial_scale) or in r; no profile column is differenced.
@@ -20,12 +21,12 @@ where it exists in closed form (the limiting field E0 of the bounded model).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import energetics
-from .constitutive import (_charge_factor, _invert, _walk, attainable_displacement_max,
-                           field_from_displacement)
+from .constitutive import _charge_factor, _invert, _walk, attainable_displacement_max
 from .errors import ConfigurationError, NoSolution, NumericalError
 from .kinematics import FOUR_PI
 from .models import BORN_INFELD, LagrangianModel
@@ -123,52 +124,37 @@ def charge_density_profile(m: LagrangianModel, e: float,
     return _charge_density(m, grid.r, *_invert_profile(m, e, grid))
 
 
-# Potential by parts along the inversion's own search variable x, in which E
-# rises with x: phi(r_i) = int_0^{E_i} r(E) dE - r_i E_i with r(E) = sqrt(e/D(E))
-# the explicit forward map, integrated as int r E (d ln E/dx) dx by the walk
-# (constitutive._walk) from the grid points, whose segment sums accumulate
-# from the Coulomb end inward.
-# phi(0) = phi(r_h) + r_h E_h - int_0^{r_h} (E - E_h) dr; for born-infeld the
-# dropped head is (2/5) E0 r_h (r_h/r0)^4, 4e-23 of phi(0) at r_h = e^-10 r0.
-_CENTER_HEAD = np.exp(-10.0)
+def _phi_rows(e: float, D, E, _, slope, w):
+    """phi's walk integrand, weighted: E dr = -(1/2) r E (d ln D/dx) dx along
+    the search variable x, with r = sqrt(e/D) the explicit forward map."""
+    return (w * 0.5 * np.sqrt(e / D) * E * slope,)
 
 
-def _potential(m: LagrangianModel, e: float, r: np.ndarray,
-               E: np.ndarray) -> np.ndarray:
-    """phi at increasing radii r (cm) whose fields E are already inverted.
-
-    r_i E_i is subtracted with the exact grid radius, so the result is
-    first-order insensitive to inversion error in E_i, which matters at the
-    fold of a non-monotone map.  For born-infeld the walk reads only D, and
-    the inverted E_i is the walk's own point at D_i, so each integral ends
-    at the E_i that is subtracted.
-    """
-    sums = _walk(m, e / r**2, E, lambda D, E, slope, _, w: (w * np.sqrt(e / D) * E * slope,))
-    return np.cumsum(sums[0, 0, ::-1])[::-1][:r.size] - r * E
+def _potential(m: LagrangianModel, e: float, D: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """phi at the profile's points (D, E) in falling D: the walk's segment
+    sums (constitutive._walk) accumulated from the Coulomb end inward.  An
+    inversion error dD in a start point moves its phi by -(r E/2D) dD, which
+    stays small at the fold of a non-monotone map, where dD = D'(E) dE."""
+    return np.cumsum(_walk(m, D, E, partial(_phi_rows, e))[0, 0, ::-1])[::-1][:D.size]
 
 
 def potential_profile(m: LagrangianModel, e: float, grid: RadialGrid) -> np.ndarray:
     """phi(r_i) = integral of E from r_i to infinity, from one inversion per
     grid point."""
-    return _potential(m, e, grid.r, _invert_profile(m, e, grid)[0])
-
-
-def _center_field(m: LagrangianModel) -> float | None:
-    """The analytic r -> 0 limit of E, for the bounded-field kind."""
-    return float(m.E0) if m.kind == BORN_INFELD else None
+    E, D = _invert_profile(m, e, grid)
+    return _potential(m, e, D, E)
 
 
 def potential_at(m: LagrangianModel, e: float, r: float) -> float:
-    """phi(r) for a single radius; r = 0 is allowed for a bounded-field model,
-    whose potential stays finite at the center."""
+    """phi(r) for a single radius, the center r = 0 included, on the walk of
+    the energy integrals (energetics._radial_walk): Divergent for a center
+    that is not integrable, NoSolution with the fold radius inside a fold.
+    Where phi(0) is finite, U = (2/3) e phi(0) (Gauss's law and von Laue's
+    zero trace)."""
     if not r >= 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    if r == 0 and _center_field(m) is None:
-        raise ValueError(f"phi(0) is finite only for bounded-field models, not {m.kind}")
-    r_eval = r or _CENTER_HEAD * energetics.radial_scale(m, e)
-    E = field_from_displacement(m, energetics._source_displacement(e, r_eval, ValueError)).E
-    phi = float(_potential(m, e, np.array([r_eval]), np.array([E]))[0])
-    return phi if r > 0 else phi + r_eval * E  # phi(0) = phi(r_h) + r_h E_h
+    sums = energetics._radial_walk(m, e, r or None, partial(_phi_rows, e), error=ValueError)
+    return float(sums[0, 0].sum())
 
 
 @dataclass(frozen=True)
@@ -207,9 +193,9 @@ def compute_profile(m: LagrangianModel, e: float,
         if grid.r[0] < r_fail:
             boundary = float(r_fail)
             keep = grid.r > r_fail
-            if not np.any(keep) or np.count_nonzero(keep) < 5:
-                raise NoSolution(float(e / grid.r[-1] ** 2), d_max,
-                                 radius_cm=float(grid.r[-1]),
+            if np.count_nonzero(keep) < 5:
+                raise NoSolution(float(e / grid.r[0] ** 2), d_max,
+                                 radius_cm=float(grid.r[0]),
                                  note="fewer than 5 grid points remain above "
                                       "the inversion boundary")
             # a tail slice of a checked grid is still uniform: skip re-checking it
@@ -221,7 +207,7 @@ def compute_profile(m: LagrangianModel, e: float,
         rho = _charge_density(m, grid.r, E, D)
         eps = D / E
         u, _ = energetics._stress_densities(m, E, D)
-        phi = _potential(m, e, grid.r, E)
+        phi = _potential(m, e, D, E)
     columns = {"E": E, "rho": rho, "eps": eps, "u": u, "phi": phi}
     if not np.all(np.isfinite(list(columns.values()))):
         bad = [name for name, a in columns.items() if not np.all(np.isfinite(a))]
@@ -231,7 +217,7 @@ def compute_profile(m: LagrangianModel, e: float,
         grid=grid, D=D, E=E, rho=rho, eps=eps, u=u, phi=phi,
         r0=r0, model=m,
         inversion_failed_below_r=boundary,
-        E_center=_center_field(m))
+        E_center=float(m.E0) if m.kind == BORN_INFELD else None)
 
 
 def integrated_charge(profile: SolitonProfile) -> float:

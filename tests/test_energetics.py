@@ -317,6 +317,14 @@ class TestVirial:
         U, _ = total_energy(m, K.e)
         assert_allclose(U, (2 / 3) * K.e * potential_at(m, K.e, 0.0), rtol=1e-13)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(m=PLANE)
+    def test_center_on_the_plane(self, m):
+        # Gauss's law and von Laue's zero trace: U = (2/3) e phi(0)
+        assume(attainable_displacement_max(m) == np.inf)  # a fold has no center
+        U, _ = total_energy(m, K.e)
+        assert_allclose(U, (2 / 3) * K.e * potential_at(m, K.e, 0.0), rtol=1e-14)
+
     @pytest.mark.parametrize("name", ["log_model_cutoff", "polynomial", "maxwell_cutoff",
                                       "polynomial_negative_alpha_cutoff"])
     def test_cutoff(self, name):

@@ -5,7 +5,7 @@ import scipy.integrate
 from numpy.testing import assert_allclose
 from scipy.special import ellipk, ellipkinc
 
-from nled import (ConfigurationError, NoSolution, NumericalError, RadialGrid,
+from nled import (ConfigurationError, Divergent, NoSolution, NumericalError, RadialGrid,
                   attainable_displacement_max, born_infeld, charge_density_profile,
                   check_stress_divergence, classical_electron_radius,
                   compute_profile, constants, default_grid, displacement_profile,
@@ -257,11 +257,40 @@ class TestPotential:
         phi0 = potential_at(BI, K.e, 0.0)
         assert abs(phi0 / (ellipk(0.5) * K.e / R0) - 1) <= 1e-12
 
-    @pytest.mark.parametrize("model", [maxwell(), polynomial(alpha=0.01, xi=0.001)],
-                             ids=["maxwell", "polynomial"])
-    def test_center_needs_bounded_field(self, model):
-        with pytest.raises(ValueError):
-            potential_at(model, K.e, 0.0)
+    def test_maxwell_center_diverges(self):
+        with pytest.raises(Divergent) as exc_info:
+            potential_at(maxwell(), K.e, 0.0)
+        assert {"partials", "inner_limits"} <= exc_info.value.details.keys()
+
+    @pytest.mark.parametrize("model, r", [(log_schroedinger(E0), 0.0),
+                                          (log_schroedinger(E0), R0),
+                                          (polynomial(alpha=-0.01), 0.0)],
+                             ids=["log_model_center", "log_model_inside_fold",
+                                  "folded_polynomial_center"])
+    def test_fold_carries_its_radius(self, model, r):
+        with pytest.raises(NoSolution) as exc_info:
+            potential_at(model, K.e, r)
+        radius = exc_info.value.details["radius_cm"]
+        assert radius == np.sqrt(K.e / attainable_displacement_max(model))
+
+    @pytest.mark.parametrize("model", [polynomial(alpha=0.01, xi=0.001), polynomial(xi=1.0)],
+                             ids=["alpha_xi", "xi"])
+    def test_polynomial_center_value(self, model):
+        # phi(0) = int_0^inf E dr = int_0^inf r(E) dE by parts (r E -> 0 at
+        # both ends), with r(E) = sqrt(e/D(E)), in 30 digits
+        c = model.coeffs
+        with mpmath.workdps(30):
+            e, a, x = (mpmath.mpf(K.e), 16 * mpmath.pi * mpmath.mpf(c.alpha),
+                       24 * mpmath.pi * mpmath.mpf(c.xi))
+            ref = mpmath.quad(lambda E: mpmath.sqrt(e / (E + a * E**3 + x * E**5)),
+                              [0, 1, mpmath.inf])
+        assert abs(potential_at(model, K.e, 0.0) / float(ref) - 1) <= 1e-14
+
+    @pytest.mark.parametrize("e", [0.0, -K.e])
+    @pytest.mark.parametrize("r", [0.0, R0])
+    def test_charge_rejected(self, e, r):
+        with pytest.raises(ConfigurationError):
+            potential_at(BI, e, r)
 
     @pytest.mark.parametrize("r", [-R0, np.nan, np.inf, 1e200])
     def test_radius_rejected(self, r):
@@ -354,6 +383,17 @@ class TestAssembledProfile:
         assert prof.grid.r[0] > boundary
         # trimmed region still internally consistent
         assert_allclose(prof.eps, prof.D / prof.E, rtol=1e-15)
+
+    def test_too_few_points_above_fold(self):
+        # the record names the innermost radius, whose D has no solution
+        ls, g = log_schroedinger(1.0), log_grid(1.0, 1.5, 5)
+        with pytest.raises(NoSolution) as trimmed:
+            compute_profile(ls, 1.0, g)
+        with pytest.raises(NoSolution) as direct:
+            field_profile(ls, 1.0, g)
+        details = trimmed.value.details
+        assert details["D"] > details["D_max_attainable"]
+        assert {k: v for k, v in details.items() if k != "note"} == direct.value.details
 
     @pytest.mark.parametrize("grid", [None, linear_grid(0.5 * R0, 10 * R0, 50)],
                              ids=["log", "linear"])
