@@ -12,8 +12,7 @@ from .constitutive import (InversionResult, attainable_displacement_max,
                            displacement_from_field, field_from_displacement)
 from .dirac import dirac_basis, identity_report, mass_term, slash_square
 from .energetics import (StressSummary, born_infeld_energy_constant,
-                         effective_radius, mass_from_energy, stress_integrals,
-                         total_energy)
+                         effective_radius, stress_integrals, total_energy)
 from .errors import (ConfigurationError, ConvergenceFailure, Divergent,
                      DomainExceeded, IllConditioned, NledError, NoSolution,
                      NumericalError, UnsupportedModel)

@@ -34,8 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, DomainExceeded, NoSolution, NumericalError,
-                     UnsupportedModel)
+from .errors import (ConvergenceFailure, Divergent, DomainExceeded, NoSolution,
+                     NumericalError, UnsupportedModel)
 from .models import (BORN_INFELD, LOG_SCHROEDINGER, MAXWELL, POLYNOMIAL, LagrangianModel,
                      _term)
 
@@ -175,7 +175,7 @@ _TOP_REACH = 2.0 * _WALK_DEPTH
 _RATE_TOL = 1e-10
 
 
-def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
+def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, center: bool = False,
           lower: bool = False) -> np.ndarray:
     """Sums per segment, shape (rows, rules, n + 2), of the integrand rows
     f(D, E, d ln E/dx, d ln D/dx, weight) on the walk's rule (with lower,
@@ -185,15 +185,16 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
     The n + 1 anchors are the points (D, E) in falling x, then a uniform
     tail to _WALK_DEPTH below the last one or the map's scale, whichever is
     lower.  Segment j runs from anchor j + 1 up to anchor j; segment n is
-    the closing panel below the last anchor.  With inner, one start point
+    the closing panel below the last anchor.  With center, one start point
     also gets anchors to _WALK_DEPTH above it or above the map's top
     (within _TOP_REACH), whichever is higher, and segment n + 1 closes
-    above them; inner(the first row's sums over segments 0..n, the
-    anchors' D, the count of inner anchors) may raise before the sums are
-    checked.  Both integrands go as r E at the Coulomb end: the closing
+    above them.  The integrands go as r E at both ends: the closing
     rates are k = d ln E/dx - (d ln D/dx)/2 at the end anchors.  Raises
     NumericalError when the Coulomb-end k is not positive and settled to
-    _RATE_TOL against k one anchor in, or when a sum is not finite.
+    _RATE_TOL against k one anchor in, or when a sum is not finite, and
+    Divergent when the center-end k is not negative (r E does not vanish
+    at r = 0), with the first row's finite partial integrals inward from
+    the start and the anchors' D.
     """
     shape = _shape(m)
     if m.kind == BORN_INFELD:  # ln D = ln E0 + x/2 in the radicand logit
@@ -202,8 +203,8 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
         steps = np.log(E[:-1] / E[1:])
         height = -np.inf if shape.scale is None else np.log(E[-1] / shape.scale)
     n_in = 0
-    if inner is not None:  # lift: the top's height above the start
-        lift = 0.0 if shape.top is None else np.log(shape.top / shape.scale) - height
+    if center:  # lift: the top's height above the start
+        lift = 0.0 if shape.top is None else np.log(shape.top) - np.log(shape.scale) - height
         n_in = int(np.ceil((_WALK_DEPTH + min(max(lift, 0.0), _TOP_REACH)) / _ANCHOR_STEP))
     n_out = int(np.ceil((_WALK_DEPTH + max(height, 0.0)) / _ANCHOR_STEP))
     with np.errstate(all="ignore"):  # a sum that is not finite raises below
@@ -217,7 +218,7 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
                 "does not hold", model_kind=m.kind, rate=float(rate[-1]))
         D_a, E_a = np.append(D[:-1], D_t), np.append(E[:-1], E_t)
         n, rules = D_a.size - 1, 2 if lower else 1
-        ends = ((n, float(rate[-1])), (0, float(rate[0])))[:1 if inner is None else 2]
+        ends = ((n, float(rate[-1])), (0, float(rate[0])))[:2 if center else 1]
         if D.size == 1:
             anchor, delta, weight, seg = _uniform_nodes(n, shape.width, ends, rules)
         else:
@@ -226,8 +227,14 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, inner=None,
         nodes = _search_walk(m, D_a[anchor], E_a[anchor], delta)
         sums = np.array([np.bincount(seg, weights=row, minlength=rules * (n + 2))
                          for row in f(*nodes, weight)]).reshape(-1, rules, n + 2)
-        if inner is not None:
-            inner(sums[0, 0, :n + 1], D_a, n_in)
+        if center and rate[0] >= 0.0:  # inward from the start: the outer total, then each step
+            partials = np.cumsum(np.append(sums[0, 0, n_in:n + 1].sum(), sums[0, 0, n_in - 1::-1]))
+            finite = np.isfinite(partials)  # a sum that is not finite stays so inward
+            raise Divergent(
+                f"{m.kind}: the walk's center-end rate k = {float(rate[0])!r} is not negative, "
+                "so the integrand is not integrable at r -> 0" + ("" if finite[0] else
+                "; the outer total overflows the double range, so no partial is recorded"),
+                partials=partials[finite].tolist(), D=D_a[n_in::-1][finite].tolist())
     if not np.all(np.isfinite(sums)):
         raise NumericalError(f"{m.kind}: a walk integral is not finite "
                              "(a field or density overflows the double range)",

@@ -19,14 +19,14 @@ Both volume integrals, and the potential at one radius, come from the walk
 variable whose nodes are points of the explicit forward map, so none is
 inverted.  _radial_walk starts it: a cutoff costs one inversion; without
 one the walk starts from the characteristic point, known in closed form,
-and a center whose increments do not shrink is reported Divergent (the
-linear theory).
+and a center where r E does not fall (the linear theory, whose walk rate
+there is +1/2) is reported Divergent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,11 +115,10 @@ def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None, integrand
     from r_c outward, or without a cutoff from the center.  A cutoff costs
     one inversion (D = e/r_c^2 raises error unless it is a normal double;
     NoSolution carries the fold radius).  Without one the walk starts from
-    the characteristic point, known in closed form, and also walks inward,
-    raising Divergent when three consecutive inner increments of the first
-    row do not shrink."""
+    the characteristic point, known in closed form, and also walks to the
+    center; Divergent, for a center-end rate that is not negative, carries
+    the radii of its partial integrals."""
     r_s = radial_scale(m, e, cutoff_r)
-    inner = None
     if cutoff_r is not None:
         D_0 = _source_displacement(e, cutoff_r, error)
         try:
@@ -135,8 +134,11 @@ def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None, integrand
                                   "below radius_cm, where D exceeds the attainable maximum")
         # D = E0 for born-infeld, E = E_c otherwise (E = D for a linear map)
         D_0 = E_0 = _source_displacement(e, r_s)
-        inner = partial(_check_inner, e)
-    return _walk(m, np.array([D_0]), np.array([E_0]), integrand, inner, lower)
+    try:
+        return _walk(m, np.array([D_0]), np.array([E_0]), integrand, cutoff_r is None, lower)
+    except Divergent as exc:
+        raise Divergent(str(exc), partials=exc.details["partials"],
+                        inner_limits=np.sqrt(e / np.array(exc.details["D"])).tolist()) from exc
 
 
 def _stress_walk(m: LagrangianModel, e: float,
@@ -154,22 +156,6 @@ def _stress_walk(m: LagrangianModel, e: float,
     (U, U_low), (trace, trace_low), (scale, _) = sums.sum(axis=2)
     rounding = _ROUNDING * scale
     return U, trace, abs(U - U_low) + rounding, abs(trace - trace_low) + rounding
-
-
-def _check_inner(e: float, seg: np.ndarray, D_a: np.ndarray, n_in: int) -> None:
-    """Raise Divergent unless the inner increments shrink: three consecutive
-    anchor increments with ratio >= 0.95 mean a non-integrable center."""
-    inc = seg[n_in - 1::-1]  # inward from the starting anchor
-    run = 0
-    for i in range(1, n_in):
-        run = run + 1 if abs(inc[i]) >= 0.95 * abs(inc[i - 1]) else 0
-        if run == 3:
-            partials = np.sum(seg[n_in:]) + np.concatenate([[0.0], np.cumsum(inc[:i + 1])])
-            raise Divergent(
-                "inner partial integrals are non-Cauchy "
-                "(integrand not integrable at r -> 0)",
-                partials=partials.tolist(),
-                inner_limits=np.sqrt(e / D_a[n_in - np.arange(i + 2)]).tolist())
 
 
 def total_energy(m: LagrangianModel, e: float,
@@ -224,11 +210,4 @@ def effective_radius(convention: str, k: PhysicalConstants,
         return C * r_e
     raise ConfigurationError(
         f"unknown radius convention {convention!r}; choose one of {CONVENTIONS}")
-
-
-def mass_from_energy(U: float, k: PhysicalConstants) -> float:
-    """m = U / c^2."""
-    if not 0 <= U < np.inf:
-        raise ValueError(f"field energy must be finite and >= 0, got {U}")
-    return U / k.c**2
 

@@ -79,7 +79,7 @@ class ConvergenceFailure(NumericalError):
 
 
 class Divergent(NumericalError):
-    """Improper integral detected as divergent (non-Cauchy refinement)."""
+    """Improper integral whose integrand does not fall at an end of its range."""
 
     kind = "Divergent"
 

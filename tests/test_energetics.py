@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import subprocess
 import sys
 from functools import lru_cache
@@ -17,7 +18,7 @@ from nled import (ConfigurationError, Divergent, NoSolution, NumericalError, Phy
                   born_infeld_energy_constant, check_stress_divergence,
                   classical_electron_radius, compute_profile, constants,
                   effective_radius, field_from_displacement, linear_grid, log_grid,
-                  log_schroedinger, mass_from_energy, maxwell, polynomial,
+                  log_schroedinger, maxwell, polynomial,
                   potential_at, stress_integrals, total_energy)
 from nled import constitutive, energetics, quadrature
 from nled.energetics import radial_scale
@@ -239,7 +240,7 @@ class TestTotalEnergy:
     @pytest.mark.parametrize("e", [1e-54, 1e54])
     def test_divergence_reported_before_overflow(self, e):
         # the walk's innermost nodes overflow for these charges, but the
-        # first inner increments already show the center diverging
+        # center-end rate already shows the center diverging
         with pytest.raises(Divergent):
             total_energy(maxwell(), e)
 
@@ -286,22 +287,34 @@ class TestFieldSpaceReference:
 
 
 class TestDivergence:
-    """A linear map has no finite self-energy: the inner partial integrals
-    grow geometrically and the failure carries them."""
+    """A linear map has no finite self-energy or phi(0): its walk's
+    center-end rate is +1/2, the inner partial integrals grow geometrically
+    and the failure carries them."""
 
-    @pytest.mark.parametrize("m", [maxwell(), polynomial(beta=0.1)],
-                             ids=["maxwell", "linear_polynomial"])
+    @pytest.mark.parametrize("m", [maxwell(), polynomial(beta=0.1),
+                                   polynomial(gamma=0.3, zeta=1.0)],
+                             ids=["maxwell", "linear_polynomial", "linear_at_zero_H"])
     def test_growing_partials(self, m):
-        with pytest.raises(Divergent) as exc_info:
-            total_energy(m, K.e)
-        details = exc_info.value.details
-        partials, radii = details["partials"], details["inner_limits"]
-        assert len(partials) >= 4 and len(radii) == len(partials)
-        diffs = np.diff(partials)
-        assert np.all(diffs > 0) and np.all(diffs[1:] > diffs[:-1])
-        assert np.all(np.diff(radii) < 0)
+        for f in (total_energy, lambda m, e: potential_at(m, e, 0.0)):
+            with pytest.raises(Divergent, match=r"center-end rate k = 0\.5 ") as exc_info:
+                f(m, K.e)
+            details = exc_info.value.details
+            partials, radii = details["partials"], details["inner_limits"]
+            assert len(partials) >= 4 and len(radii) == len(partials)
+            diffs = np.diff(partials)
+            assert np.all(diffs > 0) and np.all(diffs[1:] > diffs[:-1])
+            assert np.all(np.diff(radii) < 0)
         with pytest.raises(Divergent):
             stress_integrals(m, K.e)
+
+    @pytest.mark.parametrize("e", [1e-54, 1.0, 1e54])
+    def test_record_holds_finite_numbers(self, e):
+        # at 1e54 the outer total is 0 * inf (u underflows, the volume
+        # element overflows), so the record keeps no partial
+        for f in (total_energy, stress_integrals, lambda m, e: potential_at(m, e, 0.0)):
+            with pytest.raises(Divergent) as exc_info:
+                f(maxwell(), e)
+            json.dumps(exc_info.value.to_dict(), allow_nan=False)
 
 
 class TestVirial:
@@ -368,6 +381,13 @@ class TestCenterTop:
         assert_allclose(s.U_total, stress_integrals(polynomial(alpha=1e100), 1.0).U_total,
                          rtol=1e-14)
         assert abs(s.laue_trace) <= 1e-14 * s.U_total
+
+    def test_lift_beyond_double_range(self):
+        # top/scale is 1e312, past the double range: the lift must not
+        # overflow, and the _TOP_REACH clamp sets the results
+        m = polynomial(alpha=2.4e296, xi=-8e-175)
+        assert stress_integrals(m, 1.0).U_total == 7.459258016009752e-75
+        assert potential_at(m, 1.0, 0.0) == 1.1188888443084263e-74
 
 
 class TestVonLaue:
@@ -602,27 +622,12 @@ class TestStressIntegrals:
 
 
 class TestMass:
-    def test_rest_energy_round_trip(self):
-        assert_allclose(mass_from_energy(K.m_e * K.c**2, K), K.m_e, rtol=1e-15)
-
-    def test_zero(self):
-        assert mass_from_energy(0.0, K) == 0.0
-
     def test_energy_consistent_radius_recovers_electron_mass(self):
         k = constants("modern")
         r0 = effective_radius("energy-consistent", k)
         m = born_infeld(k.e / r0**2)
         U, _ = total_energy(m, k.e)
-        assert_allclose(mass_from_energy(U, k), k.m_e, rtol=1e-4)
-
-    def test_negative_energy_rejected(self):
-        with pytest.raises(ValueError):
-            mass_from_energy(-1.0, K)
-
-    @pytest.mark.parametrize("U", [np.nan, np.inf])
-    def test_nonfinite_energy_rejected(self, U):
-        with pytest.raises(ValueError):
-            mass_from_energy(U, K)
+        assert_allclose(U / k.c**2, k.m_e, rtol=1e-4)
 
 
 class TestStressDivergence:
