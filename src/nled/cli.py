@@ -1,29 +1,22 @@
 """Command-line front end: JSON config, subcommand dispatch, CSV/JSON output.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(Divergent / NoSolution / ConvergenceFailure / ...), with a machine-readable
-JSON error record on stderr.  Results go to stdout or --out; every JSON
-result carries a provenance block {config_hash, constants_preset, grid,
-tolerances} so runs are attributable and byte-reproducible.
+Exit codes: 0 success, 1 stdout closed early (``nled profile | head``), 2
+configuration error, 3 numerical failure (Divergent / NoSolution /
+ConvergenceFailure / ...), the last two with a machine-readable JSON error
+record on stderr.  Results go to stdout or --out; every JSON result carries a
+provenance block {config_hash, constants_preset, grid, tolerances} so runs
+are attributable and byte-reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import os
 import sys
 
-from . import energetics, soliton
-from .constants import (classical_electron_radius, constants,
-                        preset_from_environment)
-from .dirac import identity_report
+from .constants import classical_electron_radius, constants, preset_from_environment
 from .errors import ConfigurationError, NledError, NumericalError
-from .expansion import estimate_taylor_coefficients
-from .interaction import interaction_suite
-from .kinematics import boost_invariance_suite, fierz_suite
-from .models import model_from_config
-from .quadrature import QuadratureSpec
 
 _DEFAULTS = {
     "model": None,
@@ -94,9 +87,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         cfg["preset"] = "modern"
     if args.model is not None:
         cfg["model"] = {"kind": args.model}
-        if args.E0 is not None:
-            cfg["model"]["E0"] = args.E0
-    elif args.E0 is not None:
+    if args.E0 is not None:
         if not isinstance(cfg["model"], dict):
             raise ConfigurationError("--E0 given without a model")
         cfg["model"]["E0"] = args.E0
@@ -118,7 +109,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     if not g["r_min_over_r0"] < g["r_max_over_r0"]:
         raise ConfigurationError(
             f"need 0 < r_min < r_max, got ({g['r_min_over_r0']}, {g['r_max_over_r0']})")
-    if g["spacing"] not in (soliton.LOG, soliton.LINEAR):
+    if g["spacing"] not in ("log", "linear"):  # soliton.LOG, LINEAR: not imported here
         raise ConfigurationError(f"grid spacing must be 'log' or 'linear', got {g['spacing']!r}")
     q = cfg["quad"]
     if q["cutoff_r_cm"] is not None:
@@ -138,6 +129,7 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _provenance(cfg: dict) -> dict:
+    import hashlib  # loads OpenSSL, which dirac and a CSV profile never need
     digest = hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode("utf-8")).hexdigest()
     return {
@@ -149,6 +141,7 @@ def _provenance(cfg: dict) -> dict:
 
 
 def _require_model(cfg: dict):
+    from .models import model_from_config
     if not isinstance(cfg["model"], dict):
         raise ConfigurationError("this subcommand needs a model (--model or a 'model' "
                                  f"config object), got {cfg['model']!r}")
@@ -157,6 +150,7 @@ def _require_model(cfg: dict):
     needs_e0 = spec.get("kind") in ("born-infeld", "log-schroedinger")
     if needs_e0 and spec.get("E0") is None:
         # Default limiting field tied to the radius convention: E0 = e/r0^2.
+        from . import energetics
         r0 = energetics.effective_radius(cfg["convention"], k)
         spec["E0"] = k.e / r0**2
     return model_from_config(spec), k, spec
@@ -178,6 +172,7 @@ def _emit_json(cfg: dict, obj: dict) -> None:
 
 
 def _cmd_profile(cfg: dict) -> None:
+    from . import energetics, soliton
     model, k, spec = _require_model(cfg)
     g = cfg["grid"]
     unit = energetics.radial_scale(model, k.e)
@@ -205,8 +200,9 @@ def _cmd_profile(cfg: dict) -> None:
 
 
 def _cmd_energy(cfg: dict) -> None:
+    from . import energetics, quadrature
     model, k, spec = _require_model(cfg)
-    quad = QuadratureSpec(cutoff_r=cfg["quad"]["cutoff_r_cm"])
+    quad = quadrature.QuadratureSpec(cutoff_r=cfg["quad"]["cutoff_r_cm"])
     summary = energetics.stress_integrals(model, k.e, quad)
     r0 = energetics.radial_scale(model, k.e, quad.cutoff_r)
     unit = k.e**2 / r0
@@ -226,6 +222,7 @@ def _cmd_energy(cfg: dict) -> None:
 
 
 def _cmd_expand(cfg: dict) -> None:
+    from .expansion import estimate_taylor_coefficients
     model, _, spec = _require_model(cfg)
     est = estimate_taylor_coefficients(model, cfg["sample_scale"],
                                        higher_order=cfg["higher_order"])
@@ -246,10 +243,11 @@ def _cmd_expand(cfg: dict) -> None:
 
 
 def _cmd_invariants(cfg: dict) -> None:
+    from . import interaction, kinematics
     k = constants(cfg["preset"])
-    fierz = fierz_suite(draws=cfg["draws"], seed=cfg["seed"])
-    boosts = boost_invariance_suite(draws=cfg["boost_draws"], seed=cfg["seed"])
-    inter = interaction_suite(states=cfg["boost_draws"], seed=cfg["seed"], c=k.c)
+    fierz = kinematics.fierz_suite(draws=cfg["draws"], seed=cfg["seed"])
+    boosts = kinematics.boost_invariance_suite(draws=cfg["boost_draws"], seed=cfg["seed"])
+    inter = interaction.interaction_suite(states=cfg["boost_draws"], seed=cfg["seed"], c=k.c)
     _emit_json(cfg, {
         "provenance": _provenance(cfg),
         "draws": fierz["draws"],
@@ -261,6 +259,7 @@ def _cmd_invariants(cfg: dict) -> None:
 
 
 def _cmd_dirac(cfg: dict) -> None:
+    from .dirac import identity_report
     rows = identity_report()
     width = max(len(r["identity"]) for r in rows) + 2
     lines = [f"{'identity':<{width}}{'residual':>12}  status"]
@@ -273,8 +272,10 @@ def _cmd_dirac(cfg: dict) -> None:
 
 
 def _cmd_radius(cfg: dict) -> None:
+    from . import energetics
     k = constants(cfg["preset"])
-    r0 = energetics.effective_radius(cfg["convention"], k)
+    kind = "born-infeld" if cfg["model"] is None else _require_model(cfg)[0].kind
+    r0 = energetics.effective_radius(cfg["convention"], k, kind)
     _emit_json(cfg, {
         "provenance": _provenance(cfg),
         "convention": cfg["convention"],
@@ -300,24 +301,22 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="nled",
         description="Electrostatic soliton and identity checks for nonlinear "
                     "electrodynamics Lagrangians L(I1, I2).")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--model", default=None,
-                       help="model kind: maxwell | born-infeld | log-schroedinger "
-                            "| polynomial | mie-sqrt")
-        p.add_argument("--preset", default=None,
-                       help="constants preset: modern | historical1934 "
-                            "(also via NLED_CONSTANTS_PRESET; flag wins)")
-        p.add_argument("--E0", type=float, default=None, help="limiting field (esu)")
-        p.add_argument("--rmin", type=float, default=None, help="grid r_min / r0")
-        p.add_argument("--rmax", type=float, default=None, help="grid r_max / r0")
-        p.add_argument("--points", type=int, default=None, help="grid points")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--convention", default=None,
-                       choices=["paper", "energy-consistent"],
-                       help="effective-radius convention")
+    parser.add_argument("command", choices=_HANDLERS, help="subcommand")
+    parser.add_argument("--config", default=None, help="JSON config file")
+    parser.add_argument("--model", default=None,
+                        help="model kind: maxwell | born-infeld | log-schroedinger "
+                             "| polynomial | mie-sqrt")
+    parser.add_argument("--preset", default=None,
+                        help="constants preset: modern | historical1934 "
+                             "(also via NLED_CONSTANTS_PRESET; flag wins)")
+    parser.add_argument("--E0", type=float, default=None, help="limiting field (esu)")
+    parser.add_argument("--rmin", type=float, default=None, help="grid r_min / r0")
+    parser.add_argument("--rmax", type=float, default=None, help="grid r_max / r0")
+    parser.add_argument("--points", type=int, default=None, help="grid points")
+    parser.add_argument("--out", default=None, help="output file (default stdout)")
+    parser.add_argument("--convention", default=None,
+                        choices=["paper", "energy-consistent"],
+                        help="effective-radius convention")
     return parser
 
 
@@ -333,7 +332,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: Python's signal-docs recipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -235,11 +235,6 @@ def integrated_charge(profile: SolitonProfile) -> float:
     return float(np.trapezoid(y, r))
 
 
-# E may rise outward by this much relative to its inner neighbour and still
-# count as one branch (ln E kinds)
-_ROUNDING = 8.0 * np.finfo(float).eps
-
-
 def check_stress_divergence(profile: SolitonProfile) -> float:
     """Max residual of d(r^2 T_rr)/dr = 2 r T_thth = -2 r L between
     neighbouring grid points, in integral form: the jump in r^2 u against
@@ -254,7 +249,7 @@ def check_stress_divergence(profile: SolitonProfile) -> float:
     walk reads only D.
     """
     m, r, D, E = profile.model, profile.grid.r, profile.D, profile.E
-    if m.kind != BORN_INFELD and np.any(E[1:] > E[:-1] * (1.0 + _ROUNDING)):
+    if m.kind != BORN_INFELD and np.any(E[1:] > E[:-1] * (1.0 + energetics._ROUNDING)):
         return float("inf")
     e = r[0] ** 2 * D[0]
 

@@ -245,6 +245,78 @@ def test_subcommands_are_the_handlers():
         parser.parse_args(["laue"])
 
 
+def test_options_may_precede_the_subcommand():
+    parser = cli._build_parser()
+    before = parser.parse_args(["--model", "maxwell", "--points", "9", "profile"])
+    after = parser.parse_args(["profile", "--model", "maxwell", "--points", "9"])
+    assert vars(before) == vars(after)
+    assert (after.command, after.model, after.points) == ("profile", "maxwell", 9)
+
+
+# run() in a fresh interpreter; prints its exit code and the nled modules it loaded
+LOAD_PROBE = ("import contextlib, io, json, sys\n"
+              "from nled.cli import run\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = run(sys.argv[1:])\n"
+              "print(json.dumps([code, sorted(m[5:] for m in sys.modules "
+              "if m.startswith('nled.'))]))")
+
+
+@pytest.mark.parametrize("args, absent", [
+    (["dirac"], {"constitutive", "models", "energetics", "soliton"}),
+    (["invariants"], {"constitutive", "energetics", "soliton"}),
+    (["energy", "--model", "born-infeld", "--E0", "1.0"],
+     {"soliton", "dirac", "expansion", "interaction"}),
+    (["radius"], {"soliton", "dirac", "expansion", "interaction"}),
+    (["expand", "--model", "born-infeld", "--E0", "1.0"],
+     {"constitutive", "energetics", "soliton", "dirac", "interaction"}),
+    (["profile", "--model", "born-infeld", "--E0", "1.0"],
+     {"dirac", "expansion", "interaction"}),
+], ids=["dirac", "invariants", "energy", "radius", "expand", "profile"])
+def test_subcommand_loads_only_its_modules(tmp_path, args, absent):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"draws": 20, "boost_draws": 5}))
+    proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, *args, "--config", str(cfg)],
+                          capture_output=True, text=True, check=True)
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert {"cli", "constants", "errors"} <= set(loaded)
+    assert not absent & set(loaded), loaded
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_traceback(unbuffered):
+    # 5000 rows (~0.8 MB) outrun the pipe's buffer, so the command is still
+    # writing when the reader closes its end after the header, as `| head -1` does
+    import os
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(NLED + ["profile", "--model", "born-infeld", "--E0", "1.0",
+                                    "--points", "5000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"r_cm,")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_radius_of_a_model_without_one_exits_2():
+    proc = run_cli("radius", "--model", "log-schroedinger")
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["kind"] == "UnsupportedModel"
+    assert proc.stdout == ""
+
+
+def test_radius_defaults_to_born_infeld():
+    plain = json.loads(run_cli("radius", check=True).stdout)
+    named = json.loads(run_cli("radius", "--model", "born-infeld", check=True).stdout)
+    # the config hash covers the model, so only the provenance differs
+    assert plain.pop("provenance")["config_hash"] != named.pop("provenance")["config_hash"]
+    assert plain == named
+
+
 @pytest.mark.parametrize("exc, code", [
     (NoSolution(2.0, 1.0), 3),
     (NumericalError("numerical"), 3),

@@ -422,8 +422,8 @@ class TestWork:
         assert np.isfinite(total_energy(m, K.e, spec_at(cutoff))[0])
 
     def test_import_leaves_scipy_integrate_out(self):
-        # no scipy module at all behind import nled
-        code = ("import sys, nled; "
+        # no scipy module at all behind import nled and every name it exports
+        code = ("import sys, nled; [getattr(nled, name) for name in nled.__all__]; "
                 "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
