@@ -45,8 +45,8 @@ def _merge_config(path: str | None) -> dict:
             user = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config {path!r} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+        raise ConfigurationError(f"config {path!r} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(user, dict):
         raise ConfigurationError(f"config {path!r} must be a JSON object")
     unknown = set(user) - set(_DEFAULTS)
@@ -141,14 +141,13 @@ def _provenance(cfg: dict) -> dict:
 
 
 def _require_model(cfg: dict):
-    from .models import model_from_config
+    from .models import _E0_KINDS, model_from_config
     if not isinstance(cfg["model"], dict):
         raise ConfigurationError("this subcommand needs a model (--model or a 'model' "
                                  f"config object), got {cfg['model']!r}")
     k = constants(cfg["preset"])
     spec = dict(cfg["model"])
-    needs_e0 = spec.get("kind") in ("born-infeld", "log-schroedinger")
-    if needs_e0 and spec.get("E0") is None:
+    if spec.get("kind") in _E0_KINDS and spec.get("E0") is None:
         # Default limiting field tied to the radius convention: E0 = e/r0^2.
         from . import energetics
         r0 = energetics.effective_radius(cfg["convention"], k)
@@ -163,8 +162,11 @@ def _write(cfg: dict, text: str) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write output {path!r}: {exc}") from None
 
 
 def _emit_json(cfg: dict, obj: dict) -> None:

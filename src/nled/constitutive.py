@@ -2,10 +2,9 @@
 
 Forward map: D = 4 pi |dL/dE| evaluated at H = 0, which gives
 
-    maxwell           D = E
     born-infeld       D = E / sqrt(1 - E^2/E0^2)        (E < E0)
     log-schroedinger  D = E / (1 + E^2/E0^2)            (max E0/2 at E = E0)
-    polynomial        D = E + 16 pi a E^3 + 24 pi x E^5
+    polynomial        D = E + 16 pi a E^3 + 24 pi x E^5 (maxwell: a = x = 0)
 
 Each map is described once at a point, and once in its constants: the
 kinds walked in ln E by _map_terms (g = D/E, h = g - 1 and q = dg/d ln E,
@@ -36,8 +35,7 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, Divergent, DomainExceeded, NoSolution,
                      NumericalError, UnsupportedModel)
-from .models import (BORN_INFELD, LOG_SCHROEDINGER, MAXWELL, POLYNOMIAL, LagrangianModel,
-                     _term)
+from .models import BORN_INFELD, LOG_SCHROEDINGER, LagrangianModel, _term
 
 RESIDUAL_LIMIT = 1e-12     # contract: achieved residual must stay below this
 
@@ -66,17 +64,15 @@ def _map_terms(m: LagrangianModel, E):
     """(g, h, q) of a map walked in ln E at field E (float or array): g = D/E,
     and h = g - 1 and q = dg/d ln E in closed form, which do not cancel where
     g -> 1.  Then D = E g, d ln D/d ln E = (g + q)/g, v = 1 - E/D = h/g and
-    1 - d ln E/d ln D = q/(g + q)."""
+    1 - d ln E/d ln D = q/(g + q).  The zero polynomial's are bare floats."""
     if m.kind == LOG_SCHROEDINGER:  # g = 1/(1 + t), t = (E/E0)^2
         t = (E / m.E0) ** 2
         g = 1.0 / (1.0 + t)
         return g, -t * g, -2.0 * t * g**2
-    if m.kind == POLYNOMIAL:  # g = 1 + a + x in powers of E^2
+    if m.coeffs is not None:  # g = 1 + a + x in powers of E^2
         c = m.coeffs
-        a, x = _term(16.0 * np.pi * c.alpha, E, 2), _term(24.0 * np.pi * c.xi, E, 4)
+        a, x = _term(16.0 * np.pi * c.alpha, E, E), _term(24.0 * np.pi * c.xi, E, E, E, E)
         return 1.0 + a + x, a + x, 2.0 * a + 4.0 * x
-    if m.kind == MAXWELL:
-        return np.ones_like(E), np.zeros_like(E), np.zeros_like(E)
     raise UnsupportedModel(f"{m.kind} has no constitutive map")
 
 
@@ -104,7 +100,7 @@ def _coulomb_deviation(m: LagrangianModel, E, D):
         h = np.hypot(m.E0, D)
         return (D / h) * (D / (h + m.E0))
     g, h, _ = _map_terms(m, E)
-    return h / g
+    return np.full_like(E, h / g)  # the zero polynomial's h/g is a bare float
 
 
 def _search_walk(m: LagrangianModel, D, E, delta):
@@ -117,7 +113,7 @@ def _search_walk(m: LagrangianModel, D, E, delta):
     it rounds above deep inside and taken as E0 (D/hypot) where E0/hypot is
     subnormal (D/E0 above ~1e308), and d ln E/dw = (E/D)^2 / 2.  The other
     kinds walk x = ln E: E = E_a e^delta, and D and d ln D/dx from
-    _map_terms, except for maxwell, whose D is E.
+    _map_terms.
     """
     if m.kind == BORN_INFELD:
         D = D * np.exp(0.5 * delta)
@@ -128,8 +124,6 @@ def _search_walk(m: LagrangianModel, D, E, delta):
             E = np.where(ratio >= tiny, E, m.E0 * (D / h))
         return D, np.minimum(E, m.E0), 0.5 * ratio**2, np.full_like(D, 0.5)
     E = E * np.exp(delta)
-    if m.kind == MAXWELL:
-        return E, E, np.ones_like(E), np.ones_like(E)
     g, _, q = _map_terms(m, E)
     return np.abs(E * g), E, np.ones_like(E), (g + q) / g
 
@@ -362,7 +356,8 @@ def _shape(m: LagrangianModel) -> _Shape:
     highest power matters.  Its D'(E) = 1 + 48 pi a E^2 + 120 pi x E^4
     first vanishes at E^2 = t, the smallest positive simple root; in T = 3t
     the coefficients 16 pi a and 40 pi x/3 are finite for every accepted
-    model.  Its ln E limit comes by bisection (E = 7.5e61 for (0.01, 0.001)).
+    model.  Its ln E limit comes by bisection (E = 7.5e61 for (0.01, 0.001)),
+    and stays inf for a linear map, which never reads it.
     The ln E kinds get Newton's start: D(E) by _search_walk every _START_STEP
     in ln E from _WALK_DEPTH below the scale, where D = E to double
     precision, up to the solver's top (641 samples for the log model).
@@ -375,7 +370,7 @@ def _shape(m: LagrangianModel) -> _Shape:
     elif m.kind == LOG_SCHROEDINGER:  # 1 + E^2/E0^2 vanishes at ln E = ln E0 +- i pi/2
         scale = top = E_peak = m.E0
         distance = 0.5 * np.pi
-    elif m.kind == POLYNOMIAL:
+    elif m.coeffs is not None:
         a, x = 16.0 * np.pi * m.coeffs.alpha, 24.0 * np.pi * m.coeffs.xi
         scales = [1.0 / np.sqrt(abs(a))] if a != 0.0 else []
         if x != 0.0:
@@ -389,15 +384,16 @@ def _shape(m: LagrangianModel) -> _Shape:
         E_peak = float(np.sqrt(min(folds, default=np.inf) / 3.0))
         # half the smallest |arg t| over the zeros t of D/E in t = E^2 = e^{2x}
         distance = 0.5 * float(np.min(np.abs(np.angle(_quadratic_roots(a, x))), initial=np.inf))
-        log_limit, hi = 0.0, np.log(np.finfo(float).max)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(64):
-                mid = 0.5 * (log_limit + hi)
-                if np.isfinite(_displacement(m, np.exp(mid))):
-                    log_limit = mid
-                else:
-                    hi = mid
-    elif m.kind != MAXWELL:
+        if scale is not None:
+            log_limit, hi = 0.0, np.log(np.finfo(float).max)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(64):
+                    mid = 0.5 * (log_limit + hi)
+                    if np.isfinite(_displacement(m, np.exp(mid))):
+                        log_limit = mid
+                    else:
+                        hi = mid
+    else:
         raise UnsupportedModel(f"{m.kind} has no constitutive map")
     D_max = np.inf if E_peak == np.inf else float(_displacement(m, E_peak))
     start = None

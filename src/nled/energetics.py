@@ -162,9 +162,9 @@ def total_energy(m: LagrangianModel, e: float,
                  quad: QuadratureSpec = QuadratureSpec()) -> tuple[float, float]:
     """(U, error) of the field self-energy integral of u 4 pi r^2 dr.
 
-    Raises Divergent for the linear theory without an inner cutoff; the
-    inner partial integrals are then non-Cauchy and the failure is a
-    first-class result, not a number.
+    Raises Divergent without an inner cutoff where r E does not vanish at
+    the center, as for the linear theory: the failure is a first-class
+    result, with the partial integrals inward and their inner radii.
     """
     U, _, err, _ = _stress_walk(m, e, quad.cutoff_r)
     return U, err

@@ -3,7 +3,7 @@ derivatives and small-field Taylor references.
 
 Supported kinds (weak-field limit normalized to +I1/8pi in every case):
 
-    maxwell           L = I1 / 8pi
+    maxwell           L = I1 / 8pi, the polynomial with every coefficient 0
     born-infeld       L = (E0^2/4pi) (1 - sqrt(1 - I1/E0^2 - I2^2/E0^4))
     log-schroedinger  L = (E0^2/8pi) ln(1 + I1/E0^2)
     polynomial        L = I1/8pi + a I1^2 + b I2^2 + g I1 I2 + x I1^3 + z I1 I2^2
@@ -62,7 +62,8 @@ class PolynomialCoeffs:
 
 @dataclass(frozen=True)
 class LagrangianModel:
-    """Tagged immutable model descriptor."""
+    """Tagged immutable model descriptor.  Exactly maxwell and polynomial carry
+    coeffs (maxwell's all 0), so ``m.coeffs is not None`` picks their one path."""
 
     kind: str
     E0: float | None = None
@@ -79,10 +80,15 @@ class LagrangianModel:
                                          f"[{_E0_RANGE[0]!r}, {_E0_RANGE[1]!r}], got {self.E0}")
         elif self.E0 is not None:
             raise ConfigurationError(f"{self.kind} takes no limiting field, got E0 = {self.E0}")
-        if self.kind == POLYNOMIAL and self.coeffs is None:
-            object.__setattr__(self, "coeffs", PolynomialCoeffs())
+        zero = PolynomialCoeffs() if self.kind in (MAXWELL, POLYNOMIAL) else None
+        if self.kind != POLYNOMIAL and self.coeffs not in (None, zero):
+            raise ConfigurationError(f"{self.kind} takes no coeffs, got {self.coeffs}")
+        if self.coeffs is None:
+            object.__setattr__(self, "coeffs", zero)
         if isinstance(self.mie_sign, bool) or self.mie_sign not in (+1, -1):
             raise ConfigurationError(f"mie_sign must be +1 or -1, got {self.mie_sign}")
+        if self.mie_sign != +1 and self.kind != MIE_SQRT:
+            raise ConfigurationError(f"{self.kind} takes no mie_sign, got {self.mie_sign}")
 
 
 def maxwell() -> LagrangianModel:
@@ -126,13 +132,15 @@ def _bi_radicand(m: LagrangianModel, i1, i2):
     return rad
 
 
-def _term(k: float, x, p: int):
-    """k x^p, finite wherever the product is: 0 for k = 0, where 0 times an
-    overflowed power would be NaN, and k x x ... x otherwise, whose partial
-    products all lie between k and the result, so it over- or underflows
-    only where the result does."""
+def _term(k: float, *factors):
+    """k times the factors left to right, finite wherever the product is: an
+    exact 0.0 for k = 0, where 0 times an overflowed factor would be NaN, else
+    partial products (for a power, k x x ... x) between k and the result, so
+    it over- or underflows only where the result does."""
+    if k == 0.0:
+        return 0.0
     with np.errstate(over="ignore"):
-        return 0.0 if k == 0.0 else math.prod([x] * p, start=k)
+        return math.prod(factors, start=k)
 
 
 def density_from_invariants(m: LagrangianModel, i1, i2):
@@ -140,8 +148,10 @@ def density_from_invariants(m: LagrangianModel, i1, i2):
     i1 = np.asarray(i1, dtype=float)
     i2 = np.asarray(i2, dtype=float)
     scalar = i1.ndim == 0 and i2.ndim == 0
-    if m.kind == MAXWELL:
-        out = i1 / EIGHT_PI
+    if m.coeffs is not None:
+        c = m.coeffs
+        out = (i1 / EIGHT_PI + _term(c.alpha, i1, i1) + _term(c.beta, i2, i2)
+               + _term(c.gamma, i1, i2) + _term(c.xi, i1, i1, i1) + _term(c.zeta, i1, i2**2))
     elif m.kind == BORN_INFELD:
         u = i1 / m.E0**2 + (i2 / m.E0**2) ** 2
         rad = _bi_radicand(m, i1, i2)
@@ -151,10 +161,6 @@ def density_from_invariants(m: LagrangianModel, i1, i2):
         if np.any(arg <= -1.0):
             raise DomainExceeded(m.kind, "argument 1 + I1/E0^2", float(1.0 + np.min(arg)))
         out = (m.E0**2 / EIGHT_PI) * np.log1p(arg)
-    elif m.kind == POLYNOMIAL:
-        c = m.coeffs
-        out = (i1 / EIGHT_PI + _term(c.alpha, i1, 2) + _term(c.beta, i2, 2)
-               + c.gamma * i1 * i2 + _term(c.xi, i1, 3) + c.zeta * i1 * i2**2)
     else:
         raise UnsupportedModel(f"{m.kind} is not a function of (I1, I2)")
     return float(out) if scalar else out
@@ -178,8 +184,12 @@ def lagrangian_density(m: LagrangianModel, F: FieldVectors,
 
 def _dL_dI(m: LagrangianModel, i1, i2):
     """(dL/dI1, dL/dI2), scalars or arrays; strict interior of the domain required."""
-    if m.kind == MAXWELL:
-        return 1.0 / EIGHT_PI, 0.0
+    if m.coeffs is not None:
+        c = m.coeffs
+        d1 = (1.0 / EIGHT_PI + _term(2.0 * c.alpha, i1) + _term(c.gamma, i2)
+              + _term(3.0 * c.xi, i1, i1) + _term(c.zeta, i2, i2))
+        d2 = _term(2.0 * c.beta, i2) + _term(c.gamma, i1) + _term(2.0 * c.zeta, i1, i2)
+        return d1, d2
     if m.kind == BORN_INFELD:
         rad = _bi_radicand(m, i1, i2)
         if np.any(rad == 0.0):
@@ -191,12 +201,6 @@ def _dL_dI(m: LagrangianModel, i1, i2):
         if np.any(arg <= -1.0):
             raise DomainExceeded(m.kind, "argument 1 + I1/E0^2", float(1.0 + np.min(arg)))
         return 1.0 / (EIGHT_PI * (1.0 + arg)), 0.0
-    if m.kind == POLYNOMIAL:
-        c = m.coeffs
-        d1 = (1.0 / EIGHT_PI + 2.0 * c.alpha * i1 + c.gamma * i2 + _term(3.0 * c.xi, i1, 2)
-              + _term(c.zeta, i2, 2))
-        d2 = 2.0 * c.beta * i2 + c.gamma * i1 + 2.0 * c.zeta * i1 * i2
-        return d1, d2
     raise UnsupportedModel(f"{m.kind} has no field-gradient structure")
 
 
@@ -212,8 +216,8 @@ def dL_dE(m: LagrangianModel, F: FieldVectors) -> np.ndarray:
 
 def taylor_reference(m: LagrangianModel) -> TaylorReference:
     """Analytic (c1, c20, c02) of the small-field expansion."""
-    if m.kind == MAXWELL:
-        return TaylorReference(c1=1.0 / EIGHT_PI, c20=0.0, c02=0.0)
+    if m.coeffs is not None:
+        return TaylorReference(c1=1.0 / EIGHT_PI, c20=m.coeffs.alpha, c02=m.coeffs.beta)
     if m.kind == BORN_INFELD:
         return TaylorReference(
             c1=1.0 / EIGHT_PI,
@@ -224,8 +228,6 @@ def taylor_reference(m: LagrangianModel) -> TaylorReference:
             c1=1.0 / EIGHT_PI,
             c20=-1.0 / (16.0 * np.pi * m.E0**2),
             c02=0.0)
-    if m.kind == POLYNOMIAL:
-        return TaylorReference(c1=1.0 / EIGHT_PI, c20=m.coeffs.alpha, c02=m.coeffs.beta)
     raise UnsupportedModel(f"{m.kind} has no Taylor expansion in (I1, I2)")
 
 

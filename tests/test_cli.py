@@ -212,9 +212,12 @@ def test_invalid_config_values_exit_2(tmp_path, bad):
     (["energy"], {"model": {"kind": "born-infeld", "E0": True}}, 2),
     (["energy"], {"model": {"kind": "polynomial", "coeffs": {"alpha": 1e308}}}, 2),
     (["energy"], {"model": {"kind": "polynomial", "coeffs": {"xi": True}}}, 2),
+    (["energy"], {"model": {"kind": "born-infeld", "E0": 1.0, "mie_sign": -1}}, 2),
+    (["profile"], {"model": {"kind": "maxwell", "coeffs": {"alpha": 1}}}, 2),
 ], ids=["E0_inf", "E0_square_overflows", "E0_square_underflows", "cutoff_far",
         "profile_format", "energy_overflows", "profile_overflows", "model_not_object",
-        "mie_sign_text", "E0_bool", "alpha_map_overflows", "coeff_bool"])
+        "mie_sign_text", "E0_bool", "alpha_map_overflows", "coeff_bool",
+        "born_infeld_mie_sign", "maxwell_coeffs"])
 def test_out_of_range_exits_with_json_error(tmp_path, args, config, code):
     extra = []
     if config is not None:
@@ -224,6 +227,17 @@ def test_out_of_range_exits_with_json_error(tmp_path, args, config, code):
     assert proc.returncode == code
     assert json.loads(proc.stderr)["kind"]
     assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout and "inf" not in proc.stdout
+
+
+@pytest.mark.parametrize("option, name", [
+    ("--out", "none/x.txt"), ("--out", "."), ("--config", "cfg.json"),
+], ids=["out_in_missing_directory", "out_is_a_directory", "config_not_utf8"])
+def test_file_errors_exit_2(tmp_path, option, name):
+    # a traceback would exit 1, which means a closed stdout
+    (tmp_path / "cfg.json").write_bytes(b'{"seed": "\xff"}')
+    proc = run_cli("dirac", option, str(tmp_path / name))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["kind"] == "ConfigurationError"
 
 
 def test_removed_laue_subcommand_exits_2():

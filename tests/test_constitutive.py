@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from nled import (ConvergenceFailure, NoSolution, UnsupportedModel,
+from nled import (ConvergenceFailure, Divergent, NoSolution, QuadratureSpec, UnsupportedModel,
                   attainable_displacement_max, born_infeld, compute_profile, constants,
-                  dL_dE, displacement_from_field, field_from_displacement, FieldVectors,
-                  log_schroedinger, maxwell, mie_sqrt, polynomial, total_energy)
+                  dL_dE, default_grid, displacement_from_field, field_from_displacement,
+                  FieldVectors, lagrangian_density, log_schroedinger, maxwell, mie_sqrt,
+                  polynomial, potential_at, stress_integrals, total_energy)
 from nled import constitutive
 
 from conftest import PLANE
@@ -302,7 +303,8 @@ class TestMapAlgebra:
 class TestKernel:
     """The array inversion behind field_from_displacement and the profiles."""
 
-    @pytest.mark.parametrize("model, d_top", WHOLE_RANGE)
+    # the zero polynomial's _map_terms are bare floats; v keeps E's shape
+    @pytest.mark.parametrize("model, d_top", WHOLE_RANGE + [(polynomial(), 1e300)])
     def test_array_equals_per_point(self, model, d_top):
         D = np.geomspace(1e-300, d_top, 601)
         D = D[D <= attainable_displacement_max(model)]
@@ -340,6 +342,47 @@ class TestKernel:
             assert abs(res.E / exact - 1) <= 1e-15  # a few roundings
         else:
             assert abs(forward_mp(m, res.E) / d - 1) <= 1e-14
+
+
+class TestMaxwellIsTheZeroPolynomial:
+    """maxwell() runs the polynomial path with every coefficient 0: each
+    output is polynomial()'s, bit for bit, and only the kind tag differs."""
+
+    M, P = maxwell(), polynomial()
+    R = 2.82e-13  # cm, about the classical electron radius
+
+    def test_profile_columns(self):
+        grid = default_grid(self.R)
+        a, b = compute_profile(self.M, K.e, grid), compute_profile(self.P, K.e, grid)
+        for name in ("D", "E", "rho", "eps", "u", "phi"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    def test_stress_integrals_with_a_cutoff(self):
+        quad = QuadratureSpec(cutoff_r=2 * self.R)
+        a, b = stress_integrals(self.M, K.e, quad), stress_integrals(self.P, K.e, quad)
+        assert (a.U_total, a.laue_trace, a.quad_error) == (b.U_total, b.laue_trace, b.quad_error)
+
+    def test_divergent_partials(self):
+        details = []
+        for m in (self.M, self.P):
+            with pytest.raises(Divergent, match=f"^{m.kind}: ") as info:
+                total_energy(m, K.e)
+            details.append(info.value.details)
+        assert details[0] == details[1]
+
+    @pytest.mark.parametrize("r", [1e-14, 1e-12])
+    def test_potential(self, r):
+        assert potential_at(self.M, K.e, r) == potential_at(self.P, K.e, r)
+
+    @pytest.mark.parametrize("d", [1e-300, 1.0, 1e300])
+    def test_inversion(self, d):
+        assert field_from_displacement(self.M, d) == field_from_displacement(self.P, d)
+
+    def test_density_and_gradient(self):
+        rng = np.random.default_rng(29)
+        F = FieldVectors(E=rng.normal(size=(40, 3)), H=rng.normal(size=(40, 3)))
+        for f in (lagrangian_density, dL_dE):
+            assert f(self.M, F).tobytes() == f(self.P, F).tobytes()
 
 
 class TestNewtonStart:

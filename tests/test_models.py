@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -63,6 +65,15 @@ class TestDensity:
             x, c = mpmath.mpf(i1), model.coeffs
             want = x / (8 * mpmath.pi) + c.alpha * x**2 + c.xi * x**3
         assert_allclose(density_from_invariants(model, i1, 0.0), float(want), rtol=1e-15)
+
+    @pytest.mark.parametrize("model", [maxwell(), polynomial()], ids=["maxwell", "polynomial"])
+    def test_zero_coefficients_stay_exact_at_overflowing_invariants(self, model):
+        # I1 = E^2 overflows: each zero term is an exact 0, never 0 x inf = NaN
+        Fv = F((1e160, 0, 0))
+        with np.errstate(over="ignore"):  # I1 itself
+            L, grad = lagrangian_density(model, Fv), dL_dE(model, Fv)
+        assert L == np.inf
+        assert grad.tolist() == [2.0 * (1.0 / EIGHT_PI) * 1e160, 0.0, 0.0]
 
     def test_mie_sqrt_needs_potential(self):
         m = mie_sqrt(+1)
@@ -219,6 +230,11 @@ class TestModelConstruction:
                                 "coeffs": {"alpha": 1.0, "beta": 2.0}})
         assert m2.coeffs.alpha == 1.0 and m2.coeffs.zeta == 0.0
 
+    def test_maxwell_carries_the_zero_polynomial(self):
+        assert maxwell().coeffs == PolynomialCoeffs() and maxwell().kind == "maxwell"
+        assert dataclasses.replace(maxwell()) == maxwell()
+        assert model_from_config({"kind": "maxwell", "coeffs": {}}) == maxwell()
+
     def test_polynomial_without_coeffs_is_maxwell(self):
         m = model_from_config({"kind": "polynomial"})
         assert m.coeffs == PolynomialCoeffs()
@@ -251,8 +267,14 @@ class TestModelConstruction:
         {"kind": "polynomial", "coeffs": {"alpha": 1e308}},
         {"kind": "polynomial", "coeffs": {"xi": -3e306}},
         {"kind": "polynomial", "coeffs": {"beta": True}},
+        # vacuous: maxwell would run as the polynomial, born-infeld has no sign
+        {"kind": "maxwell", "coeffs": {"alpha": 1}},
+        {"kind": "born-infeld", "E0": 1.0, "coeffs": {}},
+        {"kind": "born-infeld", "E0": 1.0, "mie_sign": -1},
+        {"kind": "polynomial", "mie_sign": -1},
     ], ids=["E0_bool", "mie_sign_text", "mie_sign_bool", "alpha_map_overflows",
-            "xi_map_overflows", "coeff_bool"])
+            "xi_map_overflows", "coeff_bool", "maxwell_coeffs", "born_infeld_coeffs",
+            "born_infeld_mie_sign", "polynomial_mie_sign"])
     def test_spec_rejected(self, spec):
         with pytest.raises(ConfigurationError):
             model_from_config(spec)
