@@ -34,8 +34,8 @@ _EXPORTS = {  # defining module -> its re-exported names
               "taylor_reference",
     "quadrature": "QuadratureSpec",
     "soliton": "RadialGrid SolitonProfile charge_density_profile check_stress_divergence "
-               "compute_profile default_grid displacement_profile field_profile integrated_charge "
-               "linear_grid log_grid potential_at potential_profile",
+               "compute_profile default_grid field_profile integrated_charge linear_grid log_grid "
+               "potential_at",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

@@ -128,14 +128,15 @@ def _search_walk(m: LagrangianModel, D, E, delta):
     return np.abs(E * g), E, np.ones_like(E), (g + q) / g
 
 
-@lru_cache(maxsize=1)
-def _rule_table():
-    """The walk's Gauss-Legendre rules on [0, 1] in two flat arrays, built on
-    first use: the m-point rule at (m (m - 1) - l (l - 1))/2 for m from
-    l = _LOW_RULE to _MAX_ORDER, then the closing rule and its lower rule."""
-    x, v = zip(*map(np.polynomial.legendre.leggauss,
-                    (*range(_LOW_RULE, _MAX_ORDER + 1), _CLOSING_ORDER, _CLOSING_ORDER - 1)))
-    return 0.5 * (np.concatenate(x) + 1.0), 0.5 * np.concatenate(v)
+@lru_cache(maxsize=32)
+def _rule(n: int):
+    """The n-point Gauss-Legendre rule on [0, 1], (nodes, weights), built on
+    first use, shared read-only."""
+    x, v = np.polynomial.legendre.leggauss(n)
+    rule = 0.5 * (x + 1.0), 0.5 * v
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 # The walk's rule: Gauss-Legendre panels over the segments between anchors,
@@ -152,7 +153,6 @@ def _rule_table():
 # near as 0.365, where 16 points on 0.5-wide panels leave 5e-17.  The lower
 # rule, n - 1 and 23 points on the same panels, serves an error estimate.
 _MIN_ORDER, _MAX_ORDER, _CLOSING_ORDER = 4, 16, 24
-_LOW_RULE = _MIN_ORDER - 1  # the lowest lower rule, _rule_table's first
 _PANEL_TOL = 1e-20
 _PANEL_FLOOR = 0.5
 _ANCHOR_STEP = 2.0
@@ -262,21 +262,20 @@ def _layout(panels: bytes, order: bytes, ends, rules: int):
     the segments' panel counts and orders (int arrays as bytes), ends and
     rules: a node sits at offset (panel + t) h with weight w h, h its
     segment's panel width, and closing nodes, scaled in t and w, on segment
-    n of width 1.  Gathered once per pattern, shared read-only."""
+    n of width 1.  Rule r takes _rule(order - r) on each panel and
+    _rule(_CLOSING_ORDER - r) on the closing panels.  Gathered once per
+    pattern, shared read-only."""
     panels, order = np.frombuffer(panels, dtype=int), np.frombuffer(order, dtype=int)
     n = panels.size
     seg = np.repeat(np.arange(n), panels)  # per panel
     panel = (np.arange(seg.size) - (np.cumsum(panels) - panels)[seg]).astype(float)
-    t, w = _rule_table()
     parts = []
     for r in range(rules):
-        m = order[seg] - r  # per panel; its rule starts at `first` in the table
-        first = (m * (m - 1) - _LOW_RULE * (_LOW_RULE - 1)) // 2
-        i = np.arange(m.sum()) + np.repeat(first - np.cumsum(m) + m, m)
+        m = order[seg] - r  # per panel
+        t, w = map(np.concatenate, zip(*map(_rule, m.tolist())))
         j = np.repeat(seg, m)
-        parts.append((j + 1, j, np.repeat(panel, m), t[i], w[i], j + r * (n + 2)))
-        c = t.size + (r - 2) * _CLOSING_ORDER + 1  # the closing rules end the table
-        s, w_s = t[c:c + _CLOSING_ORDER - r], w[c:c + _CLOSING_ORDER - r]
+        parts.append((j + 1, j, np.repeat(panel, m), t, w, j + r * (n + 2)))
+        s, w_s = _rule(_CLOSING_ORDER - r)
         for e, (anchor, k) in enumerate(ends):  # s = e^{k (x - x_anchor)} runs from 0 to 1
             parts.append((np.full(s.size, anchor), np.full(s.size, n), np.zeros(s.size),
                           np.log(s) / k, w_s / (abs(k) * s), np.full(s.size, r * (n + 2) + n + e)))
@@ -339,7 +338,7 @@ class _Shape(NamedTuple):
     E_peak: float        # where D(E) first stops rising (inf: it never does)
     D_max: float         # D(E_peak)
     width: float         # the walk's panel width in its search variable
-    log_limit: float     # the largest ln E at which D(E) is finite
+    E_top: float         # the solver's top: E_peak, or the largest E where D(E) is finite
     start: tuple | None  # (ln D, ln E) on a lattice of the map, for Newton's start
 
 
@@ -356,8 +355,9 @@ def _shape(m: LagrangianModel) -> _Shape:
     highest power matters.  Its D'(E) = 1 + 48 pi a E^2 + 120 pi x E^4
     first vanishes at E^2 = t, the smallest positive simple root; in T = 3t
     the coefficients 16 pi a and 40 pi x/3 are finite for every accepted
-    model.  Its ln E limit comes by bisection (E = 7.5e61 for (0.01, 0.001)),
-    and stays inf for a linear map, which never reads it.
+    model.  The solver's top E_top is the peak, or below it the largest E
+    at which D(E) is finite, found by bisection in ln E (E = 7.5e61 for
+    (0.01, 0.001)); it stays inf for a linear map, which never reads it.
     The ln E kinds get Newton's start: D(E) by _search_walk every _START_STEP
     in ln E from _WALK_DEPTH below the scale, where D = E to double
     precision, up to the solver's top (641 samples for the log model).
@@ -396,16 +396,16 @@ def _shape(m: LagrangianModel) -> _Shape:
     else:
         raise UnsupportedModel(f"{m.kind} has no constitutive map")
     D_max = np.inf if E_peak == np.inf else float(_displacement(m, E_peak))
+    E_top = min(E_peak, np.exp(log_limit))
     start = None
     if scale is not None and m.kind != BORN_INFELD:
-        E_top = min(E_peak, np.exp(log_limit))
         span = _WALK_DEPTH + np.log(E_top / scale)
         with np.errstate(over="ignore", invalid="ignore"):  # the unread slope may overflow
             D, E = _search_walk(m, E_top, E_top, np.linspace(
                 -span, 0.0, int(np.ceil(span / _START_STEP)) + 1))[:2]
         start = np.log(D), np.log(E)
     return _Shape(scale, top, E_peak, D_max, min(max(distance, _PANEL_FLOOR), _ANCHOR_STEP),
-                  log_limit, start)
+                  E_top, start)
 
 
 def attainable_displacement_max(m: LagrangianModel) -> float:
@@ -430,15 +430,14 @@ def _invert(m: LagrangianModel, D: np.ndarray):
     d ln D/dx.  Born-infeld, whose walk reads only D, starts at its root.
     The ln E kinds start at ln E interpolated linearly in ln D on their
     shape's table of forward-map samples, and a D outside the table at
-    min(D, E_top), E_top being the peak or the largest field where D(E) is
-    finite; they bracket the root between E_top and min(D, the smallest
-    normal float), where D(E) = E to double precision, and bisect where
-    Newton would leave the bracket.  An element's start depends on its own
-    D only, and it takes its last step when that step or its bracket is
-    below _X_TOL, so an array call equals the per-element calls bit for
-    bit.  ``lower`` tags lower-of-two roots, and D in the accepted band at
-    or just above D_max returns the peak.  NoSolution and ConvergenceFailure
-    name the first offending element.
+    min(D, E_top), the shape's solver top; they bracket the root between
+    E_top and min(D, the smallest normal float), where D(E) = E to double
+    precision, and bisect where Newton would leave the bracket.  An
+    element's start depends on its own D only, and it takes its last step
+    when that step or its bracket is below _X_TOL, so an array call equals
+    the per-element calls bit for bit.  ``lower`` tags lower-of-two roots,
+    and D in the accepted band at or just above D_max returns the peak.
+    NoSolution and ConvergenceFailure name the first offending element.
     """
     shape = _shape(m)  # raises UnsupportedModel for a kind with no map
     if shape.scale is None:
@@ -451,14 +450,13 @@ def _invert(m: LagrangianModel, D: np.ndarray):
     if m.kind == BORN_INFELD:
         E, lo, hi = D, np.zeros_like(D), np.zeros_like(D)
     else:
-        E_top = min(shape.E_peak, np.exp(shape.log_limit))
-        E = np.where(D >= shape.D_max, E_top, np.minimum(D, E_top))
+        E = np.where(D >= shape.D_max, shape.E_top, np.minimum(D, shape.E_top))
         ln_D, (ln_Ds, ln_Es) = np.log(D), shape.start
         inside = (ln_Ds[0] < ln_D) & (ln_D < ln_Ds[-1])
-        E = np.where(inside, np.minimum(np.exp(np.interp(ln_D, ln_Ds, ln_Es)), E_top), E)
+        E = np.where(inside, np.minimum(np.exp(np.interp(ln_D, ln_Ds, ln_Es)), shape.E_top), E)
         ln_E = np.log(E)
         lo = np.log(np.minimum(D, np.finfo(float).tiny)) - ln_E
-        hi = np.log(E_top) - ln_E
+        hi = np.log(shape.E_top) - ln_E
 
     # the elements still solving (act): target d, point (dx, e) and its slope,
     # and the bracket [lo, hi] in offsets from it; born-infeld starts at its root

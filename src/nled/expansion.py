@@ -68,12 +68,6 @@ class CoefficientEstimate:
     c12_hat: float | None = None
 
 
-def _sample_field(m: LagrangianModel, sample_scale: float) -> float:
-    """Absolute field magnitude of the samples: a fraction of the limiting
-    field, or of unity for scale-free models."""
-    return sample_scale * (m.E0 if m.E0 is not None else 1.0)
-
-
 def estimate_taylor_coefficients(m: LagrangianModel, sample_scale: float = 0.01,
                                  higher_order: bool = False) -> CoefficientEstimate:
     """Fit (c1, c20, c02) from designed samples at the given scale.
@@ -85,7 +79,7 @@ def estimate_taylor_coefficients(m: LagrangianModel, sample_scale: float = 0.01,
     if not (0.0 < sample_scale <= MAX_SAMPLE_SCALE):
         raise ConfigurationError(
             f"sample_scale must be in (0, {MAX_SAMPLE_SCALE}], got {sample_scale}")
-    s = _sample_field(m, sample_scale)
+    s = sample_scale * (m.E0 or 1.0)  # a fraction of the limiting field, or of unity
     design = s * np.asarray(_CONFIGS_HIGHER if higher_order else _CONFIGS)
     inv = invariants(FieldVectors(E=design[:, 0], H=design[:, 1]))
     i1, i2 = inv.I1, inv.I2

@@ -151,7 +151,7 @@ def density_from_invariants(m: LagrangianModel, i1, i2):
     if m.coeffs is not None:
         c = m.coeffs
         out = (i1 / EIGHT_PI + _term(c.alpha, i1, i1) + _term(c.beta, i2, i2)
-               + _term(c.gamma, i1, i2) + _term(c.xi, i1, i1, i1) + _term(c.zeta, i1, i2**2))
+               + _term(c.gamma, i1, i2) + _term(c.xi, i1, i1, i1) + _term(c.zeta, i1, i2, i2))
     elif m.kind == BORN_INFELD:
         u = i1 / m.E0**2 + (i2 / m.E0**2) ** 2
         rad = _bi_radicand(m, i1, i2)

@@ -81,17 +81,12 @@ def default_grid(r0: float, points: int = DEFAULT_POINTS) -> RadialGrid:
     return log_grid(DEFAULT_SPAN[0] * r0, DEFAULT_SPAN[1] * r0, points)
 
 
-def displacement_profile(e: float, grid: RadialGrid) -> np.ndarray:
-    """Point-source displacement D(r) = e/r^2."""
-    if not 0 < e < np.inf:
-        raise ConfigurationError(f"charge must be finite and positive, got {e}")
-    return energetics._source_displacement(e, grid.r)
-
-
 def _invert_profile(m: LagrangianModel, e: float,
                     grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(E, D) per grid point."""
-    D = displacement_profile(e, grid)
+    """(E, D) per grid point, D = e/r^2 the point source's displacement."""
+    if not 0 < e < np.inf:
+        raise ConfigurationError(f"charge must be finite and positive, got {e}")
+    D = energetics._source_displacement(e, grid.r)
     try:
         E = _invert(m, D)[0]
     except NoSolution as exc:  # the first offending D is the innermost radius
@@ -136,13 +131,6 @@ def _potential(m: LagrangianModel, e: float, D: np.ndarray, E: np.ndarray) -> np
     inversion error dD in a start point moves its phi by -(r E/2D) dD, which
     stays small at the fold of a non-monotone map, where dD = D'(E) dE."""
     return np.cumsum(_walk(m, D, E, partial(_phi_rows, e))[0, 0, ::-1])[::-1][:D.size]
-
-
-def potential_profile(m: LagrangianModel, e: float, grid: RadialGrid) -> np.ndarray:
-    """phi(r_i) = integral of E from r_i to infinity, from one inversion per
-    grid point."""
-    E, D = _invert_profile(m, e, grid)
-    return _potential(m, e, D, E)
 
 
 def potential_at(m: LagrangianModel, e: float, r: float) -> float:

@@ -280,7 +280,7 @@ class TestMapAlgebra:
     def test_against_references(self, m):
         shape = constitutive._shape(m)
         E = np.geomspace(1e-150 * shape.scale,
-                         min(0.9 * shape.E_peak, np.exp(shape.log_limit)), 121)
+                         min(0.9 * shape.E_peak, shape.E_top), 121)
         D = displacement_from_field(m, E)
         got = (D, constitutive._search_walk(m, D, E, 0.0)[3],
                constitutive._coulomb_deviation(m, E, D), constitutive._charge_factor(m, E, D))
@@ -414,7 +414,7 @@ class TestNewtonStart:
         # polynomial(alpha=2e306), about the widest span accepted, takes 6 318
         shape = constitutive._shape(m)
         ln_D, ln_E = shape.start
-        top = min(shape.E_peak, np.exp(shape.log_limit))
+        top = min(shape.E_peak, shape.E_top)
         span = 40.0 + np.log(top / shape.scale)
         assert ln_D.size <= 16.0 * span + 2 and ln_D.size <= 6400
         assert_allclose(ln_E[[0, -1]], [np.log(shape.scale) - 40.0, np.log(top)], rtol=1e-13)

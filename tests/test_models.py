@@ -75,6 +75,15 @@ class TestDensity:
         assert L == np.inf
         assert grad.tolist() == [2.0 * (1.0 / EIGHT_PI) * 1e160, 0.0, 0.0]
 
+    @pytest.mark.parametrize("model", [maxwell(), polynomial(), polynomial(zeta=1e-300)],
+                             ids=["maxwell", "polynomial", "small_zeta"])
+    def test_zeta_term_forms_no_overflowing_square(self, model):
+        # I2 = E.H = 1e160 is finite and I2^2 is not: zeta I1 I2^2 is formed
+        # left to right, exact 0 for zeta = 0 and finite where the term is
+        i1, i2 = 1e200 - 1e120, 1e160
+        L = lagrangian_density(model, F((1e100, 0, 0), (1e60, 0, 0)))
+        assert_allclose(L, i1 / EIGHT_PI + model.coeffs.zeta * i1 * i2 * i2, rtol=1e-15)
+
     def test_mie_sqrt_needs_potential(self):
         m = mie_sqrt(+1)
         with pytest.raises(ConfigurationError):

@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,10 +12,9 @@ from scipy.special import ellipk, ellipkinc
 from nled import (ConfigurationError, Divergent, NoSolution, NumericalError, RadialGrid,
                   attainable_displacement_max, born_infeld, charge_density_profile,
                   check_stress_divergence, classical_electron_radius,
-                  compute_profile, constants, default_grid, displacement_profile,
-                  field_from_displacement, field_profile, integrated_charge,
-                  linear_grid, log_grid, log_schroedinger, maxwell, polynomial,
-                  potential_at, potential_profile)
+                  compute_profile, constants, default_grid, field_from_displacement,
+                  field_profile, integrated_charge, linear_grid, log_grid,
+                  log_schroedinger, maxwell, polynomial, potential_at)
 from nled import constitutive, quadrature, soliton
 
 # Historical pair: these close to each other (e/r0^2 = E0) by construction.
@@ -93,21 +96,21 @@ class TestGrid:
 class TestDisplacement:
     def test_unit_values(self):
         g = RadialGrid(r=np.geomspace(1.0, 10.0, 5))
-        assert_allclose(displacement_profile(1.0, g)[0], 1.0)
+        assert_allclose(compute_profile(maxwell(), 1.0, g).D[0], 1.0)
 
     def test_tabulated_limiting_field(self):
         g = RadialGrid(r=np.geomspace(2.28e-13, 2.28e-12, 5))
-        assert_allclose(displacement_profile(K.e, g)[0], 9.18e15, rtol=5e-3)
+        assert_allclose(compute_profile(maxwell(), K.e, g).D[0], 9.18e15, rtol=5e-3)
 
     def test_inverse_square_scaling(self):
         g = RadialGrid(r=np.geomspace(1.0, 16.0, 5))
-        D = displacement_profile(1.0, g)
+        D = compute_profile(maxwell(), 1.0, g).D
         assert_allclose(D[4] / D[0], 1 / 256, rtol=1e-12)  # r x16 -> D/256
 
     def test_gauss_consistency(self):
         # r^2 D = e at every radius, to rounding
         g = default_grid(R0)
-        D = displacement_profile(K.e, g)
+        D = compute_profile(maxwell(), K.e, g).D
         assert np.max(np.abs(g.r**2 * D / K.e - 1)) <= 4 * np.finfo(float).eps
 
 
@@ -299,7 +302,7 @@ class TestPotential:
 
     def test_maxwell_is_coulomb(self):
         g = log_grid(1e-11, 1e-9, 21)
-        phi = potential_profile(maxwell(), K.e, g)
+        phi = compute_profile(maxwell(), K.e, g).phi
         assert_allclose(phi, K.e / g.r, rtol=1e-13)
 
     @pytest.mark.parametrize("grid", [default_grid(R0),
@@ -307,7 +310,7 @@ class TestPotential:
                                       log_grid(1e-4 * R0, 1e4 * R0, 5)],
                              ids=["default", "linear", "five_points"])
     def test_born_infeld_elliptic_form(self, grid):
-        phi = potential_profile(BI, K.e, grid)
+        phi = compute_profile(BI, K.e, grid).phi
         assert_allclose(phi, closed_phi(grid.r), rtol=1e-12, atol=0)
 
     def test_log_model_at_inversion_boundary(self):
@@ -316,7 +319,7 @@ class TestPotential:
         # digits, with r = r_b + t^2 removing the branch point
         ls = log_schroedinger(E0)
         g = log_grid(np.sqrt(2) * R0 * (1 + 1e-9), 1e4 * R0, 50)
-        phi = potential_profile(ls, K.e, g)
+        phi = compute_profile(ls, K.e, g).phi
         with mpmath.workdps(40):
             e, e0 = mpmath.mpf(K.e), mpmath.mpf(E0)
             r_b = mpmath.sqrt(2 * e / e0)
@@ -336,7 +339,7 @@ class TestPotential:
 
     def test_profile_matches_pointwise(self):
         g = log_grid(0.5 * R0, 50 * R0, 11)
-        phi = potential_profile(BI, K.e, g)
+        phi = compute_profile(BI, K.e, g).phi
         for i in (0, 5, 10):
             assert_allclose(phi[i], potential_at(BI, K.e, g.r[i]), rtol=1e-10)
 
@@ -431,7 +434,7 @@ class TestAssembledProfile:
     @pytest.mark.parametrize("e", [np.inf, np.nan, 0.0])
     def test_charge_rejected(self, e):
         with pytest.raises(ConfigurationError):
-            displacement_profile(e, default_grid(R0))
+            field_profile(BI, e, default_grid(R0))
 
     def test_overflowing_column_raises(self):
         # u = E D/4pi - L overflows at the center for this limiting field
@@ -467,6 +470,19 @@ class TestLayoutCache:
         check_stress_divergence(profiles[1])
         assert len(log) == 3 and log[0] == log[1] == log[2]
 
+    def test_rules_built_on_use(self):
+        # a default born-infeld profile walks panels of orders 7 and 16 and the
+        # 24-point closing rule: a fresh process builds those rules and no other
+        code = ("import numpy.polynomial.legendre as leg\n"
+                "from nled import born_infeld, compute_profile\n"
+                "calls, build = [], leg.leggauss\n"
+                "leg.leggauss = lambda n: calls.append(n) or build(n)\n"
+                "compute_profile(born_infeld(1.0), 1.0)\n"
+                "print(calls)")
+        calls = json.loads(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                          text=True, check=True).stdout)
+        assert 0 < len(calls) <= 3 and len(set(calls)) == len(calls), calls
+
     @pytest.mark.parametrize("model", [BI, log_schroedinger(E0), NARROW, maxwell()],
                              ids=["born_infeld", "log_schroedinger", "fold", "maxwell"])
     def test_equals_cold_caches(self, model):
@@ -474,7 +490,7 @@ class TestLayoutCache:
         grid = linear_grid(0.05 * r_s, 20.0 * r_s, 300)
         warm = compute_profile(model, K.e, grid)
         for cache in (constitutive._layout, constitutive._uniform_nodes,
-                      constitutive._rule_table, constitutive._shape):
+                      constitutive._rule, constitutive._shape):
             cache.cache_clear()
         cold = compute_profile(model, K.e, grid)
         for name in self.COLUMNS:
