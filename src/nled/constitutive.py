@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, Divergent, DomainExceeded, NoSolution,
                      NumericalError, UnsupportedModel)
-from .models import BORN_INFELD, LOG_SCHROEDINGER, LagrangianModel, _term
+from .models import BORN_INFELD, LOG_SCHROEDINGER, LagrangianModel, _term, polynomial
 
 RESIDUAL_LIMIT = 1e-12     # contract: achieved residual must stay below this
 
@@ -406,6 +406,14 @@ def _shape(m: LagrangianModel) -> _Shape:
         start = np.log(D), np.log(E)
     return _Shape(scale, top, E_peak, D_max, min(max(distance, _PANEL_FLOOR), _ANCHOR_STEP),
                   E_top, start)
+
+
+def _unit_twin(m: LagrangianModel, E_c: float) -> LagrangianModel:
+    """The map at H = 0 in units of its scale E_c, D'(E') = D(E_c E')/E_c: E0 = 1,
+    or alpha E_c^2 and xi E_c^4 by partial products (_term), finite where they are."""
+    if m.kind in (BORN_INFELD, LOG_SCHROEDINGER):
+        return LagrangianModel(m.kind, E0=1.0)
+    return polynomial(alpha=_term(m.coeffs.alpha, E_c, E_c), xi=_term(m.coeffs.xi, *[E_c] * 4))
 
 
 def attainable_displacement_max(m: LagrangianModel) -> float:

@@ -14,13 +14,13 @@ so the numeric trace must vanish to quadrature accuracy; for the linear
 theory with an inner cutoff it equals -U(r_c), the classical instability
 that historically had to be patched by non-electromagnetic forces.
 
-Both volume integrals, and the potential at one radius, come from the walk
-(constitutive._walk): a fixed rule along the inversion's own search
-variable whose nodes are points of the explicit forward map, so none is
-inverted.  _radial_walk starts it: a cutoff costs one inversion; without
-one the walk starts from the characteristic point, known in closed form,
-and a center where r E does not fall (the linear theory, whose walk rate
-there is +1/2) is reported Divergent.
+Both volume integrals, and the potential at one radius, come from one walk
+(constitutive._walk) along the inversion's own search variable, whose nodes
+are points of the explicit forward map.  _radial_walk runs it on the map's
+unit twin (its map in units of its scale E_c) at unit charge and scales U
+and T by e^(3/2) E_c^(1/2), phi by (e E_c)^(1/2); without a cutoff the
+twin's walk is made once per process.  A linear map walks in its own units,
+and its center (walk rate +1/2) is reported Divergent.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import PhysicalConstants, classical_electron_radius, constants
-from .constitutive import (_shape, _walk, attainable_displacement_max,
+from .constitutive import (_shape, _unit_twin, _walk, attainable_displacement_max,
                            field_from_displacement)
-from .errors import ConfigurationError, Divergent, NoSolution, UnsupportedModel
+from .errors import ConfigurationError, Divergent, NoSolution, NumericalError, UnsupportedModel
 from .kinematics import FOUR_PI
 from .models import (BORN_INFELD, LagrangianModel, born_infeld,
                      density_from_invariants)
@@ -109,15 +109,49 @@ def _stress_densities(m: LagrangianModel, E, D):
 _ROUNDING = 8.0 * np.finfo(float).eps
 
 
-def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None, integrand,
-                 lower: bool = False, error=ConfigurationError) -> np.ndarray:
-    """The walk's sums (constitutive._walk) of integrand over every radius
-    from r_c outward, or without a cutoff from the center.  A cutoff costs
+def _phi_rows(e: float, D, E, _, slope, w):
+    """phi's walk integrand, weighted: E dr = -(1/2) r E (d ln D/dx) dx along
+    the search variable x, with r = sqrt(e/D) the explicit forward map."""
+    return (w * 0.5 * np.sqrt(e / D) * E * slope,)
+
+
+def _integrals(m: LagrangianModel, e: float, D_0, E_0, center: bool, stress: bool, phi: bool):
+    """(U, trace, U error, trace error) if stress, then phi at the start if phi,
+    from one walk from (D_0, E_0), under its lower rule if stress: u dV, (u - 2L) dV
+    and |u dV| + |L dV| with dV = 2 pi r^3 (d ln D/dx) dx along x, and _phi_rows."""
+    def integrand(D, E, _, slope, w):
+        rows = _phi_rows(e, D, E, _, slope, w) if phi else ()
+        if not stress:
+            return rows
+        u, L = _stress_densities(m, E, D)
+        dV = 2.0 * np.pi * (e / D) ** 1.5 * slope
+        return (w * (u * dV), w * ((u - 2.0 * L) * dV),
+                w * (np.abs(u * dV) + np.abs(L * dV)), *rows)
+
+    sums = _walk(m, np.array([D_0]), np.array([E_0]), integrand, center, stress).sum(axis=2)
+    if not stress:
+        return (sums[0, 0],)
+    (U, U_low), (trace, trace_low), (scale, _) = sums[:3]
+    rounding = _ROUNDING * scale
+    return (U, trace, abs(U - U_low) + rounding, abs(trace - trace_low) + rounding,
+            *sums[3:, 0])
+
+
+@lru_cache(maxsize=64)
+def _center_record(twin: LagrangianModel):
+    """_integrals of a unit twin at unit charge from its scale to the center."""
+    return _integrals(twin, 1.0, 1.0, 1.0, True, True, True)
+
+
+def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None, phi: bool = False,
+                 error=ConfigurationError) -> np.ndarray:
+    """(U, trace, U error, trace error), or with phi (phi(r_c),), over every
+    radius from r_c outward, or without a cutoff from the center.  A cutoff costs
     one inversion (D = e/r_c^2 raises error unless it is a normal double;
-    NoSolution carries the fold radius).  Without one the walk starts from
-    the characteristic point, known in closed form, and also walks to the
-    center; Divergent, for a center-end rate that is not negative, carries
-    the radii of its partial integrals."""
+    NoSolution carries the fold radius), and the twin walks from (D_0/E_c,
+    E_0/E_c).  Without one it is the twin's _center_record.  A linear map
+    walks from the characteristic point; Divergent, for a center-end rate
+    that is not negative, carries the radii of its partial integrals."""
     r_s = radial_scale(m, e, cutoff_r)
     if cutoff_r is not None:
         D_0 = _source_displacement(e, cutoff_r, error)
@@ -132,30 +166,23 @@ def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None, integrand
             raise NoSolution(e / r_s**2, d_max, radius_cm=float(np.sqrt(e / d_max)),
                              note="without a cutoff the integral reaches every radius "
                                   "below radius_cm, where D exceeds the attainable maximum")
-        # D = E0 for born-infeld, E = E_c otherwise (E = D for a linear map)
-        D_0 = E_0 = _source_displacement(e, r_s)
-    try:
-        return _walk(m, np.array([D_0]), np.array([E_0]), integrand, cutoff_r is None, lower)
-    except Divergent as exc:
-        raise Divergent(str(exc), partials=exc.details["partials"],
-                        inner_limits=np.sqrt(e / np.array(exc.details["D"])).tolist()) from exc
-
-
-def _stress_walk(m: LagrangianModel, e: float,
-                 cutoff_r: float | None) -> tuple[float, float, float, float]:
-    """(U, trace, U error, trace error): the volume integrals of u and of the
-    spatial stress trace u - 2L on _radial_walk, whose volume element along
-    the search variable x is 4 pi r^2 dr = 2 pi r^3 (d ln D/dx) dx."""
-    def integrand(D, E, _, slope, w):
-        """u dV, (u - 2L) dV and |u dV| + |L dV|, weighted."""
-        u, L = _stress_densities(m, E, D)
-        dV = 2.0 * np.pi * (e / D) ** 1.5 * slope
-        return w * (u * dV), w * ((u - 2.0 * L) * dV), w * (np.abs(u * dV) + np.abs(L * dV))
-
-    sums = _radial_walk(m, e, cutoff_r, integrand, lower=True)
-    (U, U_low), (trace, trace_low), (scale, _) = sums.sum(axis=2)
-    rounding = _ROUNDING * scale
-    return U, trace, abs(U - U_low) + rounding, abs(trace - trace_low) + rounding
+        D_0 = E_0 = _source_displacement(e, r_s)  # D = E0 for born-infeld, else E = E_c
+    E_c = _shape(m).scale
+    if E_c is None:  # a linear map has no scale, hence no twin: it walks at charge e
+        try:
+            return np.array(_integrals(m, e, D_0, E_0, cutoff_r is None, not phi, phi))
+        except Divergent as exc:
+            raise Divergent(str(exc), partials=exc.details["partials"],
+                            inner_limits=np.sqrt(e / np.array(exc.details["D"])).tolist()) from exc
+    # a twin never diverges (top power E^3 or E^5, or a fold); U = C e^2/r_s as the paper writes it
+    twin, unit, rows = _unit_twin(m, E_c), e / r_s, slice(4, 5) if phi else slice(0, 4)
+    u_unit = e * e / r_s if _TINY <= e * e < np.inf else e * unit
+    out = np.array([u_unit] * 4 + [unit])[rows] * (
+        _center_record(twin)[rows] if cutoff_r is None
+        else _integrals(twin, 1.0, D_0 / E_c, E_0 / E_c, False, not phi, phi))
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(f"{m.kind}: an integral is beyond the double range", model_kind=m.kind)
+    return out
 
 
 def total_energy(m: LagrangianModel, e: float,
@@ -166,7 +193,7 @@ def total_energy(m: LagrangianModel, e: float,
     the center, as for the linear theory: the failure is a first-class
     result, with the partial integrals inward and their inner radii.
     """
-    U, _, err, _ = _stress_walk(m, e, quad.cutoff_r)
+    U, _, err, _ = _radial_walk(m, e, quad.cutoff_r)
     return U, err
 
 
@@ -177,17 +204,15 @@ def stress_integrals(m: LagrangianModel, e: float,
     momentum is identically zero for electrostatic input (E x H = 0); each
     Cartesian integral of T_ii dV equals laue_trace/3 by spherical symmetry.
     """
-    U, trace, err_u, err_t = _stress_walk(m, e, quad.cutoff_r)
+    U, trace, err_u, err_t = _radial_walk(m, e, quad.cutoff_r)
     return StressSummary(U_total=U, laue_trace=trace, momentum=np.zeros(3),
                          quad_error=err_u + err_t, cutoff_r=quad.cutoff_r)
 
 
-@lru_cache(maxsize=1)
 def born_infeld_energy_constant() -> float:
     """C in U = C e^2/r0 for the limiting-field model, computed numerically
     (equals Gamma(1/4)^2 / (6 sqrt(pi)) = 1.23605 to rounding)."""
-    U, _ = total_energy(born_infeld(1.0), 1.0)
-    return U
+    return total_energy(born_infeld(1.0), 1.0)[0]
 
 
 def effective_radius(convention: str, k: PhysicalConstants,

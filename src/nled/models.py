@@ -123,13 +123,11 @@ class TaylorReference:
     c02: float
 
 
-def _bi_radicand(m: LagrangianModel, i1, i2):
+def _bi_u(m: LagrangianModel, i1, i2):  # u = I1/E0^2 + I2^2/E0^4; radicand 1 - u >= 0
     u = i1 / m.E0**2 + (i2 / m.E0**2) ** 2
-    rad = 1.0 - u
-    if np.any(rad < 0.0):
-        raise DomainExceeded(m.kind, "radicand 1 - I1/E0^2 - I2^2/E0^4",
-                             float(np.min(rad)))
-    return rad
+    if (u > 1.0).any():
+        raise DomainExceeded(m.kind, "radicand 1 - I1/E0^2 - I2^2/E0^4", float(1.0 - u.max()))
+    return u
 
 
 def _term(k: float, *factors):
@@ -148,14 +146,15 @@ def density_from_invariants(m: LagrangianModel, i1, i2):
     i1 = np.asarray(i1, dtype=float)
     i2 = np.asarray(i2, dtype=float)
     scalar = i1.ndim == 0 and i2.ndim == 0
-    if m.coeffs is not None:
-        c = m.coeffs
-        out = (i1 / EIGHT_PI + _term(c.alpha, i1, i1) + _term(c.beta, i2, i2)
-               + _term(c.gamma, i1, i2) + _term(c.xi, i1, i1, i1) + _term(c.zeta, i1, i2, i2))
+    if m.coeffs is not None:  # left to right, skipping the zero terms
+        c, out = m.coeffs, i1 / EIGHT_PI
+        for k, factors in ((c.alpha, (i1, i1)), (c.beta, (i2, i2)), (c.gamma, (i1, i2)),
+                           (c.xi, (i1, i1, i1)), (c.zeta, (i1, i2, i2))):
+            if k != 0.0:
+                out = out + _term(k, *factors)
     elif m.kind == BORN_INFELD:
-        u = i1 / m.E0**2 + (i2 / m.E0**2) ** 2
-        rad = _bi_radicand(m, i1, i2)
-        out = (m.E0**2 / FOUR_PI) * u / (1.0 + np.sqrt(rad))
+        u = _bi_u(m, i1, i2)
+        out = (m.E0**2 / FOUR_PI) * u / (1.0 + np.sqrt(1.0 - u))
     elif m.kind == LOG_SCHROEDINGER:
         arg = i1 / m.E0**2
         if np.any(arg <= -1.0):
@@ -191,7 +190,7 @@ def _dL_dI(m: LagrangianModel, i1, i2):
         d2 = _term(2.0 * c.beta, i2) + _term(c.gamma, i1) + _term(2.0 * c.zeta, i1, i2)
         return d1, d2
     if m.kind == BORN_INFELD:
-        rad = _bi_radicand(m, i1, i2)
+        rad = 1.0 - _bi_u(m, i1, i2)
         if np.any(rad == 0.0):
             raise DomainExceeded(m.kind, "radicand 1 - I1/E0^2 - I2^2/E0^4", 0.0)
         s = 1.0 / np.sqrt(rad)

@@ -119,18 +119,12 @@ def charge_density_profile(m: LagrangianModel, e: float,
     return _charge_density(m, grid.r, *_invert_profile(m, e, grid))
 
 
-def _phi_rows(e: float, D, E, _, slope, w):
-    """phi's walk integrand, weighted: E dr = -(1/2) r E (d ln D/dx) dx along
-    the search variable x, with r = sqrt(e/D) the explicit forward map."""
-    return (w * 0.5 * np.sqrt(e / D) * E * slope,)
-
-
 def _potential(m: LagrangianModel, e: float, D: np.ndarray, E: np.ndarray) -> np.ndarray:
     """phi at the profile's points (D, E) in falling D: the walk's segment
     sums (constitutive._walk) accumulated from the Coulomb end inward.  An
     inversion error dD in a start point moves its phi by -(r E/2D) dD, which
     stays small at the fold of a non-monotone map, where dD = D'(E) dE."""
-    return np.cumsum(_walk(m, D, E, partial(_phi_rows, e))[0, 0, ::-1])[::-1][:D.size]
+    return np.cumsum(_walk(m, D, E, partial(energetics._phi_rows, e))[0, 0, ::-1])[::-1][:D.size]
 
 
 def potential_at(m: LagrangianModel, e: float, r: float) -> float:
@@ -141,8 +135,7 @@ def potential_at(m: LagrangianModel, e: float, r: float) -> float:
     zero trace)."""
     if not r >= 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    sums = energetics._radial_walk(m, e, r or None, partial(_phi_rows, e), error=ValueError)
-    return float(sums[0, 0].sum())
+    return float(energetics._radial_walk(m, e, r or None, phi=True, error=ValueError)[0])
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from nled import constitutive, polynomial
+from nled import constitutive, energetics, polynomial
 
 # log10 |alpha| and log10 xi over sixty decades, either sign of alpha
 PLANE = st.builds(lambda sign, la, lx: polynomial(alpha=sign * 10.0**la, xi=10.0**lx),
@@ -61,12 +61,18 @@ def recorded(monkeypatch):
 def floor_layout(monkeypatch):
     """floor_layout(run): run() with the walk's panels 0.5 wide in x for
     every model, the floor width, whatever its singularities allow; the
-    reference layout that wider panels must agree with."""
+    reference layout that wider panels must agree with.  The no-cutoff
+    records are cleared on entry, so that run() walks under this layout, and
+    on exit, so that none walked under it outlives it."""
     def under(run):
         with monkeypatch.context() as patch:
             shape = constitutive._shape
             patch.setattr(constitutive, "_shape", lambda m: shape(m)._replace(width=0.5))
-            return run()
+            energetics._center_record.cache_clear()
+            try:
+                return run()
+            finally:
+                energetics._center_record.cache_clear()
     return under
 
 
@@ -74,13 +80,17 @@ def floor_layout(monkeypatch):
 def full_order(monkeypatch):
     """full_order(run): run() with 16-point panels on every segment of the
     walk, whatever its width and its map's nearest singularity allow; the
-    reference layout that each segment's own Gauss order must agree with."""
+    reference layout that each segment's own Gauss order must agree with.
+    Its node and no-cutoff record caches are cleared on entry and on exit,
+    as floor_layout's records are."""
     def under(run):
         with monkeypatch.context() as patch:
             patch.setattr(constitutive, "_MIN_ORDER", constitutive._MAX_ORDER)
             constitutive._uniform_nodes.cache_clear()
+            energetics._center_record.cache_clear()
             try:
                 return run()
             finally:
                 constitutive._uniform_nodes.cache_clear()
+                energetics._center_record.cache_clear()
     return under

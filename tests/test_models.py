@@ -9,7 +9,7 @@ from nled import (ConfigurationError, DomainExceeded, FieldVectors,
                   FourPotential, PolynomialCoeffs, UnsupportedModel, born_infeld,
                   dL_dE, lagrangian_density, log_schroedinger, maxwell, mie_sqrt,
                   model_from_config, polynomial, taylor_reference)
-from nled.models import density_from_invariants
+from nled.models import _term, density_from_invariants
 
 EIGHT_PI = 8 * np.pi
 
@@ -83,6 +83,27 @@ class TestDensity:
         i1, i2 = 1e200 - 1e120, 1e160
         L = lagrangian_density(model, F((1e100, 0, 0), (1e60, 0, 0)))
         assert_allclose(L, i1 / EIGHT_PI + model.coeffs.zeta * i1 * i2 * i2, rtol=1e-15)
+
+    @pytest.mark.parametrize("model", [
+        maxwell(), polynomial(0.01, xi=0.001), polynomial(-0.005, 0.3, 0.1, 0.001, 0.2),
+        born_infeld(1.0), born_infeld(9.18e15)],
+        ids=["maxwell", "polynomial", "every_term", "born_infeld", "born_infeld_e0"])
+    def test_walk_sized_arrays_keep_their_bits(self, model):
+        # zero terms are skipped and born-infeld's u is formed once: for
+        # I1 >= +0 the bits are those of every term added left to right
+        rng = np.random.default_rng(12)
+        top = 1.0 if model.E0 is None else model.E0**2
+        i1 = top * np.append([0.0, 1.0], np.geomspace(1e-300, 1.0, 1332) * rng.random(1332))
+        for i2 in [0.0] if model.kind == "born-infeld" else [0.0, 0.1 * i1 * rng.random(i1.size)]:
+            if model.kind == "born-infeld":
+                u = i1 / model.E0**2 + (i2 / model.E0**2) ** 2
+                want = (model.E0**2 / (4 * np.pi)) * u / (1.0 + np.sqrt(1.0 - u))
+            else:
+                c = model.coeffs
+                want = (i1 / EIGHT_PI + _term(c.alpha, i1, i1) + _term(c.beta, i2, i2)
+                        + _term(c.gamma, i1, i2) + _term(c.xi, i1, i1, i1)
+                        + _term(c.zeta, i1, i2, i2))
+            assert density_from_invariants(model, i1, i2).tobytes() == want.tobytes()
 
     def test_mie_sqrt_needs_potential(self):
         m = mie_sqrt(+1)
