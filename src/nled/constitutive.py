@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, Divergent, DomainExceeded, NoSolution,
                      NumericalError, UnsupportedModel)
-from .models import BORN_INFELD, LOG_SCHROEDINGER, LagrangianModel, _term, polynomial
+from .models import BORN_INFELD, LOG_SCHROEDINGER, LagrangianModel, PolynomialCoeffs, _term
 
 RESIDUAL_LIMIT = 1e-12     # contract: achieved residual must stay below this
 
@@ -187,8 +187,8 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, center: bool = Fa
     NumericalError when the Coulomb-end k is not positive and settled to
     _RATE_TOL against k one anchor in, or when a sum is not finite, and
     Divergent when the center-end k is not negative (r E does not vanish
-    at r = 0), with the first row's finite partial integrals inward from
-    the start and the anchors' D.
+    at r = 0), with each row's partial integrals inward from the start and
+    the anchors' D.
     """
     shape = _shape(m)
     if m.kind == BORN_INFELD:  # ln D = ln E0 + x/2 in the radicand logit
@@ -222,13 +222,12 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, center: bool = Fa
         sums = np.array([np.bincount(seg, weights=row, minlength=rules * (n + 2))
                          for row in f(*nodes, weight)]).reshape(-1, rules, n + 2)
         if center and rate[0] >= 0.0:  # inward from the start: the outer total, then each step
-            partials = np.cumsum(np.append(sums[0, 0, n_in:n + 1].sum(), sums[0, 0, n_in - 1::-1]))
-            finite = np.isfinite(partials)  # a sum that is not finite stays so inward
+            outer = sums[:, 0, n_in:n + 1].sum(axis=1, keepdims=True)
+            partials = np.cumsum(np.hstack([outer, sums[:, 0, n_in - 1::-1]]), axis=1)
             raise Divergent(
                 f"{m.kind}: the walk's center-end rate k = {float(rate[0])!r} is not negative, "
-                "so the integrand is not integrable at r -> 0" + ("" if finite[0] else
-                "; the outer total overflows the double range, so no partial is recorded"),
-                partials=partials[finite].tolist(), D=D_a[n_in::-1][finite].tolist())
+                "so the integrand is not integrable at r -> 0",
+                partials=partials.tolist(), D=D_a[n_in::-1].tolist())
     if not np.all(np.isfinite(sums)):
         raise NumericalError(f"{m.kind}: a walk integral is not finite "
                              "(a field or density overflows the double range)",
@@ -408,12 +407,15 @@ def _shape(m: LagrangianModel) -> _Shape:
                   E_top, start)
 
 
-def _unit_twin(m: LagrangianModel, E_c: float) -> LagrangianModel:
+@lru_cache(maxsize=64)
+def _unit_twin(m: LagrangianModel, E_c: float | None) -> LagrangianModel:
     """The map at H = 0 in units of its scale E_c, D'(E') = D(E_c E')/E_c: E0 = 1,
-    or alpha E_c^2 and xi E_c^4 by partial products (_term), finite where they are."""
+    or alpha E_c^2 and xi E_c^4 by partial products (_term), finite where they are,
+    of its own kind; a linear map's (E_c None) is maxwell() or polynomial()."""
     if m.kind in (BORN_INFELD, LOG_SCHROEDINGER):
         return LagrangianModel(m.kind, E0=1.0)
-    return polynomial(alpha=_term(m.coeffs.alpha, E_c, E_c), xi=_term(m.coeffs.xi, *[E_c] * 4))
+    return LagrangianModel(m.kind, coeffs=PolynomialCoeffs(
+        alpha=_term(m.coeffs.alpha, E_c, E_c), xi=_term(m.coeffs.xi, *[E_c] * 4)))
 
 
 def attainable_displacement_max(m: LagrangianModel) -> float:

@@ -16,11 +16,11 @@ that historically had to be patched by non-electromagnetic forces.
 
 Both volume integrals, and the potential at one radius, come from one walk
 (constitutive._walk) along the inversion's own search variable, whose nodes
-are points of the explicit forward map.  _radial_walk runs it on the map's
-unit twin (its map in units of its scale E_c) at unit charge and scales U
-and T by e^(3/2) E_c^(1/2), phi by (e E_c)^(1/2); without a cutoff the
-twin's walk is made once per process.  A linear map walks in its own units,
-and its center (walk rate +1/2) is reported Divergent.
+are points of the explicit forward map.  _radial_walk runs it at unit charge
+on the map's unit twin, the map in units of its field scale E_c = e/r_s^2 (a
+linear map, with r_s the cutoff or the classical radius, is its own), and
+scales U and T by e^2/r_s, phi by e/r_s; each walk from (1, 1), every center
+and every linear map's, is made once per process.
 """
 
 from __future__ import annotations
@@ -138,9 +138,14 @@ def _integrals(m: LagrangianModel, e: float, D_0, E_0, center: bool, stress: boo
 
 
 @lru_cache(maxsize=64)
-def _center_record(twin: LagrangianModel):
-    """_integrals of a unit twin at unit charge from its scale to the center."""
-    return _integrals(twin, 1.0, 1.0, 1.0, True, True, True)
+def _unit_record(twin: LagrangianModel, center: bool):
+    """_integrals with phi of a unit twin at unit charge from (1, 1) outward, and with
+    center inward too; for a diverging center (a linear map's) Divergent's message,
+    each row's partial integrals inward and their D, as tuples that callers share."""
+    try:
+        return _integrals(twin, 1.0, 1.0, 1.0, center, True, True)
+    except Divergent as exc:
+        return str(exc), *map(tuple, exc.details["partials"]), tuple(exc.details["D"])
 
 
 def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None, phi: bool = False,
@@ -148,10 +153,10 @@ def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None, phi: bool
     """(U, trace, U error, trace error), or with phi (phi(r_c),), over every
     radius from r_c outward, or without a cutoff from the center.  A cutoff costs
     one inversion (D = e/r_c^2 raises error unless it is a normal double;
-    NoSolution carries the fold radius), and the twin walks from (D_0/E_c,
-    E_0/E_c).  Without one it is the twin's _center_record.  A linear map
-    walks from the characteristic point; Divergent, for a center-end rate
-    that is not negative, carries the radii of its partial integrals."""
+    NoSolution carries the fold radius).  The twin walks from (D_0/E_c, E_0/E_c),
+    which raises error unless it is a normal double; from (1, 1), a linear map's
+    start and every center, it is the twin's _unit_record.  Divergent, for a
+    center-end rate that is not negative, carries the radii of its partials."""
     r_s = radial_scale(m, e, cutoff_r)
     if cutoff_r is not None:
         D_0 = _source_displacement(e, cutoff_r, error)
@@ -167,19 +172,23 @@ def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None, phi: bool
                              note="without a cutoff the integral reaches every radius "
                                   "below radius_cm, where D exceeds the attainable maximum")
         D_0 = E_0 = _source_displacement(e, r_s)  # D = E0 for born-infeld, else E = E_c
-    E_c = _shape(m).scale
-    if E_c is None:  # a linear map has no scale, hence no twin: it walks at charge e
-        try:
-            return np.array(_integrals(m, e, D_0, E_0, cutoff_r is None, not phi, phi))
-        except Divergent as exc:
-            raise Divergent(str(exc), partials=exc.details["partials"],
-                            inner_limits=np.sqrt(e / np.array(exc.details["D"])).tolist()) from exc
-    # a twin never diverges (top power E^3 or E^5, or a fold); U = C e^2/r_s as the paper writes it
-    twin, unit, rows = _unit_twin(m, E_c), e / r_s, slice(4, 5) if phi else slice(0, 4)
-    u_unit = e * e / r_s if _TINY <= e * e < np.inf else e * unit
-    out = np.array([u_unit] * 4 + [unit])[rows] * (
-        _center_record(twin)[rows] if cutoff_r is None
-        else _integrals(twin, 1.0, D_0 / E_c, E_0 / E_c, False, not phi, phi))
+    scale = _shape(m).scale
+    E_c = scale or D_0  # a linear map's unit field is e/r_s^2: it starts at (1, 1)
+    with np.errstate(over="ignore", under="ignore"):
+        start = np.array([D_0, E_0]) / E_c
+    if not _TINY <= start.min() <= start.max() < np.inf:
+        raise error(f"{m.kind}: the cutoff {cutoff_r!r} cm puts the walk's start at (D, E)/E_c "
+                    f"= {tuple(start.tolist())!r}, not a finite, normal double")
+    twin, unit, rows = _unit_twin(m, scale), e / r_s, slice(4, 5) if phi else slice(0, 4)
+    units = np.array([e * e / r_s if _TINY <= e * e < np.inf else e * unit] * 4 + [unit])[rows]
+    if cutoff_r is None or np.all(start == 1.0):  # U = C e^2/r_s, as the paper writes it
+        record = _unit_record(twin, cutoff_r is None)
+        if isinstance(record[0], str):  # a linear map's center: message, partials per row, D
+            raise Divergent(record[0], partials=(units[:1] * record[-2 if phi else 1]).tolist(),
+                            inner_limits=(r_s / np.sqrt(record[-1])).tolist())
+        out = units * record[rows]
+    else:
+        out = units * _integrals(twin, 1.0, *start, False, not phi, phi)
     if not np.all(np.isfinite(out)):
         raise NumericalError(f"{m.kind}: an integral is beyond the double range", model_kind=m.kind)
     return out

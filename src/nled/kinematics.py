@@ -6,13 +6,10 @@ Invariant conventions (vector form, Gaussian units):
     I1 = E^2 - H^2
     I2 = E . H
     I3 = A . A - phi^2                       (square of the 4-potential)
-    I4 = -(E.A)^2 + |phi E + A x H|^2        (contraction F_{mu nu} A^nu)
-    I5 = -(H.A)^2 + |phi H - A x E|^2        (same for the dual tensor)
 
-I4/I5 are Minkowski squared norms with signature (-,+,+,+) of the 4-vectors
-(E.A, phi E + A x H) and (H.A, phi H - A x E).  The tensor-form scalars
-(1/4) F_{mu nu} F^{mu nu} = -I1/2 and (1/4) F_{mu nu} F*^{mu nu} = -I2 are
-scaled aliases of I1, I2 and are not exposed separately.
+The tensor-form scalars (1/4) F_{mu nu} F^{mu nu} = -I1/2 and
+(1/4) F_{mu nu} F*^{mu nu} = -I2 are scaled aliases of I1, I2 and are not
+exposed separately.
 
 The identity checked by ``fierz_identity_sides`` is the corrected squared
 form
@@ -109,30 +106,22 @@ class FourPotential:
 
 @dataclass(frozen=True)
 class InvariantSet:
-    """The five invariants, scalars or stacks; I3-I5 are None when no
-    potential was supplied."""
+    """The invariants, scalars or stacks; I3 is None when no potential was
+    supplied."""
 
     I1: float | np.ndarray
     I2: float | np.ndarray
     I3: float | np.ndarray | None = None
-    I4: float | np.ndarray | None = None
-    I5: float | np.ndarray | None = None
 
 
 def invariants(F: FieldVectors, A: FourPotential | None = None) -> InvariantSet:
-    """Evaluate I1, I2 (and I3-I5 when a four-potential is given)."""
+    """Evaluate I1, I2 (and I3 when a four-potential is given)."""
     E, H = F.E, F.H
     i1 = _dot(E, E) - _dot(H, H)
     i2 = _dot(E, H)
     if A is None:
         return InvariantSet(I1=i1, I2=i2)
-    a, phi = A.A, A.phi
-    i3 = _dot(a, a) - phi**2
-    v4 = np.expand_dims(phi, -1) * E + _cross(a, H)
-    v5 = np.expand_dims(phi, -1) * H - _cross(a, E)
-    i4 = -_dot(E, a) ** 2 + _dot(v4, v4)
-    i5 = -_dot(H, a) ** 2 + _dot(v5, v5)
-    return InvariantSet(I1=i1, I2=i2, I3=i3, I4=i4, I5=i5)
+    return InvariantSet(I1=i1, I2=i2, I3=_dot(A.A, A.A) - A.phi**2)
 
 
 def fierz_identity_sides(F: FieldVectors) -> tuple[float, float]:

@@ -68,11 +68,11 @@ def floor_layout(monkeypatch):
         with monkeypatch.context() as patch:
             shape = constitutive._shape
             patch.setattr(constitutive, "_shape", lambda m: shape(m)._replace(width=0.5))
-            energetics._center_record.cache_clear()
+            energetics._unit_record.cache_clear()
             try:
                 return run()
             finally:
-                energetics._center_record.cache_clear()
+                energetics._unit_record.cache_clear()
     return under
 
 
@@ -87,10 +87,10 @@ def full_order(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(constitutive, "_MIN_ORDER", constitutive._MAX_ORDER)
             constitutive._uniform_nodes.cache_clear()
-            energetics._center_record.cache_clear()
+            energetics._unit_record.cache_clear()
             try:
                 return run()
             finally:
                 constitutive._uniform_nodes.cache_clear()
-                energetics._center_record.cache_clear()
+                energetics._unit_record.cache_clear()
     return under

@@ -217,6 +217,8 @@ def test_invalid_config_values_exit_2(tmp_path, bad):
     (["energy", "--model", "born-infeld", "--E0", "1e155"], None, 2),
     (["profile", "--model", "born-infeld", "--E0", "1e-300"], None, 2),
     (["energy", "--model", "born-infeld", "--E0", "1.0"], {"quad": {"cutoff_r_cm": 1e300}}, 2),
+    # D/E0 = 4.8e310 at the cutoff: the walk's start overflowed (a bare OverflowError)
+    (["energy", "--model", "born-infeld", "--E0", "1e-150"], {"quad": {"cutoff_r_cm": 1e-85}}, 2),
     (["profile", "--model", "born-infeld", "--E0", "1.0"], {"output": {"format": "xml"}}, 2),
     (["profile", "--model", "born-infeld", "--E0", "1e154"], None, 3),
     (["energy"], {"model": "born-infeld"}, 2),
@@ -227,7 +229,7 @@ def test_invalid_config_values_exit_2(tmp_path, bad):
     (["energy"], {"model": {"kind": "born-infeld", "E0": 1.0, "mie_sign": -1}}, 2),
     (["profile"], {"model": {"kind": "maxwell", "coeffs": {"alpha": 1}}}, 2),
 ], ids=["E0_inf", "E0_square_overflows", "E0_square_underflows", "cutoff_far",
-        "profile_format", "profile_overflows", "model_not_object",
+        "cutoff_far_inside_scale", "profile_format", "profile_overflows", "model_not_object",
         "mie_sign_text", "E0_bool", "alpha_map_overflows", "coeff_bool",
         "born_infeld_mie_sign", "maxwell_coeffs"])
 def test_out_of_range_exits_with_json_error(tmp_path, args, config, code):

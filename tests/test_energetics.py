@@ -229,13 +229,26 @@ class TestTotalEnergy:
         with pytest.raises(ConfigurationError):
             total_energy(maxwell(), e)
 
-    @pytest.mark.parametrize("m, e, cutoff", [(maxwell(), 1.0, 1e150)],
-                             ids=["maxwell_far_cutoff"])
-    def test_walk_outside_double_range_raises(self, m, e, cutoff):
-        # nodes whose densities overflow give a numerical failure, not a NaN
+    @pytest.mark.parametrize("e, cutoff", [(1.0, 1e150), (1.0, 1e-150), (1e-100, 1e100)],
+                             ids=["far_cutoff", "near_cutoff", "small_charge"])
+    def test_maxwell_beyond_physical_double_range(self, e, cutoff):
+        # the walk at charge e raised NumericalError at (1, 1e150), where U =
+        # 5e-151; on its unit twin U = e^2/2r_c, trace = -U and phi = e/r_c
+        spec, U = spec_at(cutoff), e * e / (2 * cutoff)
+        s = stress_integrals(maxwell(), e, spec)
+        assert abs(s.U_total / U - 1) <= 4.5e-16
+        assert abs(s.laue_trace / -U - 1) <= 4.5e-16
+        assert total_energy(maxwell(), e, spec)[0] == s.U_total
+        assert abs(potential_at(maxwell(), e, cutoff) / (e / cutoff) - 1) <= 4.5e-16
+
+    def test_start_outside_double_range_rejected(self):
+        # D/E0 = 1e310 at the cutoff: the twin's start overflowed (a bare OverflowError)
+        m, spec = born_infeld(1e-150), spec_at(1e-80)
         for f in (total_energy, stress_integrals):
-            with pytest.raises(NumericalError):
-                f(m, e, QuadratureSpec(cutoff_r=cutoff))
+            with pytest.raises(ConfigurationError, match="not a finite, normal double"):
+                f(m, 1.0, spec)
+        with pytest.raises(ValueError, match="not a finite, normal double"):
+            potential_at(m, 1.0, 1e-80)
 
     @pytest.mark.parametrize("m, ref", [(born_infeld(1e150), born_infeld(1.0)),
                                         (polynomial(alpha=1e-250), polynomial(alpha=0.01))],
@@ -250,8 +263,8 @@ class TestTotalEnergy:
 
     @pytest.mark.parametrize("e", [1e-54, 1e54])
     def test_divergence_reported_before_overflow(self, e):
-        # the walk's innermost nodes overflow for these charges, but the
-        # center-end rate already shows the center diverging
+        # a walk at charge e overflowed at its innermost nodes for these
+        # charges; the unit twin's center-end rate shows the center diverging
         with pytest.raises(Divergent):
             total_energy(maxwell(), e)
 
@@ -320,12 +333,18 @@ class TestDivergence:
 
     @pytest.mark.parametrize("e", [1e-54, 1.0, 1e54])
     def test_record_holds_finite_numbers(self, e):
-        # at 1e54 the outer total is 0 * inf (u underflows, the volume
-        # element overflows), so the record keeps no partial
+        # a walk at charge e kept 0 partials at 1e54, where the outer total
+        # was 0 * inf, and 5 at 1e-54; the unit twin keeps all 21 at any
+        # charge, at radii r_s/sqrt(D) of the twin's anchors D = e^(2j)
+        r_s = radial_scale(maxwell(), e)
+        radii = r_s / np.sqrt(np.exp(2.0 * np.arange(21)))
         for f in (total_energy, stress_integrals, lambda m, e: potential_at(m, e, 0.0)):
-            with pytest.raises(Divergent) as exc_info:
+            with pytest.raises(Divergent, match=r"^maxwell: .* center-end rate k = 0\.5 ") as exc_info:
                 f(maxwell(), e)
             json.dumps(exc_info.value.to_dict(), allow_nan=False)
+            partials, limits = (exc_info.value.details[k] for k in ("partials", "inner_limits"))
+            assert len(partials) == 21 and np.all(np.diff(partials) > 0)
+            assert_allclose(limits, radii, rtol=1e-15)
 
 
 class TestVirial:
@@ -398,7 +417,7 @@ class TestCenterTop:
         # on the unit twin U = (2/3) e phi(0) holds here too (the walk in
         # physical units missed it by 1.27e-7)
         m = polynomial(alpha=2.4e296, xi=-8e-175)
-        energetics._center_record.cache_clear()
+        energetics._unit_record.cache_clear()
         U, phi0 = stress_integrals(m, 1.0).U_total, potential_at(m, 1.0, 0.0)
         assert abs(U / ((2 / 3) * phi0) - 1) <= 1e-14
 
@@ -467,26 +486,52 @@ class TestSelfSimilarity:
 
     def test_one_center_walk_for_a_family(self, recorded):
         # every born-infeld soliton is born_infeld(1)'s: one walk to the center
-        energetics._center_record.cache_clear()
+        energetics._unit_record.cache_clear()
         log = recorded(energetics, "_walk")
         for E0, e in zip(np.geomspace(1e-150, 1e150, 20), np.geomspace(1e20, 1e-20, 20)):
             m = born_infeld(E0)
             stress_integrals(m, e), total_energy(m, e), potential_at(m, e, 0.0)
         assert [center for _, _, _, _, center, _ in log] == [True]
 
-    @pytest.mark.parametrize("m", [BI, POLY, POLY_XI, POLY_STIFF_XI],
+    def test_one_unit_walk_for_maxwell(self, recorded):
+        # every Maxwell soliton outside r_c is the unit twin's from (1, 1),
+        # dilated by r_c: one walk, of both the stress rows and phi's
+        energetics._unit_record.cache_clear()
+        log = recorded(energetics, "_walk")
+        rng = np.random.default_rng(26)
+        for log_e, t in rng.uniform((-100.0, 0.0), (100.0, 1.0), (20, 2)):
+            e, r_c = 10.0**log_e, 10.0 ** (0.5 * log_e + 150.0 * (2.0 * t - 1.0))  # D in 1e+-300
+            s, U = stress_integrals(maxwell(), e, spec_at(r_c)), e * e / (2 * r_c)
+            assert abs(s.U_total / U - 1) <= 4.5e-16 and abs(s.laue_trace / -U - 1) <= 4.5e-16
+            assert total_energy(maxwell(), e, spec_at(r_c))[0] == s.U_total
+            assert abs(potential_at(maxwell(), e, r_c) / (e / r_c) - 1) <= 4.5e-16
+        assert energetics._unit_record.cache_info().misses == 1
+        assert [center for _, _, _, _, center, _ in log] == [False]
+
+    @pytest.mark.parametrize("m", [BI, POLY, POLY_XI, POLY_STIFF_XI, maxwell(),
+                                   polynomial(beta=0.1)],
                              ids=["born_infeld", "polynomial", "polynomial_xi",
-                                  "polynomial_stiff_xi"])
+                                  "polynomial_stiff_xi", "maxwell", "linear_polynomial"])
     def test_equals_cold_caches(self, m):
+        # a linear map's outputs outside a cutoff, and the partials and radii
+        # of its diverging center
+        cutoff = R0 if constitutive._shape(m).scale is None else None
+
         def outputs():
-            s = stress_integrals(m, K.e)
-            return np.array([s.U_total, s.laue_trace, s.quad_error, *total_energy(m, K.e),
-                             potential_at(m, K.e, 0.0)])
+            s = stress_integrals(m, K.e, spec_at(cutoff))
+            out = [s.U_total, s.laue_trace, s.quad_error, *total_energy(m, K.e, spec_at(cutoff)),
+                   potential_at(m, K.e, cutoff or 0.0)]
+            if cutoff is not None:
+                for f in (total_energy, lambda m, e: potential_at(m, e, 0.0)):
+                    with pytest.raises(Divergent) as exc_info:
+                        f(m, K.e)
+                    out += exc_info.value.details["partials"] + exc_info.value.details["inner_limits"]
+            return np.array(out)
 
         born_infeld_energy_constant()  # born-infeld's record, walked for another member
         outputs()
         warm = outputs()
-        for cache in (energetics._center_record, constitutive._layout,
+        for cache in (energetics._unit_record, constitutive._unit_twin, constitutive._layout,
                       constitutive._uniform_nodes, constitutive._rule, constitutive._shape):
             cache.cache_clear()
         assert outputs().tobytes() == warm.tobytes()
@@ -574,20 +619,22 @@ def profile_outputs(m):
     return [p.phi for p in profiles], [check_stress_divergence(p) for p in profiles]
 
 
-def walked(outputs, cutoff):
-    """outputs() for a layout fixture, which clears the no-cutoff records on
-    entry: without a cutoff it must walk the center once, under the fixture's
-    layout, instead of reading a record walked under the default one."""
+def walked(outputs, m, cutoff):
+    """outputs() for a layout fixture, which clears the unit records on entry:
+    a walk from the unit point, without a cutoff or of a linear map, must run
+    once, under the fixture's layout, instead of reading a record walked
+    under the default one."""
     def run():
         result = outputs()
-        assert cutoff is not None or energetics._center_record.cache_info().misses == 1
+        if cutoff is None or constitutive._shape(m).scale is None:
+            assert energetics._unit_record.cache_info().misses == 1
         return result
     return run
 
 
 def assert_agrees_with_floor_layout(floor_layout, m, cutoff):
     (U, trace, _, phi), (U_ref, trace_ref, _, phi_ref) = (
-        walk_outputs(m, cutoff), floor_layout(walked(lambda: walk_outputs(m, cutoff), cutoff)))
+        walk_outputs(m, cutoff), floor_layout(walked(lambda: walk_outputs(m, cutoff), m, cutoff)))
     assert abs(U - U_ref) <= 1e-14 * abs(U_ref)
     assert abs(trace - trace_ref) <= 1e-14 * abs(U_ref)
     assert_allclose(phi, phi_ref, rtol=1e-14)
@@ -598,7 +645,7 @@ def assert_agrees_with_full_order(full_order, m, cutoff):
         return walk_outputs(m, cutoff), profile_outputs(m)
     ((U, trace, err, phi), (phis, checks)), ((U_ref, trace_ref, err_ref, phi_ref),
                                              (phis_ref, checks_ref)) = (
-        outputs(), full_order(walked(outputs, cutoff)))
+        outputs(), full_order(walked(outputs, m, cutoff)))
     assert abs(U - U_ref) <= 1e-14 * abs(U_ref)
     assert abs(trace - trace_ref) <= 1e-14 * abs(U_ref)
     assert abs(err - err_ref) <= 1e-14
@@ -649,7 +696,7 @@ class TestPanelLayout:
     def test_born_infeld_node_count(self, recorded):
         # one 16-point panel per anchor step, against four at the floor width
         # (5 095 nodes)
-        energetics._center_record.cache_clear()  # walk, rather than read the record
+        energetics._unit_record.cache_clear()  # walk, rather than read the record
         log = recorded(constitutive, "_search_walk")
         stress_integrals(BI, K.e)
         assert 0 < sum(np.size(delta) for *_, delta in log) <= 1400

@@ -18,7 +18,7 @@ class TestInvariants:
         inv = invariants(F((1, 0, 0), (0, 0, 0)))
         assert inv.I1 == 1.0
         assert inv.I2 == 0.0
-        assert inv.I3 is None and inv.I4 is None and inv.I5 is None
+        assert inv.I3 is None
 
     def test_parallel_equal_fields(self):
         inv = invariants(F((1, 1, 1), (1, 1, 1)))
@@ -30,10 +30,6 @@ class TestInvariants:
         A = FourPotential(phi=1.0, A=(0.0, 0.0, 2.0))
         inv = invariants(F((1, 0, 0), (0, 1, 0)), A)
         assert inv.I3 == 3.0
-        # I4: time comp E.A = 0; space phi*E + A x H = (1,0,0) + (-2,0,0)
-        assert_allclose(inv.I4, 1.0)
-        # I5: time comp H.A = 0; space phi*H - A x E = (0,1,0) - (0,2,0)
-        assert_allclose(inv.I5, 1.0)
 
     def test_boost_preserves_i1_i2(self):
         rng = np.random.default_rng(3)
@@ -212,7 +208,7 @@ class TestStacks:
         for i in range(50):
             row = F(E[i], H[i])
             want = invariants(row, FourPotential(phi=phi[i], A=a[i]))
-            for name in ("I1", "I2", "I3", "I4", "I5"):
+            for name in ("I1", "I2", "I3"):
                 assert_allclose(getattr(inv, name)[i], getattr(want, name), rtol=1e-14, atol=1e-15)
             assert_allclose([s[i] for s in sides], fierz_identity_sides(row), rtol=1e-14, atol=1e-15)
             one = boost(row, beta[i])
