@@ -170,7 +170,7 @@ def _write(cfg: dict, text: str) -> None:
 
 
 def _emit_json(cfg: dict, obj: dict) -> None:
-    _write(cfg, json.dumps(obj, indent=2, sort_keys=True))
+    _write(cfg, json.dumps({**obj, "provenance": _provenance(cfg)}, indent=2, sort_keys=True))
 
 
 def _cmd_profile(cfg: dict) -> None:
@@ -190,7 +190,6 @@ def _cmd_profile(cfg: dict) -> None:
         _write(cfg, "\n".join([CSV_HEADER, *rows]))
     else:
         _emit_json(cfg, {
-            "provenance": _provenance(cfg),
             "model": spec,
             "r_unit_cm": unit,
             "r0_cm": prof.r0,
@@ -209,7 +208,6 @@ def _cmd_energy(cfg: dict) -> None:
     r0 = energetics.radial_scale(model, k.e, quad.cutoff_r)
     unit = k.e**2 / r0
     _emit_json(cfg, {
-        "provenance": _provenance(cfg),
         "model": spec,
         "convention": cfg["convention"],
         "r0_cm": r0,
@@ -229,7 +227,6 @@ def _cmd_expand(cfg: dict) -> None:
     est = estimate_taylor_coefficients(model, cfg["sample_scale"],
                                        higher_order=cfg["higher_order"])
     out = {
-        "provenance": _provenance(cfg),
         "model": spec,
         "sample_scale": cfg["sample_scale"],
         "c1": est.c1_hat,
@@ -251,7 +248,6 @@ def _cmd_invariants(cfg: dict) -> None:
     boosts = kinematics.boost_invariance_suite(draws=cfg["boost_draws"], seed=cfg["seed"])
     inter = interaction.interaction_suite(states=cfg["boost_draws"], seed=cfg["seed"], c=k.c)
     _emit_json(cfg, {
-        "provenance": _provenance(cfg),
         "draws": fierz["draws"],
         "max_rel_err_fierz": fierz["max_rel_err_fierz"],
         "max_rel_err_boost": boosts["max_rel_err_boost"],
@@ -279,7 +275,6 @@ def _cmd_radius(cfg: dict) -> None:
     kind = "born-infeld" if cfg["model"] is None else _require_model(cfg)[0].kind
     r0 = energetics.effective_radius(cfg["convention"], k, kind)
     _emit_json(cfg, {
-        "provenance": _provenance(cfg),
         "convention": cfg["convention"],
         "r0_cm": r0,
         "classical_radius_cm": classical_electron_radius(k),

@@ -115,16 +115,17 @@ def _phi_rows(e: float, D, E, _, slope, w):
     return (w * 0.5 * np.sqrt(e / D) * E * slope,)
 
 
-def _integrals(m: LagrangianModel, e: float, D_0, E_0, center: bool, stress: bool, phi: bool):
+def _integrals(m: LagrangianModel, D_0, E_0, center: bool, stress: bool, phi: bool):
     """(U, trace, U error, trace error) if stress, then phi at the start if phi,
-    from one walk from (D_0, E_0), under its lower rule if stress: u dV, (u - 2L) dV
-    and |u dV| + |L dV| with dV = 2 pi r^3 (d ln D/dx) dx along x, and _phi_rows."""
+    from one walk at unit charge from (D_0, E_0), under its lower rule if stress:
+    u dV, (u - 2L) dV and |u dV| + |L dV| with dV = 2 pi r^3 (d ln D/dx) dx
+    along x, and _phi_rows."""
     def integrand(D, E, _, slope, w):
-        rows = _phi_rows(e, D, E, _, slope, w) if phi else ()
+        rows = _phi_rows(1.0, D, E, _, slope, w) if phi else ()
         if not stress:
             return rows
         u, L = _stress_densities(m, E, D)
-        dV = 2.0 * np.pi * (e / D) ** 1.5 * slope
+        dV = 2.0 * np.pi * (1.0 / D) ** 1.5 * slope
         return (w * (u * dV), w * ((u - 2.0 * L) * dV),
                 w * (np.abs(u * dV) + np.abs(L * dV)), *rows)
 
@@ -143,7 +144,7 @@ def _unit_record(twin: LagrangianModel, center: bool):
     center inward too; for a diverging center (a linear map's) Divergent's message,
     each row's partial integrals inward and their D, as tuples that callers share."""
     try:
-        return _integrals(twin, 1.0, 1.0, 1.0, center, True, True)
+        return _integrals(twin, 1.0, 1.0, center, True, True)
     except Divergent as exc:
         return str(exc), *map(tuple, exc.details["partials"]), tuple(exc.details["D"])
 
@@ -188,7 +189,7 @@ def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None, phi: bool
                             inner_limits=(r_s / np.sqrt(record[-1])).tolist())
         out = units * record[rows]
     else:
-        out = units * _integrals(twin, 1.0, *start, False, not phi, phi)
+        out = units * _integrals(twin, *start, False, not phi, phi)
     if not np.all(np.isfinite(out)):
         raise NumericalError(f"{m.kind}: an integral is beyond the double range", model_kind=m.kind)
     return out

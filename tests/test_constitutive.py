@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +12,7 @@ from nled import (ConvergenceFailure, Divergent, NoSolution, QuadratureSpec, Uns
                   polynomial, potential_at, stress_integrals, total_energy)
 from nled import constitutive
 
+import reference
 from conftest import PLANE
 
 FOUR_PI = 4 * np.pi
@@ -60,44 +60,6 @@ SHAPES = {
     # the xi term is nonlinear far below the alpha scale E_char
     "quartic_dominated": polynomial(alpha=1e-30, xi=1e30),
 }
-
-
-def forward_mp(m, E):
-    """D(E) in 40 digits at the double E."""
-    with mpmath.workdps(40):
-        E = mpmath.mpf(E)
-        if m.kind == "born-infeld":
-            return E / mpmath.sqrt(1 - (E / m.E0) ** 2)
-        if m.kind == "log-schroedinger":
-            return E / (1 + (E / m.E0) ** 2)
-        if m.kind == "maxwell":
-            return E
-        c = m.coeffs
-        return abs(E + 16 * mpmath.pi * c.alpha * E**3 + 24 * mpmath.pi * c.xi * E**5)
-
-
-def map_terms_mp(m, E):
-    """(D, d ln D/d ln E, v = 1 - E/D, 1 - d ln E/d ln D) in 40 digits at the
-    double E, for the log model and the polynomial, each in a form that does
-    not cancel."""
-    with mpmath.workdps(40):
-        E = mpmath.mpf(E)
-        if m.kind == "log-schroedinger":
-            t = (E / m.E0) ** 2
-            return E / (1 + t), (1 - t) / (1 + t), -t, -2 * t / (1 - t)
-        a = 16 * mpmath.pi * mpmath.mpf(m.coeffs.alpha) * E**2
-        x = 24 * mpmath.pi * mpmath.mpf(m.coeffs.xi) * E**4
-        return (E * (1 + a + x), (1 + 3 * a + 5 * x) / (1 + a + x), (a + x) / (1 + a + x),
-                (2 * a + 4 * x) / (1 + 3 * a + 5 * x))
-
-
-def narrow_extrema():
-    """(E_peak, E_min) of NARROW in 40 digits: the square roots of the two
-    positive roots t of 120 pi xi t^2 + 48 pi alpha t + 1 = 0."""
-    with mpmath.workdps(40):
-        a, b = 48 * mpmath.pi * mpmath.mpf(NARROW.coeffs.alpha), 120 * mpmath.pi * mpmath.mpf(XI)
-        root = mpmath.sqrt(a * a - 4 * b)
-        return mpmath.sqrt((-a - root) / (2 * b)), mpmath.sqrt((-a + root) / (2 * b))
 
 
 class TestForwardMap:
@@ -233,13 +195,10 @@ class TestInversion:
                 assert d > d_max
                 continue
             assert res.residual <= 1e-12
-            if model.kind == "born-infeld":  # E0 D / sqrt(E0^2 + D^2) in 40 digits
-                with mpmath.workdps(40):
-                    d_mp = mpmath.mpf(d)
-                    exact = model.E0 * d_mp / mpmath.sqrt(model.E0**2 + d_mp**2)
-                assert abs(res.E / exact - 1) <= 1e-15
+            if model.kind == "born-infeld":  # the closed-form inverse in 40 digits
+                assert abs(res.E / reference.field(model, d) - 1) <= 1e-15
             else:
-                assert abs(forward_mp(model, res.E) / d - 1) <= 1e-12
+                assert abs(reference.D(model, res.E) / d - 1) <= 1e-12
 
     @pytest.mark.parametrize("excess", [2e-16, 1e-13])
     def test_peak_band_returns_peak(self, excess):
@@ -259,7 +218,7 @@ class TestInversion:
         res = field_from_displacement(model, d)
         assert res.E > 4.5e61
         assert res.residual <= 1e-12
-        assert abs(forward_mp(model, res.E) / d - 1) <= 1e-14
+        assert abs(reference.D(model, res.E) / d - 1) <= 1e-14
 
     def test_polynomial_bracket_starts_where_map_is_finite(self):
         # the first bracket point used to be E = D, where E^5 overflows
@@ -285,7 +244,8 @@ class TestMapAlgebra:
         got = (D, constitutive._search_walk(m, D, E, 0.0)[3],
                constitutive._coulomb_deviation(m, E, D), constitutive._charge_factor(m, E, D))
         for i, e in enumerate(E):
-            for name, value, want in zip(("D", "slope", "v", "factor"), got, map_terms_mp(m, e)):
+            want_terms = reference.map_terms(m, e)
+            for name, value, want in zip(("D", "slope", "v", "factor"), got, want_terms):
                 # eight ulp, and a few subnormal steps where a term underflows
                 assert abs(value[i] - float(want)) <= 8 * EPS * abs(want) + 4 * 2.0**-1074, \
                     (name, e)
@@ -337,11 +297,9 @@ class TestKernel:
         if m.kind == "born-infeld":
             # D(E) is too steep near E0 to come back through E: compare E
             # with the exact inverse E0 D / sqrt(E0^2 + D^2) instead
-            with mpmath.workdps(40):
-                exact = m.E0 * mpmath.mpf(d) / mpmath.sqrt(m.E0**2 + mpmath.mpf(d) ** 2)
-            assert abs(res.E / exact - 1) <= 1e-15  # a few roundings
+            assert abs(res.E / reference.field(m, d) - 1) <= 1e-15  # a few roundings
         else:
-            assert abs(forward_mp(m, res.E) / d - 1) <= 1e-14
+            assert abs(reference.D(m, res.E) / d - 1) <= 1e-14
 
 
 class TestMaxwellIsTheZeroPolynomial:
@@ -432,27 +390,27 @@ class TestNarrowFold:
 
     def test_peak_in_closed_form(self):
         d_max = attainable_displacement_max(NARROW)
-        e_peak, _ = narrow_extrema()
+        e_peak, _ = reference.extrema(NARROW)
         assert np.isfinite(d_max)
         res = field_from_displacement(NARROW, d_max)  # the band at D_max returns the peak
         assert_allclose(res.E, 1.18914, rtol=1e-5)
         assert abs(res.E / e_peak - 1) <= 1e-14
-        assert abs(d_max / forward_mp(NARROW, e_peak) - 1) <= 1e-14
+        assert abs(d_max / reference.D(NARROW, e_peak) - 1) <= 1e-14
 
     def test_between_extrema_takes_lower_branch(self):
-        e_peak, e_min = narrow_extrema()
-        d_hi, d_lo = float(forward_mp(NARROW, e_peak)), float(forward_mp(NARROW, e_min))
+        e_peak, e_min = reference.extrema(NARROW)
+        d_hi, d_lo = float(reference.D(NARROW, e_peak)), float(reference.D(NARROW, e_min))
         for d in np.linspace(d_lo, d_hi, 9)[1:-1]:
             res = field_from_displacement(NARROW, d)
             assert res.branch == "lower-of-two"
             assert res.E < e_peak
-            assert abs(forward_mp(NARROW, res.E) / d - 1) <= 1e-14
+            assert abs(reference.D(NARROW, res.E) / d - 1) <= 1e-14
 
     def test_profile_trims_at_fold(self):
         prof = compute_profile(NARROW, K.e)
         d_max = attainable_displacement_max(NARROW)
         assert prof.inversion_failed_below_r == np.sqrt(K.e / d_max)
-        assert np.all(prof.E <= float(narrow_extrema()[0]))
+        assert np.all(prof.E <= float(reference.extrema(NARROW)[0]))
 
     def test_energy_without_cutoff_has_no_solution(self):
         with pytest.raises(NoSolution) as exc_info:
@@ -461,25 +419,15 @@ class TestNarrowFold:
         assert exc_info.value.details["radius_cm"] == np.sqrt(K.e / d_max)
 
 
-def fold_mp(m):
-    """(E_peak, D_max) of a folding polynomial in 40 digits: E_peak^2 is the
-    smaller positive root t of 120 pi xi t^2 + 48 pi alpha t + 1 = 0
-    (alpha < 0), written without cancellation."""
-    with mpmath.workdps(40):
-        a, b = 48 * mpmath.pi * mpmath.mpf(m.coeffs.alpha), 120 * mpmath.pi * mpmath.mpf(m.coeffs.xi)
-        e_peak = mpmath.sqrt(2 / (-a + mpmath.sqrt(a * a - 4 * b)))
-        return e_peak, forward_mp(m, e_peak)
-
-
 class TestOverflowSafeFold:
     """Folds whose 48 pi |alpha| or (48 pi alpha)^2 overflows a double."""
 
     @pytest.mark.parametrize("m", [polynomial(alpha=-2e306), polynomial(alpha=-1e200, xi=1e-10)],
                              ids=["48_pi_alpha_overflows", "its_square_overflows"])
     def test_fold_found(self, m):
-        e_peak, d_peak = fold_mp(m)
+        e_peak = reference.extrema(m)[0]
         d_max = attainable_displacement_max(m)
-        assert abs(d_max / d_peak - 1) <= 1e-14
+        assert abs(d_max / reference.D(m, e_peak) - 1) <= 1e-14
         for d in (1.01 * d_max, 1e-100):
             with pytest.raises(NoSolution):
                 field_from_displacement(m, d)
@@ -487,19 +435,14 @@ class TestOverflowSafeFold:
             res = field_from_displacement(m, d)
             assert res.branch == "lower-of-two"
             assert res.E < e_peak  # the rising branch
-            assert abs(forward_mp(m, res.E) / d - 1) <= 1e-14
+            assert abs(reference.D(m, res.E) / d - 1) <= 1e-14
 
 
 def width_mp(m):
-    """The panel width from the zeros of D/E = 1 + 16 pi alpha t + 24 pi xi t^2
-    by mpmath.polyroots: half the smallest |arg t|, clipped to [0.5, 2]."""
-    c = m.coeffs
-    with mpmath.workdps(60):
-        roots = mpmath.polyroots([24 * mpmath.pi * mpmath.mpf(c.xi),
-                                  16 * mpmath.pi * mpmath.mpf(c.alpha), 1],
-                                 maxsteps=200, extraprec=200)
-        distance = min(abs(mpmath.arg(t)) for t in roots) / 2
-    return min(max(float(distance), 0.5), 2.0)
+    """The panel width from the reference's zeros t of D/E in E^2: half the
+    smallest |arg t|, clipped to [0.5, 2]."""
+    distance = min(abs(np.angle(complex(t))) for t in reference.zeros(m)) / 2
+    return min(max(distance, 0.5), 2.0)
 
 
 class TestPanelWidth:

@@ -3,9 +3,7 @@ import json
 import math
 import subprocess
 import sys
-from functools import lru_cache
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -27,6 +25,7 @@ from nled.energetics import radial_scale
 from nled.models import density_from_invariants
 from nled.soliton import RadialGrid
 
+import reference
 from conftest import PLANE
 
 # Independent closed form for the self-energy constant.
@@ -59,83 +58,11 @@ CASES = {
 }
 
 
-@lru_cache(maxsize=None)
-def field_space_reference(name):
-    """(U, trace) by 40-digit field-space quadrature: with D(r) = e/r^2 the
-    volume element is 2 pi e^(3/2) D^(-5/2) D'(E) dE, so both integrals run
-    over the field magnitude of the explicit forward map, up to E(r_c)."""
-    m, cutoff = CASES[name]
-    if m.kind == "log-schroedinger":
-        E0m = mpmath.mpf(m.E0)
-
-        def D(E):
-            return E / (1 + (E / E0m) ** 2)
-
-        def dD(E):
-            return (1 - (E / E0m) ** 2) / (1 + (E / E0m) ** 2) ** 2
-
-        def L(E):
-            return E0m**2 / (8 * mpmath.pi) * mpmath.log1p((E / E0m) ** 2)
-    else:
-        a, x = mpmath.mpf(m.coeffs.alpha), mpmath.mpf(m.coeffs.xi)
-
-        def D(E):
-            return E + 16 * mpmath.pi * a * E**3 + 24 * mpmath.pi * x * E**5
-
-        def dD(E):
-            return 1 + 48 * mpmath.pi * a * E**2 + 120 * mpmath.pi * x * E**4
-
-        def L(E):
-            return E**2 / (8 * mpmath.pi) + a * E**4 + x * E**6
-
-    e = mpmath.mpf(K.e)
-
-    def integrand(t, trace):  # E = t^2 removes the E^(-1/2) endpoint
-        E = t * t
-        u = E * D(E) / (4 * mpmath.pi) - L(E)
-        dV = 2 * mpmath.pi * e**1.5 * D(E) ** -2.5 * dD(E) * 2 * t
-        return (u - 2 * L(E) if trace else u) * dV
-
-    with mpmath.workdps(40):
-        if cutoff is None:
-            limits = [0, 1, mpmath.inf]
-        else:
-            limits = [0, mpmath.sqrt(field_from_displacement(m, K.e / cutoff**2).E)]
-        return tuple(float(mpmath.quad(lambda t: integrand(t, trace), limits))
-                     for trace in (False, True))
-
-
 def two_term_polynomial(lift):
     """polynomial(alpha=1, xi) with xi's scale lift e-folds above alpha's, so
     that xi's term overtakes alpha's 2 lift e-folds above alpha's scale."""
     E_alpha = (16 * np.pi) ** -0.5
     return polynomial(alpha=1.0, xi=(E_alpha * np.exp(lift)) ** -4 / (24 * np.pi))
-
-
-@lru_cache(maxsize=None)
-def log_field_reference(m):
-    """(U, trace) at e = 1 without a cutoff for a monotone polynomial with
-    alpha > 0 and xi > 0, by 30-digit quadrature over s = ln E in 8-wide
-    pieces: from 90 e-folds below the lower term scale, where the integrands
-    go as e^{s/2}, to 60 above where xi's term takes over, where they go as
-    e^{-3s/2}."""
-    a, x = mpmath.mpf(m.coeffs.alpha), mpmath.mpf(m.coeffs.xi)
-    E_alpha, E_xi = (16 * np.pi * m.coeffs.alpha) ** -0.5, (24 * np.pi * m.coeffs.xi) ** -0.25
-    lo = np.log(min(E_alpha, E_xi)) - 90
-    hi = np.log(max(E_alpha, E_xi, E_xi**2 / E_alpha)) + 60
-
-    def integrand(s, trace):
-        E = mpmath.exp(s)
-        D = E + 16 * mpmath.pi * a * E**3 + 24 * mpmath.pi * x * E**5
-        dD = 1 + 48 * mpmath.pi * a * E**2 + 120 * mpmath.pi * x * E**4
-        L = E**2 / (8 * mpmath.pi) + a * E**4 + x * E**6
-        u = E * D / (4 * mpmath.pi) - L
-        return (u - 2 * L if trace else u) * 2 * mpmath.pi * D**-2.5 * dD * E
-
-    with mpmath.workdps(30):
-        pieces = [*np.arange(lo, hi, 8.0), hi]
-        return tuple(float(mpmath.quad(lambda s: integrand(s, trace), pieces))
-                     for trace in (False, True))
 
 
 def boundary_terms(m, r):
@@ -290,7 +217,7 @@ class TestTotalEnergy:
         elif name == "maxwell_cutoff":
             ref = K.e**2 / (2 * cutoff)
         else:
-            ref = field_space_reference(name)[0]
+            ref = float(reference.energies(m, K.e, cutoff)[0])
         assert 0 < err < 1e-13 * U
         assert abs(U - ref) <= err
         assert stress_integrals(m, K.e, spec_at(cutoff)).quad_error >= err
@@ -303,7 +230,7 @@ class TestFieldSpaceReference:
                                       "log_model_cutoff", "polynomial_negative_alpha_cutoff"])
     def test_energy_and_trace(self, name):
         m, cutoff = CASES[name]
-        U_ref, trace_ref = field_space_reference(name)
+        U_ref, trace_ref = map(float, reference.energies(m, K.e, cutoff))
         s = stress_integrals(m, K.e, spec_at(cutoff))
         assert_allclose(s.U_total, U_ref, rtol=1e-13)
         assert abs(s.laue_trace - trace_ref) <= 1e-13 * U_ref
@@ -398,7 +325,7 @@ class TestCenterTop:
     @pytest.mark.parametrize("lift", [24, 25, 26, 28])
     def test_against_log_field_reference(self, lift):
         m = two_term_polynomial(lift)
-        U_ref, trace_ref = log_field_reference(m)
+        U_ref, trace_ref = map(float, reference.energies(m, 1.0))
         s = stress_integrals(m, 1.0)
         assert abs(s.U_total - U_ref) <= 1e-14 * U_ref
         assert abs(s.U_total - U_ref) <= s.quad_error

@@ -2,7 +2,6 @@ import json
 import subprocess
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -16,6 +15,8 @@ from nled import (ConfigurationError, Divergent, NoSolution, NumericalError, Rad
                   field_profile, integrated_charge, linear_grid, log_grid,
                   log_schroedinger, maxwell, polynomial, potential_at)
 from nled import constitutive, quadrature, soliton
+
+import reference
 
 # Historical pair: these close to each other (e/r0^2 = E0) by construction.
 K = constants("historical1934")
@@ -43,27 +44,6 @@ def closed_phi(r):
     # (e/r0) F(2 arctan(r0/r) | 1/2) / 2; the arccos form of the amplitude
     # would lose ~1e-9 to cancellation at large r
     return (K.e / R0) * 0.5 * ellipkinc(2.0 * np.arctan(R0 / r), 0.5)
-
-
-def rho_mp(m, e, r, E):
-    """(1/4 pi r^2) d(r^2 E)/dr in 50 digits, differentiating r^2 E(r) with
-    E(r) the root of D(E) = e/r^2 next to the double E (exact for born-infeld)."""
-    with mpmath.workdps(50):
-        e, r = mpmath.mpf(e), mpmath.mpf(r)
-
-        def forward(E):
-            if m.kind == "log-schroedinger":
-                return E / (1 + (E / m.E0) ** 2)
-            c = m.coeffs
-            return E + 16 * mpmath.pi * c.alpha * E**3 + 24 * mpmath.pi * c.xi * E**5
-
-        def r2E(x):
-            d = e / x**2
-            if m.kind == "born-infeld":
-                return x**2 * m.E0 * d / mpmath.sqrt(m.E0**2 + d**2)
-            return x**2 * mpmath.findroot(lambda E: forward(E) - d, mpmath.mpf(E))
-
-        return mpmath.diff(r2E, r) / (4 * mpmath.pi * r**2)
 
 
 class TestGrid:
@@ -178,7 +158,7 @@ class TestChargeDensity:
         # 16 radii of the default grid (trimmed above the fold), its ends included
         prof = compute_profile(model, K.e)
         for i in np.linspace(0, prof.grid.n - 1, 16).astype(int):
-            ref = rho_mp(model, K.e, prof.grid.r[i], prof.E[i])
+            ref = reference.rho(model, K.e, prof.grid.r[i])
             assert abs(prof.rho[i] / float(ref) - 1) <= 1e-14
 
     def test_closed_form_on_coarse_grid(self):
@@ -280,13 +260,8 @@ class TestPotential:
                              ids=["alpha_xi", "xi"])
     def test_polynomial_center_value(self, model):
         # phi(0) = int_0^inf E dr = int_0^inf r(E) dE by parts (r E -> 0 at
-        # both ends), with r(E) = sqrt(e/D(E)), in 30 digits
-        c = model.coeffs
-        with mpmath.workdps(30):
-            e, a, x = (mpmath.mpf(K.e), 16 * mpmath.pi * mpmath.mpf(c.alpha),
-                       24 * mpmath.pi * mpmath.mpf(c.xi))
-            ref = mpmath.quad(lambda E: mpmath.sqrt(e / (E + a * E**3 + x * E**5)),
-                              [0, 1, mpmath.inf])
+        # both ends), with r(E) = sqrt(e/D(E)), in 40 digits
+        ref = reference.phi(model, K.e, 0.0)
         assert abs(potential_at(model, K.e, 0.0) / float(ref) - 1) <= 1e-14
 
     @pytest.mark.parametrize("e", [0.0, -K.e])
@@ -315,23 +290,12 @@ class TestPotential:
 
     def test_log_model_at_inversion_boundary(self):
         # first radius 1e-9 above the boundary sqrt(2) r0, where E(r) has a
-        # sqrt(r - r_b) branch point; reference: phi = int_r^inf E dr in 40
-        # digits, with r = r_b + t^2 removing the branch point
+        # sqrt(r - r_b) branch point; reference: phi = int_0^E(r) r(E) dE - r E(r)
+        # in 40 digits, whose integrand is smooth through the fold
         ls = log_schroedinger(E0)
         g = log_grid(np.sqrt(2) * R0 * (1 + 1e-9), 1e4 * R0, 50)
         phi = compute_profile(ls, K.e, g).phi
-        with mpmath.workdps(40):
-            e, e0 = mpmath.mpf(K.e), mpmath.mpf(E0)
-            r_b = mpmath.sqrt(2 * e / e0)
-
-            def field(r):  # lower root of D = E / (1 + E^2/E0^2)
-                d = e / r**2
-                return 2 * d / (1 + mpmath.sqrt(1 - (2 * d / e0) ** 2))
-
-            t0 = mpmath.sqrt(mpmath.mpf(g.r[0]) - r_b)
-            ref = mpmath.quad(lambda t: 2 * t * field(r_b + t**2),
-                              [t0, mpmath.sqrt(r_b), 10 * mpmath.sqrt(r_b), mpmath.inf])
-        assert abs(phi[0] / float(ref) - 1) <= 1e-14
+        assert abs(phi[0] / float(reference.phi(ls, K.e, g.r[0])) - 1) <= 1e-14
 
     def test_coulomb_tail_at_ten_radii(self):
         phi = potential_at(BI, K.e, 10 * R0)
