@@ -217,7 +217,7 @@ def _cmd_energy(cfg: dict) -> None:
         "laue_trace_over_U": summary.laue_trace / summary.U_total,
         "momentum_g_cm_per_s": summary.momentum.tolist(),
         "quad_error": summary.quad_error,
-        "cutoff_r_cm": summary.cutoff_r,
+        "cutoff_r_cm": quad.cutoff_r,
     })
 
 

@@ -51,7 +51,6 @@ class StressSummary:
     laue_trace: float
     momentum: np.ndarray
     quad_error: float
-    cutoff_r: float | None = None
 
 
 def radial_scale(m: LagrangianModel, e: float, cutoff_r: float | None = None) -> float:
@@ -79,16 +78,17 @@ def radial_scale(m: LagrangianModel, e: float, cutoff_r: float | None = None) ->
 _TINY = np.finfo(float).tiny
 
 
-def _source_displacement(e: float, r, error=ConfigurationError):
+def _source_displacement(e: float, r):
     """D = e/r^2 of the point charge at radii r (float or array), raising
-    error unless every D is a finite, positive, normal double."""
+    ConfigurationError unless every D is a finite, positive, normal double."""
     r = np.asarray(r, dtype=float)[()]  # a float's square overflows to inf, not an error
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         D = e / r**2
     if not _TINY <= D.min() <= D.max() < np.inf:
         i = np.argmin(np.ravel((D >= _TINY) & (D < np.inf)))  # the first one out of range
-        raise error(f"radius {float(np.ravel(r)[i])!r} cm gives D = e/r^2 = "
-                    f"{float(np.ravel(D)[i])!r}, not a finite, positive, normal double")
+        raise ConfigurationError(
+            f"radius {float(np.ravel(r)[i])!r} cm gives D = e/r^2 = "
+            f"{float(np.ravel(D)[i])!r}, not a finite, positive, normal double")
     return D
 
 
@@ -140,53 +140,53 @@ def _integrals(m: LagrangianModel, D_0, E_0, center: bool, stress: bool, phi: bo
 
 @lru_cache(maxsize=64)
 def _unit_record(twin: LagrangianModel, center: bool):
-    """_integrals with phi of a unit twin at unit charge from (1, 1) outward, and with
-    center inward too; for a diverging center (a linear map's) Divergent's message,
-    each row's partial integrals inward and their D, as tuples that callers share."""
+    """_integrals with phi of a unit twin at unit charge from (1, 1) outward, and with center
+    inward too, a tuple callers share; for a diverging center (a linear map's) its Divergent."""
     try:
         return _integrals(twin, 1.0, 1.0, center, True, True)
     except Divergent as exc:
-        return str(exc), *map(tuple, exc.details["partials"]), tuple(exc.details["D"])
+        return exc.with_traceback(None)
 
 
-def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None, phi: bool = False,
-                 error=ConfigurationError) -> np.ndarray:
+def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None,
+                 phi: bool = False) -> np.ndarray:
     """(U, trace, U error, trace error), or with phi (phi(r_c),), over every
-    radius from r_c outward, or without a cutoff from the center.  A cutoff costs
-    one inversion (D = e/r_c^2 raises error unless it is a normal double;
-    NoSolution carries the fold radius).  The twin walks from (D_0/E_c, E_0/E_c),
-    which raises error unless it is a normal double; from (1, 1), a linear map's
-    start and every center, it is the twin's _unit_record.  Divergent, for a
-    center-end rate that is not negative, carries the radii of its partials."""
+    radius from r_c outward, or without a cutoff from the center: the twin's
+    _unit_record.  A cutoff costs one inversion (NoSolution carries the fold radius),
+    and the twin walks from (D_0/E_c, E_0/E_c), or reads its record from (1, 1), a
+    linear map's start; ConfigurationError unless D_0 and that start are normal doubles.
+    Divergent, for a center-end rate that is not negative, carries the radii of its partials."""
     r_s = radial_scale(m, e, cutoff_r)
+    scale = _shape(m).scale
     if cutoff_r is not None:
-        D_0 = _source_displacement(e, cutoff_r, error)
+        D_0 = _source_displacement(e, cutoff_r)
         try:
             E_0 = field_from_displacement(m, D_0).E
         except NoSolution as exc:
             raise NoSolution(exc.d_target, exc.d_max_attainable,
                              radius_cm=float(np.sqrt(e / exc.d_max_attainable))) from exc
+        E_c = scale or D_0  # a linear map's unit field is e/r_s^2: it starts at (1, 1)
+        with np.errstate(over="ignore", under="ignore"):
+            start = np.array([D_0, E_0]) / E_c
+        if not _TINY <= start.min() <= start.max() < np.inf:
+            raise ConfigurationError(f"{m.kind}: the cutoff {cutoff_r!r} cm puts the walk's "
+                                     f"start at (D, E)/E_c = {tuple(start.tolist())!r}, "
+                                     f"not a finite, normal double")
     else:
+        _source_displacement(e, r_s)  # an r_s that overflowed or underflowed
         d_max = attainable_displacement_max(m)
         if np.isfinite(d_max):
             raise NoSolution(e / r_s**2, d_max, radius_cm=float(np.sqrt(e / d_max)),
                              note="without a cutoff the integral reaches every radius "
                                   "below radius_cm, where D exceeds the attainable maximum")
-        D_0 = E_0 = _source_displacement(e, r_s)  # D = E0 for born-infeld, else E = E_c
-    scale = _shape(m).scale
-    E_c = scale or D_0  # a linear map's unit field is e/r_s^2: it starts at (1, 1)
-    with np.errstate(over="ignore", under="ignore"):
-        start = np.array([D_0, E_0]) / E_c
-    if not _TINY <= start.min() <= start.max() < np.inf:
-        raise error(f"{m.kind}: the cutoff {cutoff_r!r} cm puts the walk's start at (D, E)/E_c "
-                    f"= {tuple(start.tolist())!r}, not a finite, normal double")
     twin, unit, rows = _unit_twin(m, scale), e / r_s, slice(4, 5) if phi else slice(0, 4)
     units = np.array([e * e / r_s if _TINY <= e * e < np.inf else e * unit] * 4 + [unit])[rows]
     if cutoff_r is None or np.all(start == 1.0):  # U = C e^2/r_s, as the paper writes it
         record = _unit_record(twin, cutoff_r is None)
-        if isinstance(record[0], str):  # a linear map's center: message, partials per row, D
-            raise Divergent(record[0], partials=(units[:1] * record[-2 if phi else 1]).tolist(),
-                            inner_limits=(r_s / np.sqrt(record[-1])).tolist())
+        if isinstance(record, Divergent):  # a linear map's center
+            partials, D = record.details["partials"][-1 if phi else 0], record.details["D"]
+            raise Divergent(str(record), partials=(units[:1] * partials).tolist(),
+                            inner_limits=(r_s / np.sqrt(D)).tolist())
         out = units * record[rows]
     else:
         out = units * _integrals(twin, *start, False, not phi, phi)
@@ -216,7 +216,7 @@ def stress_integrals(m: LagrangianModel, e: float,
     """
     U, trace, err_u, err_t = _radial_walk(m, e, quad.cutoff_r)
     return StressSummary(U_total=U, laue_trace=trace, momentum=np.zeros(3),
-                         quad_error=err_u + err_t, cutoff_r=quad.cutoff_r)
+                         quad_error=err_u + err_t)
 
 
 def born_infeld_energy_constant() -> float:

@@ -22,8 +22,8 @@ class NledError(Exception):
         return {"kind": self.kind, "message": str(self), "details": self.details}
 
 
-class ConfigurationError(NledError):
-    """Bad preset label, malformed config, invalid grid, unknown model, ..."""
+class ConfigurationError(NledError, ValueError):
+    """Bad preset label, malformed config, invalid grid, unknown model, ... (a ValueError)"""
 
     kind = "ConfigurationError"
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, IllConditioned
+from .errors import ConfigurationError, IllConditioned, NumericalError
 from .kinematics import FieldVectors, invariants
 from .models import LagrangianModel, density_from_invariants, polynomial
 
@@ -80,26 +80,30 @@ def estimate_taylor_coefficients(m: LagrangianModel, sample_scale: float = 0.01,
         raise ConfigurationError(
             f"sample_scale must be in (0, {MAX_SAMPLE_SCALE}], got {sample_scale}")
     s = sample_scale * (m.E0 or 1.0)  # a fraction of the limiting field, or of unity
-    design = s * np.asarray(_CONFIGS_HIGHER if higher_order else _CONFIGS)
+    design = np.asarray(_CONFIGS_HIGHER if higher_order else _CONFIGS)
     inv = invariants(FieldVectors(E=design[:, 0], H=design[:, 1]))
     i1, i2 = inv.I1, inv.I2
+    # columns at unit scale, the physical ones over powers of s: the condition is O(1)
     columns = [i1, i1**2, i2**2]
     if higher_order:
         columns += [i1 * i2, i1**3, i1 * i2**2]
     M = np.column_stack(columns)
-    y = density_from_invariants(m, i1, i2)
-    # Column scaling (powers of s) keeps the condition number O(1).
-    col_scale = np.array([s**2, s**4, s**4, s**4, s**6, s**6][:M.shape[1]])
-    Ms = M / col_scale
-    coef_scaled, _, _, sv = np.linalg.lstsq(Ms, y, rcond=None)
+    y = density_from_invariants(m, s * s * i1, s * s * i2)
+    a, _, _, sv = np.linalg.lstsq(M, y, rcond=None)
     # the condition from the solve's own singular values, not a second SVD
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else np.inf
     if condition > CONDITION_LIMIT:
         raise IllConditioned(
             f"design condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
             condition=condition)
-    coefs = coef_scaled / col_scale
-    residual = float(np.max(np.abs(M @ coefs - y)))
+    with np.errstate(all="ignore"):  # s^4 or s^6 alone may leave the doubles
+        coefs = a / s**2
+        coefs[1:] /= s**2
+        coefs[4:] /= s**2
+    if not np.all(np.isfinite(coefs)):
+        raise NumericalError(f"{m.kind}: a Taylor coefficient at sample scale {sample_scale!r} "
+                             f"is beyond the double range", model_kind=m.kind)
+    residual = float(np.max(np.abs(M @ a - y)))
     extra = {}
     if higher_order:
         extra = {"c11_hat": float(coefs[3]), "c30_hat": float(coefs[4]),

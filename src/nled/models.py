@@ -220,12 +220,12 @@ def taylor_reference(m: LagrangianModel) -> TaylorReference:
     if m.kind == BORN_INFELD:
         return TaylorReference(
             c1=1.0 / EIGHT_PI,
-            c20=1.0 / (32.0 * np.pi * m.E0**2),
-            c02=1.0 / (EIGHT_PI * m.E0**2))
+            c20=1.0 / (32.0 * np.pi) / m.E0**2,  # E0^2 times a constant may overflow
+            c02=1.0 / EIGHT_PI / m.E0**2)
     if m.kind == LOG_SCHROEDINGER:
         return TaylorReference(
             c1=1.0 / EIGHT_PI,
-            c20=-1.0 / (16.0 * np.pi * m.E0**2),
+            c20=-1.0 / (16.0 * np.pi) / m.E0**2,
             c02=0.0)
     raise UnsupportedModel(f"{m.kind} has no Taylor expansion in (I1, I2)")
 

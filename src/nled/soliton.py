@@ -135,7 +135,7 @@ def potential_at(m: LagrangianModel, e: float, r: float) -> float:
     zero trace)."""
     if not r >= 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    return float(energetics._radial_walk(m, e, r or None, phi=True, error=ValueError)[0])
+    return float(energetics._radial_walk(m, e, r or None, phi=True)[0])
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nled import ConfigurationError, NledError, NoSolution, NumericalError, constants
+from nled.models import model_from_config, taylor_reference
 from nled import cli
 from nled.cli import run
 
@@ -56,6 +57,14 @@ class TestEnergyCommand:
         assert proc.returncode == 3
         err = json.loads(proc.stderr)
         assert err["kind"] == "Divergent"
+
+    def test_cutoff_is_echoed(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quad": {"cutoff_r_cm": 2.8e-13}}))
+        assert run(["energy", "--model", "maxwell", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["cutoff_r_cm"] == 2.8e-13
+        assert run(["energy", "--model", "born-infeld"]) == 0
+        assert json.loads(capsys.readouterr().out)["cutoff_r_cm"] is None
 
     def test_byte_identical_reruns(self):
         args = ("energy", "--model", "born-infeld", "--E0", "9.18e15",
@@ -241,6 +250,25 @@ def test_out_of_range_exits_with_json_error(tmp_path, args, config, code):
     assert proc.returncode == code
     assert json.loads(proc.stderr)["kind"]
     assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout and "inf" not in proc.stdout
+
+
+def test_exit_code_contract_at_every_accepted_limiting_field(tmp_path, capsys):
+    # the Taylor fit's physical design overflowed or underflowed outside E0 in
+    # [1e-51, 1e53] (an uncaught error, exit 1): all 16 expand calls here raised
+    higher = tmp_path / "higher.json"
+    higher.write_text(json.dumps({"higher_order": True}))
+    for kind in ("born-infeld", "log-schroedinger"):
+        for E0 in (2.0**-511, 1e-100, 1e100, float(np.sqrt(np.finfo(float).max))):
+            for args in (["profile"], ["energy"], ["expand"], ["expand", "--config", str(higher)]):
+                code = run([*args, "--model", kind, "--E0", repr(E0)])
+                out, err = capsys.readouterr()
+                assert code in (0, 2, 3), (kind, E0, args)
+                assert "NaN" not in out and "Infinity" not in out
+                if code:
+                    assert json.loads(err)["kind"] and err.count("\n") == 1
+                elif args == ["expand"]:
+                    ref = taylor_reference(model_from_config({"kind": kind, "E0": E0}))
+                    assert abs(json.loads(out)["c20"] / ref.c20 - 1) <= 1e-5
 
 
 @pytest.mark.parametrize("option, name", [

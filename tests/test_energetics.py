@@ -177,6 +177,18 @@ class TestTotalEnergy:
         with pytest.raises(ValueError, match="not a finite, normal double"):
             potential_at(m, 1.0, 1e-80)
 
+    @pytest.mark.parametrize("m, e", [(born_infeld(1e150), 1e-200), (born_infeld(2.0**-511), 1e300),
+                                      (log_schroedinger(1e150), 1e-200),
+                                      (log_schroedinger(2.0**-511), 1e300)],
+                             ids=["scale_underflows", "scale_overflows", "log_scale_underflows",
+                                  "log_scale_overflows"])
+    def test_map_scale_outside_double_range_rejected(self, m, e):
+        # r_s = sqrt(e/E0) is 0 or inf: rejected before e/r_s or e^2/r_s is formed (the
+        # log model's fold check divided by r_s^2 = 0 first, a ZeroDivisionError)
+        for f in (total_energy, stress_integrals, lambda m, e: potential_at(m, e, 0.0)):
+            with pytest.raises(ConfigurationError, match="not a finite, positive, normal double"):
+                f(m, e)
+
     @pytest.mark.parametrize("m, ref", [(born_infeld(1e150), born_infeld(1.0)),
                                         (polynomial(alpha=1e-250), polynomial(alpha=0.01))],
                              ids=["born_infeld_1e150", "polynomial"])
@@ -272,6 +284,19 @@ class TestDivergence:
             partials, limits = (exc_info.value.details[k] for k in ("partials", "inner_limits"))
             assert len(partials) == 21 and np.all(np.diff(partials) > 0)
             assert_allclose(limits, radii, rtol=1e-15)
+
+
+    @pytest.mark.parametrize("e", [1e-54, K.e, 1e54])
+    def test_partials_are_their_own_integrals(self, e):
+        # one record of the center holds every row's partials: phi's are e/r
+        # at their inner limits, U's e^2/2r
+        for f, exact in ((lambda m, e: potential_at(m, e, 0.0), lambda r: e / r),
+                         (total_energy, lambda r: e * e / (2 * r))):
+            with pytest.raises(Divergent) as exc_info:
+                f(maxwell(), e)
+            partials, limits = (np.array(exc_info.value.details[k])
+                                for k in ("partials", "inner_limits"))
+            assert np.max(np.abs(partials / exact(limits) - 1)) <= 4.5e-16
 
 
 class TestVirial:
@@ -703,7 +728,6 @@ class TestStressIntegrals:
         s = stress_integrals(maxwell(), K.e, QuadratureSpec(cutoff_r=r_c))
         assert_allclose(s.laue_trace, -K.e**2 / (2 * r_c), rtol=1e-6)
         assert_allclose(s.laue_trace, -s.U_total, rtol=1e-9)
-        assert s.cutoff_r == r_c
 
     def test_maxwell_without_cutoff_diverges(self):
         with pytest.raises(Divergent):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nled import expansion
-from nled import (ConfigurationError, FieldVectors, IllConditioned, born_infeld,
+from nled import (ConfigurationError, FieldVectors, IllConditioned, NumericalError, born_infeld,
                   estimate_taylor_coefficients, lagrangian_density,
                   log_schroedinger, maxwell, mie_sqrt, polynomial_from_model,
                   taylor_reference)
@@ -51,6 +51,24 @@ class TestEstimate:
         assert errs[0] > errs[1] > errs[2]
         assert 3.0 <= errs[0] / errs[1] <= 5.5
         assert 3.0 <= errs[1] / errs[2] <= 5.5
+
+    @pytest.mark.parametrize("make", [born_infeld, log_schroedinger])
+    def test_every_accepted_limiting_field(self, make):
+        # the physical design's s^4 and s^6 columns left the doubles outside
+        # E0 in [1e-51, 1e53]; the unit design is the same at every E0
+        top = float(np.sqrt(np.finfo(float).max))
+        for E0 in (2.0**-511, *np.geomspace(1e-150, 1e150, 31).tolist(), top):
+            est, ref = estimate_taylor_coefficients(make(E0), 0.01), taylor_reference(make(E0))
+            assert abs(est.c1_hat * 8 * np.pi - 1) <= 3.2e-9
+            assert abs(est.c20_hat / ref.c20 - 1) <= 4e-6
+            assert est.condition < 2.0
+
+    def test_sextic_coefficient_beyond_the_doubles(self):
+        # c30 = 1/(64 pi E0^4) is 5e305 at E0 = 1e-77 and beyond the doubles at 1e-78
+        est = estimate_taylor_coefficients(born_infeld(1e-77), 0.01, higher_order=True)
+        assert abs(est.c30_hat * 1e-154 * 1e-154 * 64 * np.pi - 1) <= 1e-3
+        with pytest.raises(NumericalError, match="beyond the double range"):
+            estimate_taylor_coefficients(born_infeld(1e-78), 0.01, higher_order=True)
 
     def test_ratio_invariant_under_field_scale(self):
         for e0 in (1.0, 9.18e15):

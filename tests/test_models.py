@@ -213,6 +213,14 @@ class TestTaylorReference:
         assert_allclose(ref.c02, 1 / EIGHT_PI)
         assert ref.c02 / ref.c20 == 4.0
 
+    @pytest.mark.parametrize("make", [born_infeld, log_schroedinger])
+    def test_largest_limiting_field(self, make):
+        # 32 pi E0^2 overflowed above E0 ~ 1.3e153, so c20 read exactly 0
+        E0 = float(np.sqrt(np.finfo(float).max))
+        ref, unit = taylor_reference(make(E0)), taylor_reference(make(1.0))
+        for c, c_unit in ((ref.c20, unit.c20), (ref.c02, unit.c02)):
+            assert c * 2.0**100 * E0**2 == pytest.approx(c_unit * 2.0**100, rel=1e-12, abs=0.0)
+
     def test_maxwell(self):
         ref = taylor_reference(maxwell())
         assert (ref.c1, ref.c20, ref.c02) == (1 / EIGHT_PI, 0.0, 0.0)

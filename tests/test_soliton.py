@@ -275,6 +275,15 @@ class TestPotential:
         with pytest.raises(ValueError):
             potential_at(BI, K.e, r)
 
+    @pytest.mark.parametrize("model, e, r", [(BI, K.e, 1e200), (born_infeld(1e-150), 1.0, 1e-80)],
+                             ids=["displacement_underflows", "twin_start_overflows"])
+    def test_radius_outside_double_range_is_a_configuration_error(self, model, e, r):
+        # the energy integrals raise the same class; it is a ValueError too
+        with pytest.raises(ConfigurationError, match="not a finite, (positive, )?normal double"):
+            potential_at(model, e, r)
+        with pytest.raises(ValueError):
+            potential_at(model, e, r)
+
     def test_maxwell_is_coulomb(self):
         g = log_grid(1e-11, 1e-9, 21)
         phi = compute_profile(maxwell(), K.e, g).phi
