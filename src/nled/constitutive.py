@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, Divergent, DomainExceeded, NoSolution,
                      NumericalError, UnsupportedModel)
-from .models import BORN_INFELD, LOG_SCHROEDINGER, LagrangianModel, PolynomialCoeffs, _term
+from .models import (BORN_INFELD, LOG_SCHROEDINGER, LagrangianModel, PolynomialCoeffs,
+                     _field_scales, _term)
 
 RESIDUAL_LIMIT = 1e-12     # contract: achieved residual must stay below this
 
@@ -371,9 +372,7 @@ def _shape(m: LagrangianModel) -> _Shape:
         distance = 0.5 * np.pi
     elif m.coeffs is not None:
         a, x = 16.0 * np.pi * m.coeffs.alpha, 24.0 * np.pi * m.coeffs.xi
-        scales = [1.0 / np.sqrt(abs(a))] if a != 0.0 else []
-        if x != 0.0:
-            scales.append(abs(x) ** -0.25)
+        scales = _field_scales(m)
         scale = min(scales, default=None)
         top = scales[-1] if scales else None  # xi's scale, or the one scale
         if len(scales) == 2:  # or where xi's term overtakes alpha's, if higher
@@ -408,12 +407,13 @@ def _shape(m: LagrangianModel) -> _Shape:
 
 
 @lru_cache(maxsize=64)
-def _unit_twin(m: LagrangianModel, E_c: float | None) -> LagrangianModel:
-    """The map at H = 0 in units of its scale E_c, D'(E') = D(E_c E')/E_c: E0 = 1,
-    or alpha E_c^2 and xi E_c^4 by partial products (_term), finite where they are,
-    of its own kind; a linear map's (E_c None) is maxwell() or polynomial()."""
+def _unit_twin(m: LagrangianModel) -> LagrangianModel:
+    """The map at H = 0 in units of its scale E_c (_shape), D'(E') = D(E_c E')/E_c:
+    E0 = 1, or alpha E_c^2 and xi E_c^4 by partial products (_term), finite where
+    they are, of its own kind; a linear map's (E_c None) is maxwell() or polynomial()."""
     if m.kind in (BORN_INFELD, LOG_SCHROEDINGER):
         return LagrangianModel(m.kind, E0=1.0)
+    E_c = _shape(m).scale
     return LagrangianModel(m.kind, coeffs=PolynomialCoeffs(
         alpha=_term(m.coeffs.alpha, E_c, E_c), xi=_term(m.coeffs.xi, *[E_c] * 4)))
 

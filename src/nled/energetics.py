@@ -14,19 +14,20 @@ so the numeric trace must vanish to quadrature accuracy; for the linear
 theory with an inner cutoff it equals -U(r_c), the classical instability
 that historically had to be patched by non-electromagnetic forces.
 
-Both volume integrals, and the potential at one radius, come from one walk
+Both volume integrals, and the potential, come from one walk
 (constitutive._walk) along the inversion's own search variable, whose nodes
-are points of the explicit forward map.  _radial_walk runs it at unit charge
-on the map's unit twin, the map in units of its field scale E_c = e/r_s^2 (a
-linear map, with r_s the cutoff or the classical radius, is its own), and
-scales U and T by e^2/r_s, phi by e/r_s; each walk from (1, 1), every center
-and every linear map's, is made once per process.
+are points of the explicit forward map.  phi has one builder, _phi_walk,
+for a profile's grid and for a single radius alike.  _radial_walk runs the
+walk at unit charge on the map's unit twin, the map in units of its field
+scale E_c = e/r_s^2 (a linear map, with r_s the cutoff or the classical
+radius, is its own), and scales U and T by e^2/r_s, phi by e/r_s; each walk
+from (1, 1), every center and every linear map's, is made once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -66,12 +67,12 @@ def radial_scale(m: LagrangianModel, e: float, cutoff_r: float | None = None) ->
     if cutoff_r is not None and not cutoff_r > 0:
         raise ConfigurationError(f"cutoff radius must be positive, got {cutoff_r}")
     scale = _shape(m).scale  # UnsupportedModel for a kind with no constitutive map
-    if scale is not None:
-        return float(np.sqrt(e / scale))
-    if cutoff_r is not None:
-        return float(cutoff_r)
-    k = constants()
     with np.errstate(over="ignore"):  # an overflowed radius fails _source_displacement
+        if scale is not None:
+            return float(np.sqrt(e / scale))
+        if cutoff_r is not None:
+            return float(cutoff_r)
+        k = constants()
         return float(np.float64(e) ** 2 / (k.m_e * k.c**2))
 
 
@@ -111,27 +112,30 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 
 def _phi_rows(e: float, D, E, _, slope, w):
     """phi's walk integrand, weighted: E dr = -(1/2) r E (d ln D/dx) dx along
-    the search variable x, with r = sqrt(e/D) the explicit forward map."""
-    return (w * 0.5 * np.sqrt(e / D) * E * slope,)
+    the search variable x, with r = sqrt(e)/sqrt(D) the explicit forward map,
+    which stays finite where e/D overflows, deep in a large charge's tail."""
+    return (w * 0.5 * (np.sqrt(e) / np.sqrt(D)) * E * slope,)
 
 
-def _integrals(m: LagrangianModel, D_0, E_0, center: bool, stress: bool, phi: bool):
-    """(U, trace, U error, trace error) if stress, then phi at the start if phi,
-    from one walk at unit charge from (D_0, E_0), under its lower rule if stress:
-    u dV, (u - 2L) dV and |u dV| + |L dV| with dV = 2 pi r^3 (d ln D/dx) dx
-    along x, and _phi_rows."""
+def _phi_walk(m: LagrangianModel, e: float, D: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """phi at the points (D, E) in falling D: _phi_rows' walk sums accumulated
+    from the Coulomb end inward.  An inversion error dD in a start point moves its
+    phi by -(r E/2D) dD, small at a non-monotone map's fold, where dD = D'(E) dE."""
+    return np.cumsum(_walk(m, D, E, partial(_phi_rows, e))[0, 0, ::-1])[::-1][:D.size]
+
+
+def _integrals(m: LagrangianModel, D_0, E_0, center: bool, phi: bool):
+    """(U, trace, U error, trace error), then phi at the start if phi, from one
+    walk at unit charge from (D_0, E_0) under its lower rule: u dV, (u - 2L) dV
+    and |u dV| + |L dV| with dV = 2 pi r^3 (d ln D/dx) dx along x, and _phi_rows."""
     def integrand(D, E, _, slope, w):
         rows = _phi_rows(1.0, D, E, _, slope, w) if phi else ()
-        if not stress:
-            return rows
         u, L = _stress_densities(m, E, D)
         dV = 2.0 * np.pi * (1.0 / D) ** 1.5 * slope
         return (w * (u * dV), w * ((u - 2.0 * L) * dV),
                 w * (np.abs(u * dV) + np.abs(L * dV)), *rows)
 
-    sums = _walk(m, np.array([D_0]), np.array([E_0]), integrand, center, stress).sum(axis=2)
-    if not stress:
-        return (sums[0, 0],)
+    sums = _walk(m, np.array([D_0]), np.array([E_0]), integrand, center, True).sum(axis=2)
     (U, U_low), (trace, trace_low), (scale, _) = sums[:3]
     rounding = _ROUNDING * scale
     return (U, trace, abs(U - U_low) + rounding, abs(trace - trace_low) + rounding,
@@ -143,7 +147,7 @@ def _unit_record(twin: LagrangianModel, center: bool):
     """_integrals with phi of a unit twin at unit charge from (1, 1) outward, and with center
     inward too, a tuple callers share; for a diverging center (a linear map's) its Divergent."""
     try:
-        return _integrals(twin, 1.0, 1.0, center, True, True)
+        return _integrals(twin, 1.0, 1.0, center, True)
     except Divergent as exc:
         return exc.with_traceback(None)
 
@@ -157,7 +161,6 @@ def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None,
     linear map's start; ConfigurationError unless D_0 and that start are normal doubles.
     Divergent, for a center-end rate that is not negative, carries the radii of its partials."""
     r_s = radial_scale(m, e, cutoff_r)
-    scale = _shape(m).scale
     if cutoff_r is not None:
         D_0 = _source_displacement(e, cutoff_r)
         try:
@@ -165,7 +168,7 @@ def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None,
         except NoSolution as exc:
             raise NoSolution(exc.d_target, exc.d_max_attainable,
                              radius_cm=float(np.sqrt(e / exc.d_max_attainable))) from exc
-        E_c = scale or D_0  # a linear map's unit field is e/r_s^2: it starts at (1, 1)
+        E_c = _shape(m).scale or D_0  # a linear map's unit field is e/r_s^2: it starts at (1, 1)
         with np.errstate(over="ignore", under="ignore"):
             start = np.array([D_0, E_0]) / E_c
         if not _TINY <= start.min() <= start.max() < np.inf:
@@ -179,7 +182,7 @@ def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None,
             raise NoSolution(e / r_s**2, d_max, radius_cm=float(np.sqrt(e / d_max)),
                              note="without a cutoff the integral reaches every radius "
                                   "below radius_cm, where D exceeds the attainable maximum")
-    twin, unit, rows = _unit_twin(m, scale), e / r_s, slice(4, 5) if phi else slice(0, 4)
+    twin, unit, rows = _unit_twin(m), e / r_s, slice(4, 5) if phi else slice(0, 4)
     units = np.array([e * e / r_s if _TINY <= e * e < np.inf else e * unit] * 4 + [unit])[rows]
     if cutoff_r is None or np.all(start == 1.0):  # U = C e^2/r_s, as the paper writes it
         record = _unit_record(twin, cutoff_r is None)
@@ -188,8 +191,10 @@ def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None,
             raise Divergent(str(record), partials=(units[:1] * partials).tolist(),
                             inner_limits=(r_s / np.sqrt(D)).tolist())
         out = units * record[rows]
+    elif phi:
+        out = units * _phi_walk(twin, 1.0, start[:1], start[1:])
     else:
-        out = units * _integrals(twin, *start, False, not phi, phi)
+        out = units * _integrals(twin, *start, False, False)
     if not np.all(np.isfinite(out)):
         raise NumericalError(f"{m.kind}: an integral is beyond the double range", model_kind=m.kind)
     return out

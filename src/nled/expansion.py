@@ -19,8 +19,11 @@ import numpy as np
 
 from .errors import ConfigurationError, IllConditioned, NumericalError
 from .kinematics import FieldVectors, invariants
-from .models import LagrangianModel, density_from_invariants, polynomial
+from .models import LagrangianModel, _field_scales, density_from_invariants, polynomial
 
+# Below MIN_SAMPLE_SCALE rounding, which grows as eps/s^2, swamps the quartic
+# coefficients (c20 of born-infeld is off by 1e-3 at 1e-6 and by 9 at 1e-8).
+MIN_SAMPLE_SCALE = 1e-4
 MAX_SAMPLE_SCALE = 0.05
 CONDITION_LIMIT = 1e8
 
@@ -76,10 +79,10 @@ def estimate_taylor_coefficients(m: LagrangianModel, sample_scale: float = 0.01,
     (I1 I2, I1^3, I1 I2^2); those estimates are diagnostic only and are not
     fed into the quartic truncation.
     """
-    if not (0.0 < sample_scale <= MAX_SAMPLE_SCALE):
-        raise ConfigurationError(
-            f"sample_scale must be in (0, {MAX_SAMPLE_SCALE}], got {sample_scale}")
-    s = sample_scale * (m.E0 or 1.0)  # a fraction of the limiting field, or of unity
+    if not (MIN_SAMPLE_SCALE <= sample_scale <= MAX_SAMPLE_SCALE):
+        raise ConfigurationError(f"sample_scale must be in [{MIN_SAMPLE_SCALE}, "
+                                 f"{MAX_SAMPLE_SCALE}], got {sample_scale}")
+    s = sample_scale * min(_field_scales(m), default=1.0)  # of the map's scale, or of unity
     design = np.asarray(_CONFIGS_HIGHER if higher_order else _CONFIGS)
     inv = invariants(FieldVectors(E=design[:, 0], H=design[:, 1]))
     i1, i2 = inv.I1, inv.I2
@@ -88,7 +91,11 @@ def estimate_taylor_coefficients(m: LagrangianModel, sample_scale: float = 0.01,
     if higher_order:
         columns += [i1 * i2, i1**3, i1 * i2**2]
     M = np.column_stack(columns)
-    y = density_from_invariants(m, s * s * i1, s * s * i2)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sample beyond the doubles
+        y = density_from_invariants(m, s * s * i1, s * s * i2)
+    if not np.all(np.isfinite(y)):
+        raise NumericalError(f"{m.kind}: L sampled at s = {float(s)!r}, {sample_scale!r} of the "
+                             f"map's scale, is beyond the double range", model_kind=m.kind)
     a, _, _, sv = np.linalg.lstsq(M, y, rcond=None)
     # the condition from the solve's own singular values, not a second SVD
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else np.inf

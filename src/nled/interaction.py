@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants
-from .kinematics import (FourPotential, _beta, _dot, _real, _squared_speed, _unit, _vec3,
-                         boost_four_potential)
+from .kinematics import (FourPotential, _beta, _dot, _real, _require_count, _squared_speed,
+                         _unit, _vec3, boost_four_potential)
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,7 @@ def interaction_suite(states: int = 1_000, seed: int = 0,
     directions, normal (states, 3); the speeds in units of 0.9 c, uniform
     (states,); and (rho, e, phi), uniform(-2, 2) (3, states).
     """
+    _require_count("states", states)
     rng = np.random.default_rng(seed)
     u, A = rng.normal(size=(states, 3)), rng.uniform(-2, 2, (states, 3))
     direction, speed = rng.normal(size=(states, 3)), rng.uniform(size=states)
@@ -126,7 +127,7 @@ def interaction_suite(states: int = 1_000, seed: int = 0,
     return {
         "states": states,
         "boost_beta": boost_beta,
-        "max_rel_err_forms": float(np.max(np.abs(form_a - form_b) / scale, initial=0.0)),
-        "max_rel_err_energy_momentum_identity": float(np.max(identity, initial=0.0)),
-        "max_rel_err_boosted_form_a": float(np.max(np.abs(boosted_a - form_a) / scale, initial=0.0)),
+        "max_rel_err_forms": float(np.max(np.abs(form_a - form_b) / scale)),
+        "max_rel_err_energy_momentum_identity": float(np.max(identity)),
+        "max_rel_err_boosted_form_a": float(np.max(np.abs(boosted_a - form_a) / scale)),
     }

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 FOUR_PI = 4.0 * np.pi
 EIGHT_PI = 8.0 * np.pi
 
@@ -192,11 +194,19 @@ def _unit(v: np.ndarray) -> np.ndarray:
 # randomized verification suites (shared by the test suite and the CLI); each
 # draws its stack and makes one call per formula
 
+def _require_count(name: str, n: int) -> None:
+    """ConfigurationError unless a sweep draws at least one state: the maxima
+    of an empty sweep would read a clean-looking 0."""
+    if not n >= 1:
+        raise ConfigurationError(f"{name} must be at least 1, got {n!r}")
+
+
 def fierz_suite(draws: int = 10_000, seed: int = 0) -> dict:
     """Max relative lhs/rhs discrepancy over random fields in [-1, 1]^6."""
+    _require_count("draws", draws)
     E, H = np.random.default_rng(seed).uniform(-1, 1, (draws, 2, 3)).transpose(1, 0, 2)
     lhs, rhs = fierz_identity_sides(FieldVectors(E=E, H=H))
-    worst = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)), initial=0.0)
+    worst = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)))
     return {"draws": draws, "max_rel_err_fierz": float(worst)}
 
 
@@ -209,6 +219,7 @@ def boost_invariance_suite(draws: int = 1_000, seed: int = 0,
     radii.  Drift is measured relative to the field scale E^2 + H^2 (the
     invariants themselves can vanish).
     """
+    _require_count("draws", draws)
     rng = np.random.default_rng(seed)
     E, H = rng.uniform(-1, 1, (draws, 2, 3)).transpose(1, 0, 2)
     direction, radius = rng.normal(size=(draws, 3)), np.cbrt(rng.uniform(size=draws))[:, None]
@@ -216,5 +227,5 @@ def boost_invariance_suite(draws: int = 1_000, seed: int = 0,
     before = invariants(F)
     after = invariants(boost(F, _unit(direction) * beta_max * radius))
     scale = _dot(E, E) + _dot(H, H)
-    worst = np.max(np.abs([after.I1 - before.I1, after.I2 - before.I2]) / scale, initial=0.0)
+    worst = np.max(np.abs([after.I1 - before.I1, after.I2 - before.I2]) / scale)
     return {"draws": draws, "beta_max": beta_max, "max_rel_err_boost": float(worst)}

@@ -141,6 +141,20 @@ def _term(k: float, *factors):
         return math.prod(factors, start=k)
 
 
+def _field_scales(m: LagrangianModel) -> tuple:
+    """The fields at which the nonlinear terms of m's map at H = 0 become order one,
+    the lowest being the map's scale: E0 for born-infeld and the log model, a
+    polynomial's 1/sqrt(16 pi |alpha|) and then (24 pi |xi|)^(-1/4) for its nonzero
+    terms, and none for a linear map or a kind with no map."""
+    if m.kind in _E0_KINDS:
+        return (m.E0,)
+    if m.coeffs is None:
+        return ()
+    a, x = 16.0 * np.pi * m.coeffs.alpha, 24.0 * np.pi * m.coeffs.xi
+    scales = (1.0 / np.sqrt(abs(a)),) if a != 0.0 else ()
+    return scales + ((abs(x) ** -0.25,) if x != 0.0 else ())
+
+
 def density_from_invariants(m: LagrangianModel, i1, i2):
     """L(I1, I2) for the field-strength kinds; scalar or array arguments."""
     i1 = np.asarray(i1, dtype=float)

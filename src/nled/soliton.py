@@ -8,7 +8,8 @@ inward integral of E, is E dr summed on the walk along the inversion's
 own search variable (constitutive._walk), which also gives the energy and
 stress integrals: it evaluates the explicit forward map D(E) on a fixed
 rule, so no quadrature node is inverted and no adaptive quadrature runs.
-phi(0) walks to the center as the energy integral does.
+One builder, energetics._phi_walk, gives phi on the grid and at a single
+radius (potential_at); phi(0) walks to the center as the energy integral does.
 
 Grids are uniform in log r (default: 400 points over [1e-4, 1e4] r0, r0
 being energetics.radial_scale) or in r; no profile column is differenced.
@@ -21,7 +22,6 @@ where it exists in closed form (the limiting field E0 of the bounded model).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -51,8 +51,8 @@ class RadialGrid:
         if r.ndim != 1 or r.size < 5:
             raise ConfigurationError(
                 f"grid needs at least 5 points, got shape {r.shape}")
-        if not (r[0] > 0 and np.all(np.diff(r) > 0)):
-            raise ConfigurationError("radii must be positive and strictly increasing")
+        if not (r[0] > 0 and r[-1] < np.inf and np.all(np.diff(r) > 0)):
+            raise ConfigurationError("radii must be positive, finite and strictly increasing")
         if self.spacing not in (LOG, LINEAR):
             raise ConfigurationError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
         coord = np.log(r) if self.spacing == LOG else r
@@ -66,14 +66,14 @@ class RadialGrid:
 
 
 def log_grid(r_min: float, r_max: float, points: int = DEFAULT_POINTS) -> RadialGrid:
-    if not (0 < r_min < r_max):
-        raise ConfigurationError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
+    if not (0 < r_min < r_max < np.inf):
+        raise ConfigurationError(f"need 0 < r_min < r_max < inf, got ({r_min}, {r_max})")
     return RadialGrid(r=np.geomspace(r_min, r_max, points), spacing=LOG)
 
 
 def linear_grid(r_min: float, r_max: float, points: int = DEFAULT_POINTS) -> RadialGrid:
-    if not (0 < r_min < r_max):
-        raise ConfigurationError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
+    if not (0 < r_min < r_max < np.inf):
+        raise ConfigurationError(f"need 0 < r_min < r_max < inf, got ({r_min}, {r_max})")
     return RadialGrid(r=np.linspace(r_min, r_max, points), spacing=LINEAR)
 
 
@@ -117,14 +117,6 @@ def charge_density_profile(m: LagrangianModel, e: float,
                            grid: RadialGrid) -> np.ndarray:
     """rho(r) = (1/4 pi r^2) d(r^2 E)/dr from one inversion per grid point."""
     return _charge_density(m, grid.r, *_invert_profile(m, e, grid))
-
-
-def _potential(m: LagrangianModel, e: float, D: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """phi at the profile's points (D, E) in falling D: the walk's segment
-    sums (constitutive._walk) accumulated from the Coulomb end inward.  An
-    inversion error dD in a start point moves its phi by -(r E/2D) dD, which
-    stays small at the fold of a non-monotone map, where dD = D'(E) dE."""
-    return np.cumsum(_walk(m, D, E, partial(energetics._phi_rows, e))[0, 0, ::-1])[::-1][:D.size]
 
 
 def potential_at(m: LagrangianModel, e: float, r: float) -> float:
@@ -175,7 +167,9 @@ def compute_profile(m: LagrangianModel, e: float,
             boundary = float(r_fail)
             keep = grid.r > r_fail
             if np.count_nonzero(keep) < 5:
-                raise NoSolution(float(e / grid.r[0] ** 2), d_max,
+                with np.errstate(over="ignore", divide="ignore"):  # r^2 may leave the doubles
+                    d_first = float(e / grid.r[0] ** 2)
+                raise NoSolution(d_first, d_max,
                                  radius_cm=float(grid.r[0]),
                                  note="fewer than 5 grid points remain above "
                                       "the inversion boundary")
@@ -188,7 +182,7 @@ def compute_profile(m: LagrangianModel, e: float,
         rho = _charge_density(m, grid.r, E, D)
         eps = D / E
         u, _ = energetics._stress_densities(m, E, D)
-        phi = _potential(m, e, D, E)
+        phi = energetics._phi_walk(m, e, D, E)
     columns = {"E": E, "rho": rho, "eps": eps, "u": u, "phi": phi}
     if not np.all(np.isfinite(list(columns.values()))):
         bad = [name for name, a in columns.items() if not np.all(np.isfinite(a))]
@@ -236,7 +230,7 @@ def check_stress_divergence(profile: SolitonProfile) -> float:
 
     def integrand(D, E, _, slope, w):
         L = energetics._stress_densities(m, E, D)[1]
-        return (w * (e / D) * L * slope,)
+        return (e * (w * (L / D) * slope),)  # e/D overflows in a large charge's tail
 
     integral = _walk(m, D, E, integrand)[0, 0, :r.size - 1]  # int 2 r L dr per step
     jump = np.diff(r**2 * profile.u)  # T_rr = u

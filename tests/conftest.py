@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -7,6 +9,17 @@ from nled import constitutive, energetics, polynomial
 # log10 |alpha| and log10 xi over sixty decades, either sign of alpha
 PLANE = st.builds(lambda sign, la, lx: polynomial(alpha=sign * 10.0**la, xi=10.0**lx),
                   st.sampled_from([-1.0, 1.0]), st.floats(-30.0, 30.0), st.floats(-30.0, 30.0))
+
+
+def cold_caches():
+    """Clear every lru_cache of nled's loaded modules, each found by its
+    cache_clear, so that no cache, one added later included, stays warm in a
+    run meant to be cold."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nled."):
+            for f in vars(module).values():
+                if callable(getattr(f, "cache_clear", None)):
+                    f.cache_clear()
 
 
 class _LoggingGenerator:

@@ -26,7 +26,7 @@ from nled.models import density_from_invariants
 from nled.soliton import RadialGrid
 
 import reference
-from conftest import PLANE
+from conftest import PLANE, cold_caches
 
 # Independent closed form for the self-energy constant.
 C_EXACT = float(gamma(0.25) ** 2 / (6 * np.sqrt(np.pi)))
@@ -179,9 +179,10 @@ class TestTotalEnergy:
 
     @pytest.mark.parametrize("m, e", [(born_infeld(1e150), 1e-200), (born_infeld(2.0**-511), 1e300),
                                       (log_schroedinger(1e150), 1e-200),
-                                      (log_schroedinger(2.0**-511), 1e300)],
+                                      (log_schroedinger(2.0**-511), 1e300),
+                                      (polynomial(alpha=2e306), 1e250)],
                              ids=["scale_underflows", "scale_overflows", "log_scale_underflows",
-                                  "log_scale_overflows"])
+                                  "log_scale_overflows", "polynomial_scale_overflows"])
     def test_map_scale_outside_double_range_rejected(self, m, e):
         # r_s = sqrt(e/E0) is 0 or inf: rejected before e/r_s or e^2/r_s is formed (the
         # log model's fold check divided by r_s^2 = 0 first, a ZeroDivisionError)
@@ -483,9 +484,7 @@ class TestSelfSimilarity:
         born_infeld_energy_constant()  # born-infeld's record, walked for another member
         outputs()
         warm = outputs()
-        for cache in (energetics._unit_record, constitutive._unit_twin, constitutive._layout,
-                      constitutive._uniform_nodes, constitutive._rule, constitutive._shape):
-            cache.cache_clear()
+        cold_caches()
         assert outputs().tobytes() == warm.tobytes()
 
 

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from nled import expansion
 from nled import (ConfigurationError, FieldVectors, IllConditioned, NumericalError, born_infeld,
                   estimate_taylor_coefficients, lagrangian_density,
-                  log_schroedinger, maxwell, mie_sqrt, polynomial_from_model,
+                  log_schroedinger, maxwell, mie_sqrt, polynomial, polynomial_from_model,
                   taylor_reference)
 
 
@@ -38,6 +38,28 @@ class TestEstimate:
             estimate_taylor_coefficients(maxwell(), 0.0)
         with pytest.raises(ConfigurationError):
             estimate_taylor_coefficients(maxwell(), 0.06)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e-6, 1e-8])
+    def test_rounding_scales_rejected(self, scale):
+        # rounding grows as eps/s^2: born-infeld's c20 is off by 1e-3 at 1e-6 and by 9 at 1e-8
+        with pytest.raises(ConfigurationError, match="sample_scale"):
+            estimate_taylor_coefficients(born_infeld(1.0), scale)
+
+    def test_smallest_sample_scale(self):
+        est = estimate_taylor_coefficients(born_infeld(1.0), expansion.MIN_SAMPLE_SCALE)
+        assert abs(est.c20_hat / taylor_reference(born_infeld(1.0)).c20 - 1) <= 1e-6
+
+    def test_polynomial_samples_at_its_own_scale(self):
+        # the scale is alpha's, 1/sqrt(16 pi alpha) = 1.4e-4, not unity, where
+        # the fit returned c20/alpha = -4.74 at condition 1.98
+        est = estimate_taylor_coefficients(polynomial(alpha=1e6, xi=1e12), 0.01)
+        assert abs(est.c20_hat / 1e6 - 1) <= 1e-6
+        assert abs(est.c1_hat * 8 * np.pi - 1) <= 1e-9
+
+    def test_sample_beyond_the_doubles(self):
+        # a subnormal alpha puts the map's scale, and s^2, beyond the doubles
+        with pytest.raises(NumericalError, match="beyond the double range"):
+            estimate_taylor_coefficients(polynomial(alpha=1e-316), 0.01)
 
     def test_mie_sqrt_rejected(self):
         with pytest.raises(ConfigurationError):

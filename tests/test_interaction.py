@@ -232,7 +232,3 @@ class TestStacks:
         kwargs = {"rho": 1.0, "v": np.zeros(3), "e": 1.0, field: np.ones(5)}
         with pytest.raises(ValueError, match="leading shape"):
             ChargeState(**kwargs)
-
-    def test_empty_suite_reports_zero(self):
-        report = interaction_suite(0, 0)
-        assert [report[k] for k in report if k.startswith("max_")] == [0.0, 0.0, 0.0]

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nled import (FieldVectors, FourPotential, boost, boost_four_potential,
+from nled import (ConfigurationError, FieldVectors, FourPotential, boost, boost_four_potential,
                   energy_momentum_density, fierz_identity_sides, gauge_shift,
                   invariants)
 from nled import kinematics
+from nled.interaction import interaction_suite
 from nled.kinematics import boost_invariance_suite, fierz_suite
 
 
@@ -267,9 +268,13 @@ class TestStacks:
         with pytest.raises(ValueError, match="leading shape"):
             FourPotential(phi=phi, A=A)
 
-    def test_empty_suites_report_zero(self):
-        assert fierz_suite(0, 0)["max_rel_err_fierz"] == 0.0
-        assert boost_invariance_suite(0, 0)["max_rel_err_boost"] == 0.0
+    @pytest.mark.parametrize("sweep", [fierz_suite, boost_invariance_suite, interaction_suite],
+                             ids=["fierz", "boost", "interaction"])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_empty_sweep_rejected(self, sweep, count):
+        # an empty sweep's maxima would read a clean-looking 0.0
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            sweep(count, 0)
 
 
 class TestKernels:

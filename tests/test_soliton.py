@@ -14,9 +14,10 @@ from nled import (ConfigurationError, Divergent, NoSolution, NumericalError, Rad
                   compute_profile, constants, default_grid, field_from_displacement,
                   field_profile, integrated_charge, linear_grid, log_grid,
                   log_schroedinger, maxwell, polynomial, potential_at)
-from nled import constitutive, quadrature, soliton
+from nled import constitutive, energetics, quadrature, soliton
 
 import reference
+from conftest import cold_caches
 
 # Historical pair: these close to each other (e/r0^2 = E0) by construction.
 K = constants("historical1934")
@@ -311,10 +312,26 @@ class TestPotential:
         assert abs(phi / (K.e / (10 * R0)) - 1) <= 5e-5
 
     def test_profile_matches_pointwise(self):
-        g = log_grid(0.5 * R0, 50 * R0, 11)
-        phi = compute_profile(BI, K.e, g).phi
-        for i in (0, 5, 10):
-            assert_allclose(phi[i], potential_at(BI, K.e, g.r[i]), rtol=1e-10)
+        # one phi walk serves a grid and a single radius: they agree to rounding,
+        # at every point of default and linear grids, a fold's included
+        for model in (BI, log_schroedinger(E0), polynomial(0.01, xi=0.001),
+                      polynomial(-0.01, xi=0.001), maxwell()):
+            r_s = energetics.radial_scale(model, K.e)
+            for grid in (None, linear_grid(0.05 * r_s, 20 * r_s, 400)):
+                prof = compute_profile(model, K.e, grid)
+                phi = [potential_at(model, K.e, r) for r in prof.grid.r]
+                assert_allclose(prof.phi, phi, rtol=4e-15, err_msg=model.kind)
+
+    @pytest.mark.parametrize("model, e", [(born_infeld(1.0), 1e300),
+                                          (log_schroedinger(1.0), 1e300),
+                                          (polynomial(0.01, xi=0.001), 1e280)],
+                             ids=["born_infeld", "log_schroedinger", "polynomial"])
+    def test_large_charge_profile(self, model, e):
+        # e/D overflows deep in the walk's Coulomb tail; r = sqrt(e)/sqrt(D) does not
+        prof = compute_profile(model, e)
+        r = prof.grid.r[::21]
+        assert_allclose(prof.phi[::21], [potential_at(model, e, x) for x in r], rtol=2e-15)
+        assert check_stress_divergence(prof) <= 1e-13
 
 
 class TestAssembledProfile:
@@ -404,6 +421,22 @@ class TestAssembledProfile:
         with pytest.raises(ConfigurationError):
             compute_profile(born_infeld(1.0), 1.0, grid)
 
+    @pytest.mark.parametrize("run, error", [
+        (lambda: log_grid(1.0, np.inf), ConfigurationError),
+        (lambda: linear_grid(1.0, np.inf), ConfigurationError),
+        (lambda: RadialGrid(r=np.array([1.0, 2.0, 3.0, np.inf, np.inf])), ConfigurationError),
+        (lambda: compute_profile(maxwell(), 1e150), ConfigurationError),
+        (lambda: compute_profile(polynomial(alpha=2e306), 1e250), ConfigurationError),
+        (lambda: compute_profile(log_schroedinger(1.34e154), 4.8e-10, log_grid(
+            1e-120 * np.sqrt(4.8e-10 / 1.34e154), 1e-100 * np.sqrt(4.8e-10 / 1.34e154), 60)),
+         NoSolution)],
+        ids=["log_grid_inf", "linear_grid_inf", "grid_inf", "maxwell_radius_overflows",
+             "scale_quotient_overflows", "fold_radius_squared_underflows"])
+    def test_double_range_edge_raises_its_error(self, run, error):
+        # under the suite's error::RuntimeWarning filter, not a numpy warning
+        with pytest.raises(error):
+            run()
+
     @pytest.mark.parametrize("e", [np.inf, np.nan, 0.0])
     def test_charge_rejected(self, e):
         with pytest.raises(ConfigurationError):
@@ -462,9 +495,7 @@ class TestLayoutCache:
         r_s = compute_profile(model, K.e).r0
         grid = linear_grid(0.05 * r_s, 20.0 * r_s, 300)
         warm = compute_profile(model, K.e, grid)
-        for cache in (constitutive._layout, constitutive._uniform_nodes,
-                      constitutive._rule, constitutive._shape):
-            cache.cache_clear()
+        cold_caches()
         cold = compute_profile(model, K.e, grid)
         for name in self.COLUMNS:
             assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
