@@ -105,16 +105,15 @@ def _coulomb_deviation(m: LagrangianModel, E, D):
 
 
 def _search_walk(m: LagrangianModel, D, E, delta):
-    """(D, E, d ln E/dx, d ln D/dx) at offsets delta along the inversion's
-    search variable x from anchor points (D, E) on the forward map.
+    """(D, E, d ln D/dx) at offsets delta along the inversion's search
+    variable x from anchor points (D, E) on the forward map.
 
     Nothing is inverted.  For born-infeld x is the radicand logit w, in which
     ln D = ln E0 + w/2 exactly: a node has D = D_a e^{delta/2},
     E = D E0 / hypot(E0, D) = E0 sqrt(sigmoid(w)), held at or below E0 where
     it rounds above deep inside and taken as E0 (D/hypot) where E0/hypot is
-    subnormal (D/E0 above ~1e308), and d ln E/dw = (E/D)^2 / 2.  The other
-    kinds walk x = ln E: E = E_a e^delta, and D and d ln D/dx from
-    _map_terms.
+    subnormal (D/E0 above ~1e308).  The other kinds walk x = ln E:
+    E = E_a e^delta, and D and d ln D/dx from _map_terms.
     """
     if m.kind == BORN_INFELD:
         D = D * np.exp(0.5 * delta)
@@ -123,10 +122,10 @@ def _search_walk(m: LagrangianModel, D, E, delta):
         E = D * ratio
         if not ratio.min() >= tiny:
             E = np.where(ratio >= tiny, E, m.E0 * (D / h))
-        return D, np.minimum(E, m.E0), 0.5 * ratio**2, np.full_like(D, 0.5)
+        return D, np.minimum(E, m.E0), np.full_like(D, 0.5)
     E = E * np.exp(delta)
     g, _, q = _map_terms(m, E)
-    return np.abs(E * g), E, np.ones_like(E), (g + q) / g
+    return np.abs(E * g), E, (g + q) / g
 
 
 @lru_cache(maxsize=32)
@@ -173,7 +172,7 @@ _RATE_TOL = 1e-10
 def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, center: bool = False,
           lower: bool = False) -> np.ndarray:
     """Sums per segment, shape (rows, rules, n + 2), of the integrand rows
-    f(D, E, d ln E/dx, d ln D/dx, weight) on the walk's rule (with lower,
+    f(D, E, d ln D/dx, weight) on the walk's rule (with lower,
     rule 1 is the lower rule) along the search variable x, so no node is
     inverted.
 
@@ -203,9 +202,10 @@ def _walk(m: LagrangianModel, D: np.ndarray, E: np.ndarray, f, center: bool = Fa
         n_in = int(np.ceil((_WALK_DEPTH + min(max(lift, 0.0), _TOP_REACH)) / _ANCHOR_STEP))
     n_out = int(np.ceil((_WALK_DEPTH + max(height, 0.0)) / _ANCHOR_STEP))
     with np.errstate(all="ignore"):  # a sum that is not finite raises below
-        D_t, E_t, e_slope, d_slope = _search_walk(
+        D_t, E_t, d_slope = _search_walk(
             m, D[-1], E[-1], _ANCHOR_STEP * np.arange(n_in, -n_out - 1, -1.0))
-        rate = e_slope - 0.5 * d_slope
+        rate = (0.5 * (m.E0 / np.hypot(m.E0, D_t))**2 if m.kind == BORN_INFELD  # d ln E/dx
+                else np.ones_like(E_t)) - 0.5 * d_slope
         if not (rate[-1] > 0.0 and abs(rate[-1] - rate[-2]) <= _RATE_TOL * rate[-1]):
             raise NumericalError(
                 f"{m.kind}: the walk's Coulomb-end rate k = {rate[-1]!r} (k = {rate[-2]!r} "
@@ -431,9 +431,9 @@ _START_STEP = 1.0 / 16.0
 _MAX_EVALS = 200
 
 
-def _invert(m: LagrangianModel, D: np.ndarray):
-    """(E, evaluations, residual, lower) for an array of displacements
-    D > 0 by one safeguarded Newton-bisection, elementwise.
+def _invert(m: LagrangianModel, D):
+    """(E, evaluations, residual, lower) for displacements D > 0, an array or
+    a 0-d np.float64 (0-d results), by one safeguarded Newton-bisection, elementwise.
 
     Each element walks the forward map (_search_walk), re-anchored at every
     point it reaches so that E keeps full precision; Newton's slope is
@@ -445,9 +445,10 @@ def _invert(m: LagrangianModel, D: np.ndarray):
     precision, and bisect where Newton would leave the bracket.  An
     element's start depends on its own D only, and it takes its last step
     when that step or its bracket is below _X_TOL, so an array call equals
-    the per-element calls bit for bit.  ``lower`` tags lower-of-two roots,
-    and D in the accepted band at or just above D_max returns the peak.
-    NoSolution and ConvergenceFailure name the first offending element.
+    the per-element calls bit for bit; an array drops its elements as they
+    finish.  ``lower`` tags lower-of-two roots, and D in the accepted band
+    at or just above D_max returns the peak.  NoSolution and
+    ConvergenceFailure name the first offending element.
     """
     shape = _shape(m)  # raises UnsupportedModel for a kind with no map
     if shape.scale is None:
@@ -455,7 +456,7 @@ def _invert(m: LagrangianModel, D: np.ndarray):
         return D.copy(), zero.astype(int), zero, zero.astype(bool)
     above = D > shape.D_max * (1.0 + 1e-13)
     if np.count_nonzero(above):
-        raise NoSolution(float(D[np.argmax(above)]), shape.D_max)
+        raise NoSolution(float(D.flat[above.argmax()]), shape.D_max)
     lower = (D < shape.D_max * (1.0 - 1e-12)) & (shape.D_max < np.inf)
     if m.kind == BORN_INFELD:
         E, lo, hi = D, np.zeros_like(D), np.zeros_like(D)
@@ -468,29 +469,32 @@ def _invert(m: LagrangianModel, D: np.ndarray):
         lo = np.log(np.minimum(D, np.finfo(float).tiny)) - ln_E
         hi = np.log(shape.E_top) - ln_E
 
-    # the elements still solving (act): target d, point (dx, e) and its slope,
-    # and the bracket [lo, hi] in offsets from it; born-infeld starts at its root
-    Dx, E, _, slope = _search_walk(m, D, E, 0.0)
-    evals = np.ones(D.shape, dtype=int)
-    act = np.flatnonzero(lo < hi)
-    d, dx, e, slope, lo, hi = D[act], Dx[act], E[act], slope[act], lo[act], hi[act]
+    # the elements still solving (act; a 0-d D itself): target d, point (dx, e) and
+    # its slope, and the bracket [lo, hi] in offsets from it; born-infeld starts at its root
+    Dx, E, slope = _search_walk(m, D, E, 0.0)
+    evals, act = np.ones(D.shape, dtype=int), np.flatnonzero(lo < hi)
+    d, dx, e, slope, lo, hi = (a[act] if D.ndim else a for a in (D, Dx, E, slope, lo, hi))
     k = 1
     while act.size:
         k += 1
         if k > _MAX_EVALS:
             raise ConvergenceFailure(f"no convergence in {_MAX_EVALS} evaluations for "
-                                     f"{m.kind} at D = {float(d[0])!r}", D=float(d[0]))
+                                     f"{m.kind} at D = {float(d.flat[0])!r}", D=float(d.flat[0]))
         f = np.log(dx / d)
-        lo, hi = np.where(f <= 0.0, 0.0, lo), np.where(f >= 0.0, 0.0, hi)
+        lo, hi = lo - lo * (f <= 0.0), hi - hi * (f >= 0.0)  # 0 on the root's far side
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope at a peak
+            step = -f / slope
         # a flat or falling slope (at or past a peak) takes the bisection
-        step = -f / np.where(slope > 0.0, slope, np.nan)
-        inside = (lo < step) & (step < hi)
+        inside = (slope > 0.0) & (lo < step) & (step < hi)
         if np.count_nonzero(inside) < inside.size:
             step = np.where(inside, step, 0.5 * (lo + hi))
-        last = np.minimum(hi - lo, np.abs(step)) <= _X_TOL
-        dx, e, _, slope = _search_walk(m, dx, e, step)
+        last = (hi - lo <= _X_TOL) | (abs(step) <= _X_TOL)
+        dx, e, slope = _search_walk(m, dx, e, step)
         n_last = np.count_nonzero(last)
         if n_last:
+            if not D.ndim:  # a 0-d D finishes all at once
+                Dx, E, evals = dx, e, np.array(k)
+                break
             Dx[act[last]], E[act[last]], evals[act[last]] = dx[last], e[last], k
             if n_last == act.size:
                 break
@@ -498,14 +502,14 @@ def _invert(m: LagrangianModel, D: np.ndarray):
             act, d, dx, e, slope, lo, hi, step = (
                 a[keep] for a in (act, d, dx, e, slope, lo, hi, step))
         lo, hi = lo - step, hi - step
-    residual = np.abs(Dx - D) / D
+    residual = abs(Dx - D) / D
     bad = residual > RESIDUAL_LIMIT
     if np.count_nonzero(bad):
-        i = int(np.argmax(bad))
+        i = bad.argmax()
         raise ConvergenceFailure(
-            f"inversion residual {residual[i]:.3e} above {RESIDUAL_LIMIT} "
-            f"for {m.kind} at D = {float(D[i])!r}",
-            residual=float(residual[i]), D=float(D[i]))
+            f"inversion residual {residual.flat[i]:.3e} above {RESIDUAL_LIMIT} "
+            f"for {m.kind} at D = {float(D.flat[i])!r}",
+            residual=float(residual.flat[i]), D=float(D.flat[i]))
     return E, evals, residual, lower
 
 
@@ -516,12 +520,11 @@ def field_from_displacement(m: LagrangianModel, D: float) -> InversionResult:
     of the map, ConvergenceFailure if the residual target cannot be met.
     """
     d_target = float(D)
-    if not np.isfinite(d_target) or d_target < 0.0:
+    if not 0.0 <= d_target < np.inf:
         raise ValueError(f"displacement must be finite and >= 0, got {D}")
     if d_target == 0.0:
         return InversionResult(E=0.0, iterations=0, residual=0.0, branch=BRANCH_UNIQUE)
-    E, evals, residual, lower = _invert(m, np.array([d_target]))
-    return InversionResult(E=float(E[0]), iterations=int(evals[0]),
-                           residual=float(residual[0]),
-                           branch=BRANCH_LOWER if lower[0] else BRANCH_UNIQUE,
-                           coulomb_deviation=float(_coulomb_deviation(m, E[0], d_target)))
+    E, evals, residual, lower = _invert(m, np.float64(d_target))
+    return InversionResult(E=float(E), iterations=int(evals), residual=float(residual),
+                           branch=BRANCH_LOWER if lower else BRANCH_UNIQUE,
+                           coulomb_deviation=float(_coulomb_deviation(m, E, d_target)))

@@ -26,6 +26,7 @@ from (1, 1), every center and every linear map's, is made once per process.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -67,12 +68,12 @@ def radial_scale(m: LagrangianModel, e: float, cutoff_r: float | None = None) ->
     if cutoff_r is not None and not cutoff_r > 0:
         raise ConfigurationError(f"cutoff radius must be positive, got {cutoff_r}")
     scale = _shape(m).scale  # UnsupportedModel for a kind with no constitutive map
-    with np.errstate(over="ignore"):  # an overflowed radius fails _source_displacement
-        if scale is not None:
-            return float(np.sqrt(e / scale))
-        if cutoff_r is not None:
-            return float(cutoff_r)
-        k = constants()
+    if scale is not None:  # an overflowed radius fails _source_displacement
+        return math.sqrt(float(e) / float(scale))
+    if cutoff_r is not None:
+        return float(cutoff_r)
+    k = constants()
+    with np.errstate(over="ignore"):
         return float(np.float64(e) ** 2 / (k.m_e * k.c**2))
 
 
@@ -80,12 +81,16 @@ _TINY = np.finfo(float).tiny
 
 
 def _source_displacement(e: float, r):
-    """D = e/r^2 of the point charge at radii r (float or array), raising
-    ConfigurationError unless every D is a finite, positive, normal double."""
-    r = np.asarray(r, dtype=float)[()]  # a float's square overflows to inf, not an error
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        D = e / r**2
-    if not _TINY <= D.min() <= D.max() < np.inf:
+    """D = e/r^2 of the point charge at radii r (a Python float, or an array),
+    raising ConfigurationError unless every D is a finite, positive, normal double."""
+    if isinstance(r, float):  # r**2 raises OverflowError, and e/0.0 ZeroDivisionError
+        r2 = r**2 if r * r < np.inf else r * r
+        D = lo = hi = float(e) / r2 if r2 else np.inf
+    else:
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            D = e / np.asarray(r, dtype=float) ** 2
+        lo, hi = D.min(), D.max()
+    if not _TINY <= lo <= hi < np.inf:
         i = np.argmin(np.ravel((D >= _TINY) & (D < np.inf)))  # the first one out of range
         raise ConfigurationError(
             f"radius {float(np.ravel(r)[i])!r} cm gives D = e/r^2 = "
@@ -110,7 +115,7 @@ def _stress_densities(m: LagrangianModel, E, D):
 _ROUNDING = 8.0 * np.finfo(float).eps
 
 
-def _phi_rows(e: float, D, E, _, slope, w):
+def _phi_rows(e: float, D, E, slope, w):
     """phi's walk integrand, weighted: E dr = -(1/2) r E (d ln D/dx) dx along
     the search variable x, with r = sqrt(e)/sqrt(D) the explicit forward map,
     which stays finite where e/D overflows, deep in a large charge's tail."""
@@ -128,8 +133,8 @@ def _integrals(m: LagrangianModel, D_0, E_0, center: bool, phi: bool):
     """(U, trace, U error, trace error), then phi at the start if phi, from one
     walk at unit charge from (D_0, E_0) under its lower rule: u dV, (u - 2L) dV
     and |u dV| + |L dV| with dV = 2 pi r^3 (d ln D/dx) dx along x, and _phi_rows."""
-    def integrand(D, E, _, slope, w):
-        rows = _phi_rows(1.0, D, E, _, slope, w) if phi else ()
+    def integrand(D, E, slope, w):
+        rows = _phi_rows(1.0, D, E, slope, w) if phi else ()
         u, L = _stress_densities(m, E, D)
         dV = 2.0 * np.pi * (1.0 / D) ** 1.5 * slope
         return (w * (u * dV), w * ((u - 2.0 * L) * dV),
@@ -153,49 +158,51 @@ def _unit_record(twin: LagrangianModel, center: bool):
 
 
 def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None,
-                 phi: bool = False) -> np.ndarray:
-    """(U, trace, U error, trace error), or with phi (phi(r_c),), over every
+                 phi: bool = False) -> list:
+    """[U, trace, U error, trace error], or with phi [phi(r_c)], over every
     radius from r_c outward, or without a cutoff from the center: the twin's
     _unit_record.  A cutoff costs one inversion (NoSolution carries the fold radius),
     and the twin walks from (D_0/E_c, E_0/E_c), or reads its record from (1, 1), a
     linear map's start; ConfigurationError unless D_0 and that start are normal doubles.
-    Divergent, for a center-end rate that is not negative, carries the radii of its partials."""
+    Divergent, for a center-end rate that is not negative, carries the radii of its partials;
+    the entry's scalars are Python floats."""
     r_s = radial_scale(m, e, cutoff_r)
+    e = float(e)
     if cutoff_r is not None:
-        D_0 = _source_displacement(e, cutoff_r)
+        D_0 = _source_displacement(e, float(cutoff_r))
         try:
             E_0 = field_from_displacement(m, D_0).E
         except NoSolution as exc:
             raise NoSolution(exc.d_target, exc.d_max_attainable,
-                             radius_cm=float(np.sqrt(e / exc.d_max_attainable))) from exc
-        E_c = _shape(m).scale or D_0  # a linear map's unit field is e/r_s^2: it starts at (1, 1)
-        with np.errstate(over="ignore", under="ignore"):
-            start = np.array([D_0, E_0]) / E_c
-        if not _TINY <= start.min() <= start.max() < np.inf:
+                             radius_cm=math.sqrt(e / exc.d_max_attainable)) from exc
+        E_c = float(_shape(m).scale or D_0)  # a linear map's unit field is e/r_s^2: (1, 1)
+        start = D_0 / E_c, E_0 / E_c
+        if not (_TINY <= start[0] < np.inf and _TINY <= start[1] < np.inf):
             raise ConfigurationError(f"{m.kind}: the cutoff {cutoff_r!r} cm puts the walk's "
-                                     f"start at (D, E)/E_c = {tuple(start.tolist())!r}, "
+                                     f"start at (D, E)/E_c = {start!r}, "
                                      f"not a finite, normal double")
     else:
         _source_displacement(e, r_s)  # an r_s that overflowed or underflowed
         d_max = attainable_displacement_max(m)
-        if np.isfinite(d_max):
-            raise NoSolution(e / r_s**2, d_max, radius_cm=float(np.sqrt(e / d_max)),
+        if d_max < np.inf:
+            raise NoSolution(e / r_s**2, d_max, radius_cm=math.sqrt(e / d_max),
                              note="without a cutoff the integral reaches every radius "
                                   "below radius_cm, where D exceeds the attainable maximum")
     twin, unit, rows = _unit_twin(m), e / r_s, slice(4, 5) if phi else slice(0, 4)
-    units = np.array([e * e / r_s if _TINY <= e * e < np.inf else e * unit] * 4 + [unit])[rows]
-    if cutoff_r is None or np.all(start == 1.0):  # U = C e^2/r_s, as the paper writes it
+    units = ((e * e / r_s if _TINY <= e * e < np.inf else e * unit,) * 4 + (unit,))[rows]
+    if cutoff_r is None or start == (1.0, 1.0):  # U = C e^2/r_s, as the paper writes it
         record = _unit_record(twin, cutoff_r is None)
         if isinstance(record, Divergent):  # a linear map's center
             partials, D = record.details["partials"][-1 if phi else 0], record.details["D"]
-            raise Divergent(str(record), partials=(units[:1] * partials).tolist(),
+            raise Divergent(str(record), partials=[units[0] * p for p in partials],
                             inner_limits=(r_s / np.sqrt(D)).tolist())
-        out = units * record[rows]
+        values = record[rows]
     elif phi:
-        out = units * _phi_walk(twin, 1.0, start[:1], start[1:])
+        values = _phi_walk(twin, 1.0, np.array(start[:1]), np.array(start[1:]))
     else:
-        out = units * _integrals(twin, *start, False, False)
-    if not np.all(np.isfinite(out)):
+        values = _integrals(twin, *start, False, False)
+    out = [u * float(v) for u, v in zip(units, values)]
+    if not all(map(math.isfinite, out)):
         raise NumericalError(f"{m.kind}: an integral is beyond the double range", model_kind=m.kind)
     return out
 

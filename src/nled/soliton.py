@@ -157,6 +157,9 @@ def compute_profile(m: LagrangianModel, e: float,
                     grid: RadialGrid | None = None) -> SolitonProfile:
     """Assemble the full profile, trimming radii the model cannot support."""
     r0 = energetics.radial_scale(m, e)
+    if not 0.0 < r0 < np.inf:  # e/E_c, or e^2/m_e c^2, beyond the doubles
+        raise ConfigurationError(f"{m.kind}: the radial scale r0 = {r0!r} cm at charge {e!r} "
+                                 "is not a finite, positive double")
     if grid is None:
         grid = default_grid(r0)
     boundary = None
@@ -228,7 +231,7 @@ def check_stress_divergence(profile: SolitonProfile) -> float:
         return float("inf")
     e = r[0] ** 2 * D[0]
 
-    def integrand(D, E, _, slope, w):
+    def integrand(D, E, slope, w):
         L = energetics._stress_densities(m, E, D)[1]
         return (e * (w * (L / D) * slope),)  # e/D overflows in a large charge's tail
 

@@ -241,7 +241,7 @@ class TestMapAlgebra:
         E = np.geomspace(1e-150 * shape.scale,
                          min(0.9 * shape.E_peak, shape.E_top), 121)
         D = displacement_from_field(m, E)
-        got = (D, constitutive._search_walk(m, D, E, 0.0)[3],
+        got = (D, constitutive._search_walk(m, D, E, 0.0)[2],
                constitutive._coulomb_deviation(m, E, D), constitutive._charge_factor(m, E, D))
         for i, e in enumerate(E):
             want_terms = reference.map_terms(m, e)
