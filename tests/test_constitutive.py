@@ -260,6 +260,14 @@ class TestMapAlgebra:
         assert abs(displacement_from_field(log_schroedinger(1.0), 1e10) / 1e-10 - 1) <= 1e-15
 
 
+def kernel_outcome(model, D):
+    """constitutive._invert's output, or its error as (class, message, details)."""
+    try:
+        return constitutive._invert(model, D)
+    except (NoSolution, ConvergenceFailure) as exc:
+        return type(exc), str(exc), exc.details
+
+
 class TestKernel:
     """The array inversion behind field_from_displacement and the profiles."""
 
@@ -277,6 +285,32 @@ class TestKernel:
             assert got.tobytes() == np.array(want).tobytes()
         assert evals.tolist() == [p.iterations for p in points]
         assert lower.tolist() == [p.branch == "lower-of-two" for p in points]
+        # a 0-d D (field_from_displacement's call) equals the one-element array
+        # call bit for bit, the peak band at D_max (1 +- 1e-13) and above it included
+        d_max = attainable_displacement_max(model)
+        band = [d_max * f for f in (1 - 1e-13, 1.0, 1 + 1e-13, 1 + 2e-13)]
+        for d in np.append(D, band if np.isfinite(d_max) else []):
+            zero_d, one = kernel_outcome(model, np.float64(d)), kernel_outcome(model, np.array([d]))
+            if isinstance(one[0], type):  # the same error, message and details
+                assert zero_d == one and (d > d_max) == (one[0] is NoSolution)
+                continue
+            assert all(np.ndim(a) == 0 for a in zero_d), d
+            assert [np.asarray(a).tobytes() for a in zero_d] == [a.tobytes() for a in one], d
+
+    @pytest.mark.parametrize("cap, limit", [(2, constitutive.RESIDUAL_LIMIT), (200, -1.0)],
+                             ids=["evaluation_cap", "residual_limit"])
+    def test_zero_d_fails_as_one_element(self, cap, limit, monkeypatch):
+        # both ConvergenceFailure paths name the same D (and residual) for a
+        # 0-d D as for the one-element array; born-infeld starts at its root
+        monkeypatch.setattr(constitutive, "_MAX_EVALS", cap)
+        monkeypatch.setattr(constitutive, "RESIDUAL_LIMIT", limit)
+        for model in [m for m, _ in WHOLE_RANGE
+                      if m.kind not in ("maxwell", "born-infeld" if cap == 2 else "")]:
+            for f in (1e-3, 0.3, 0.9):
+                d = f * min(attainable_displacement_max(model), constitutive._shape(model).scale)
+                zero_d = kernel_outcome(model, np.float64(d))
+                assert zero_d[0] is ConvergenceFailure, (model, d)
+                assert zero_d == kernel_outcome(model, np.array([d]))
 
     @pytest.mark.parametrize("name", list(SHAPES))
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)

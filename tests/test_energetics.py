@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -176,6 +177,59 @@ class TestTotalEnergy:
                 f(m, 1.0, spec)
         with pytest.raises(ValueError, match="not a finite, normal double"):
             potential_at(m, 1.0, 1e-80)
+
+    _CUTOFF = "cutoff radius must be positive, got {}"
+    _RADIUS = "radius {} cm gives D = e/r^2 = {}, not a finite, positive, normal double"
+    _START = "{}: the cutoff {} cm puts the walk's start at (D, E)/E_c = {}, not a finite, normal double"
+    _CHARGE = "charge must be finite and positive, got {}"
+
+    @pytest.mark.parametrize("m, e, cutoff, energy_error, potential_error", [
+        (BI, K.e, 1e170, _RADIUS.format("1e+170", "0.0"), None),
+        (BI, K.e, 1e-170, _RADIUS.format("1e-170", "inf"), None),
+        (BI, K.e, 0.0, _CUTOFF.format("0.0"), "center"),
+        (BI, K.e, -2.28e-13, _CUTOFF.format("-2.28e-13"), "radius must be >= 0, got -2.28e-13"),
+        (BI, K.e, np.nan, _CUTOFF.format("nan"), "radius must be >= 0, got nan"),
+        (BI, K.e, np.inf, _RADIUS.format("inf", "0.0"), None),
+        (BI, 0.0, R0, _CHARGE.format("0.0"), None),
+        (BI, np.inf, R0, _CHARGE.format("inf"), None),
+        (BI, np.nan, R0, _CHARGE.format("nan"), None),
+        (born_infeld(1e-150), 1.0, 1e-80, _START.format("born-infeld", "1e-80", "(inf, 1.0)"), None),
+        (born_infeld(1e150), 1.0, 1e100, _START.format("born-infeld", "1e+100", "(0.0, 0.0)"), None),
+        (log_schroedinger(1e150), 1.0, 1e80,
+         _START.format("log-schroedinger", "1e+80", "(1e-310, 1e-310)"), None)],
+        ids=["cutoff_square_overflows", "cutoff_square_underflows", "cutoff_zero",
+             "cutoff_negative", "cutoff_nan", "cutoff_inf", "charge_zero", "charge_inf",
+             "charge_nan", "start_overflows", "start_underflows", "start_subnormal"])
+    def test_entry_edge_raises_its_error(self, m, e, cutoff, energy_error, potential_error):
+        # the entry's scalars are Python floats, where r**2 raises OverflowError and
+        # x/0.0 ZeroDivisionError: each edge keeps its ConfigurationError and message;
+        # potential_at reads r = 0 as the center and rejects a negative or NaN radius
+        def exactly(message):
+            return "^" + re.escape(message) + "$"
+        for f in (total_energy, stress_integrals):
+            with pytest.raises(ConfigurationError, match=exactly(energy_error)):
+                f(m, e, spec_at(cutoff))
+        if potential_error == "center":  # U = (2/3) e phi(0)
+            assert abs(potential_at(m, e, cutoff) / (1.5 * total_energy(m, e)[0] / e) - 1) <= 1e-14
+            return
+        error = ValueError if potential_error else ConfigurationError
+        with pytest.raises(error, match=exactly(potential_error or energy_error)):
+            potential_at(m, e, cutoff)
+
+    @pytest.mark.parametrize("e, cutoff", [(1e200, 1e100), (1e-200, 1e-100)],
+                             ids=["charge_square_overflows", "charge_square_underflows"])
+    def test_charge_square_beyond_the_doubles(self, e, cutoff):
+        # e^2 leaves the doubles, so U is scaled as e (e/r_s): Maxwell's closed forms,
+        # and born-infeld's unit-charge values at the same cutoff in units of r_s
+        U = e * (e / cutoff) / 2
+        s = stress_integrals(maxwell(), e, spec_at(cutoff))
+        assert abs(s.U_total / U - 1) <= 4.5e-16 and abs(s.laue_trace / -U - 1) <= 4.5e-16
+        assert total_energy(maxwell(), e, spec_at(cutoff))[0] == s.U_total
+        assert abs(potential_at(maxwell(), e, cutoff) / (e / cutoff) - 1) <= 4.5e-16
+        m, unit = born_infeld(1.0), e / cutoff  # r_s = sqrt(e/E0) = cutoff
+        U_1, phi_1 = total_energy(m, 1.0, spec_at(1.0))[0], potential_at(m, 1.0, 1.0)
+        assert total_energy(m, e, spec_at(cutoff))[0] == e * unit * U_1
+        assert potential_at(m, e, cutoff) == unit * phi_1
 
     @pytest.mark.parametrize("m, e", [(born_infeld(1e150), 1e-200), (born_infeld(2.0**-511), 1e300),
                                       (log_schroedinger(1e150), 1e-200),

@@ -437,6 +437,16 @@ class TestAssembledProfile:
         with pytest.raises(error):
             run()
 
+    @pytest.mark.parametrize("m, e, grid", [
+        (polynomial(alpha=2e306), 1e250, log_grid(1e130, 1e140, 50)),
+        (maxwell(), 1e-200, log_grid(1e-60, 1e-50, 50))],
+        ids=["scale_quotient_overflows", "classical_radius_underflows"])
+    def test_radial_scale_outside_double_range_with_explicit_grid(self, m, e, grid):
+        # an explicit grid inside the doubles returned a profile with r0 = inf
+        # (e/E_c = 1e404) and r0 = 0.0; the default grid already raised
+        with pytest.raises(ConfigurationError, match=r"radial scale r0 = (inf|0\.0) cm"):
+            compute_profile(m, e, grid)
+
     @pytest.mark.parametrize("e", [np.inf, np.nan, 0.0])
     def test_charge_rejected(self, e):
         with pytest.raises(ConfigurationError):
