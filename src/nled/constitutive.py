@@ -481,7 +481,7 @@ def _invert(m: LagrangianModel, D):
             raise ConvergenceFailure(f"no convergence in {_MAX_EVALS} evaluations for "
                                      f"{m.kind} at D = {float(d.flat[0])!r}", D=float(d.flat[0]))
         f = np.log(dx / d)
-        lo, hi = lo - lo * (f <= 0.0), hi - hi * (f >= 0.0)  # 0 on the root's far side
+        lo, hi = lo - lo * (f <= 0.0), hi - hi * (f >= 0.0)  # the point bounds its side
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope at a peak
             step = -f / slope
         # a flat or falling slope (at or past a peak) takes the bisection

@@ -163,7 +163,7 @@ def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None,
     radius from r_c outward, or without a cutoff from the center: the twin's
     _unit_record.  A cutoff costs one inversion (NoSolution carries the fold radius),
     and the twin walks from (D_0/E_c, E_0/E_c), or reads its record from (1, 1), a
-    linear map's start; ConfigurationError unless D_0 and that start are normal doubles.
+    linear map's start; ConfigurationError unless D_0, that start and e/r_s^2 are normal doubles.
     Divergent, for a center-end rate that is not negative, carries the radii of its partials;
     the entry's scalars are Python floats."""
     r_s = radial_scale(m, e, cutoff_r)
@@ -181,8 +181,8 @@ def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None,
             raise ConfigurationError(f"{m.kind}: the cutoff {cutoff_r!r} cm puts the walk's "
                                      f"start at (D, E)/E_c = {start!r}, "
                                      f"not a finite, normal double")
-    else:
-        _source_displacement(e, r_s)  # an r_s that overflowed or underflowed
+    _source_displacement(e, r_s)  # an r_s that over- or underflowed: no unit scales the twin
+    if cutoff_r is None:
         d_max = attainable_displacement_max(m)
         if d_max < np.inf:
             raise NoSolution(e / r_s**2, d_max, radius_cm=math.sqrt(e / d_max),

@@ -196,14 +196,19 @@ class TestTotalEnergy:
         (born_infeld(1e-150), 1.0, 1e-80, _START.format("born-infeld", "1e-80", "(inf, 1.0)"), None),
         (born_infeld(1e150), 1.0, 1e100, _START.format("born-infeld", "1e+100", "(0.0, 0.0)"), None),
         (log_schroedinger(1e150), 1.0, 1e80,
-         _START.format("log-schroedinger", "1e+80", "(1e-310, 1e-310)"), None)],
+         _START.format("log-schroedinger", "1e+80", "(1e-310, 1e-310)"), None),
+        (polynomial(alpha=2e306), 1e250, 1e150, _RADIUS.format("inf", "0.0"), None),
+        (born_infeld(1e150), 1e-300, 1e-160, _RADIUS.format("0.0", "inf"), None)],
         ids=["cutoff_square_overflows", "cutoff_square_underflows", "cutoff_zero",
              "cutoff_negative", "cutoff_nan", "cutoff_inf", "charge_zero", "charge_inf",
-             "charge_nan", "start_overflows", "start_underflows", "start_subnormal"])
+             "charge_nan", "start_overflows", "start_underflows", "start_subnormal",
+             "unit_radius_overflows", "unit_radius_underflows"])
     def test_entry_edge_raises_its_error(self, m, e, cutoff, energy_error, potential_error):
         # the entry's scalars are Python floats, where r**2 raises OverflowError and
         # x/0.0 ZeroDivisionError: each edge keeps its ConfigurationError and message;
-        # potential_at reads r = 0 as the center and rejects a negative or NaN radius
+        # potential_at reads r = 0 as the center and rejects a negative or NaN radius.
+        # A radial unit r_s = sqrt(e/E_c) beyond the doubles with a cutoff scaled
+        # every output to 0.0 (r_s = inf) or raised ZeroDivisionError (r_s = 0)
         def exactly(message):
             return "^" + re.escape(message) + "$"
         for f in (total_energy, stress_integrals):
