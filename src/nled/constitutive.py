@@ -10,8 +10,8 @@ Each map is described once at a point, and once in its constants: the
 kinds walked in ln E by _map_terms (g = D/E, h = g - 1 and q = dg/d ln E,
 in closed form), born-infeld by its own branches, and every kind by one
 cached _shape.  Inversion walks the forward map, never an inverse formula:
-one safeguarded Newton-bisection runs elementwise on an array of D in a
-search variable x, with Newton's slope d ln D/dx.  For born-infeld x is
+one safeguarded Newton-bisection runs elementwise on an array of D, or on
+a 0-d one, in a search variable x with slope d ln D/dx.  For born-infeld x is
 the logit w of the radicand 1 - E^2/E0^2, in which ln D = ln E0 + w/2
 exactly, so the walk's point at D itself is the root across ~600 decades
 of D; the other nonlinear kinds are solved in ln E from a start on the
