@@ -427,25 +427,22 @@ class TestAssembledProfile:
         (lambda: RadialGrid(r=np.array([1.0, 2.0, 3.0, np.inf, np.inf])), ConfigurationError),
         (lambda: compute_profile(maxwell(), 1e150), ConfigurationError),
         (lambda: compute_profile(polynomial(alpha=2e306), 1e250), ConfigurationError),
+        # an explicit grid inside the doubles returned a profile with r0 = inf
+        # (e/E_c = 1e404), or with r0 = 0.0
+        (lambda: compute_profile(polynomial(alpha=2e306), 1e250, log_grid(1e130, 1e140, 50)),
+         ConfigurationError),
+        (lambda: compute_profile(maxwell(), 1e-200, log_grid(1e-60, 1e-50, 50)),
+         ConfigurationError),
         (lambda: compute_profile(log_schroedinger(1.34e154), 4.8e-10, log_grid(
             1e-120 * np.sqrt(4.8e-10 / 1.34e154), 1e-100 * np.sqrt(4.8e-10 / 1.34e154), 60)),
          NoSolution)],
         ids=["log_grid_inf", "linear_grid_inf", "grid_inf", "maxwell_radius_overflows",
-             "scale_quotient_overflows", "fold_radius_squared_underflows"])
+             "scale_quotient_overflows", "scale_quotient_overflows_explicit_grid",
+             "classical_radius_underflows_explicit_grid", "fold_radius_squared_underflows"])
     def test_double_range_edge_raises_its_error(self, run, error):
         # under the suite's error::RuntimeWarning filter, not a numpy warning
         with pytest.raises(error):
             run()
-
-    @pytest.mark.parametrize("m, e, grid", [
-        (polynomial(alpha=2e306), 1e250, log_grid(1e130, 1e140, 50)),
-        (maxwell(), 1e-200, log_grid(1e-60, 1e-50, 50))],
-        ids=["scale_quotient_overflows", "classical_radius_underflows"])
-    def test_radial_scale_outside_double_range_with_explicit_grid(self, m, e, grid):
-        # an explicit grid inside the doubles returned a profile with r0 = inf
-        # (e/E_c = 1e404) and r0 = 0.0; the default grid already raised
-        with pytest.raises(ConfigurationError, match=r"radial scale r0 = (inf|0\.0) cm"):
-            compute_profile(m, e, grid)
 
     @pytest.mark.parametrize("e", [np.inf, np.nan, 0.0])
     def test_charge_rejected(self, e):
