@@ -30,7 +30,7 @@ _EXPORTS = {  # defining module -> its re-exported names
     "kinematics": "FieldVectors FourPotential InvariantSet boost boost_four_potential "
                   "energy_momentum_density fierz_identity_sides gauge_shift invariants",
     "models": "LagrangianModel PolynomialCoeffs TaylorReference born_infeld dL_dE "
-              "lagrangian_density log_schroedinger maxwell mie_sqrt model_from_config polynomial "
+              "lagrangian_density log_schroedinger maxwell model_from_config polynomial "
               "taylor_reference",
     "quadrature": "QuadratureSpec",
     "soliton": "RadialGrid SolitonProfile charge_density_profile check_stress_divergence "

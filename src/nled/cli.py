@@ -159,6 +159,9 @@ def _write(cfg: dict, text: str) -> None:
     path = cfg["output"]["path"]
     if path is None:
         sys.stdout.write(text)
+        # the newline is a second write, and no output ends in one: with PYTHONUNBUFFERED=1
+        # a write that a leaving reader cuts short returns without an error, and only
+        # the next one raises the BrokenPipeError that main turns into exit 1
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
@@ -302,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--model", default=None,
                         help="model kind: maxwell | born-infeld | log-schroedinger "
-                             "| polynomial | mie-sqrt")
+                             "| polynomial")
     parser.add_argument("--preset", default=None,
                         help="constants preset: modern | historical1934 "
                              "(also via NLED_CONSTANTS_PRESET; flag wins)")

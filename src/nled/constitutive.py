@@ -33,8 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, Divergent, DomainExceeded, NoSolution,
-                     NumericalError, UnsupportedModel)
+from .errors import ConvergenceFailure, Divergent, DomainExceeded, NoSolution, NumericalError
 from .models import (BORN_INFELD, LOG_SCHROEDINGER, LagrangianModel, PolynomialCoeffs,
                      _field_scales, _term)
 
@@ -62,19 +61,20 @@ class InversionResult:
 
 
 def _map_terms(m: LagrangianModel, E):
-    """(g, h, q) of a map walked in ln E at field E (float or array): g = D/E,
+    """(g, h, q/4) of a map walked in ln E at field E (float or array): g = D/E,
     and h = g - 1 and q = dg/d ln E in closed form, which do not cancel where
     g -> 1.  Then D = E g, d ln D/d ln E = (g + q)/g, v = 1 - E/D = h/g and
-    1 - d ln E/d ln D = q/(g + q).  The zero polynomial's are bare floats."""
+    1 - d ln E/d ln D = q/(g + q).  q overflows short of the top of the doubles,
+    q/4 only where g does; callers scale g by powers of two to match, which
+    moves no ratio except where a term is subnormal.  The zero polynomial's
+    are bare floats."""
     if m.kind == LOG_SCHROEDINGER:  # g = 1/(1 + t), t = (E/E0)^2
         t = (E / m.E0) ** 2
         g = 1.0 / (1.0 + t)
-        return g, -t * g, -2.0 * t * g**2
-    if m.coeffs is not None:  # g = 1 + a + x in powers of E^2
-        c = m.coeffs
-        a, x = _term(16.0 * np.pi * c.alpha, E, E), _term(24.0 * np.pi * c.xi, E, E, E, E)
-        return 1.0 + a + x, a + x, 2.0 * a + 4.0 * x
-    raise UnsupportedModel(f"{m.kind} has no constitutive map")
+        return g, -t * g, -0.5 * t * g**2
+    c = m.coeffs  # g = 1 + a + x in powers of E^2
+    a, x = _term(16.0 * np.pi * c.alpha, E, E), _term(24.0 * np.pi * c.xi, E, E, E, E)
+    return 1.0 + a + x, a + x, 0.5 * a + x
 
 
 def _displacement(m: LagrangianModel, E):
@@ -90,8 +90,8 @@ def _charge_factor(m: LagrangianModel, E, D):
     vanishes: the charge density is E (1 - d ln E/d ln D)/(2 pi r)."""
     if m.kind == BORN_INFELD:  # E = E0 D/hypot(E0, D)
         return (D / np.hypot(m.E0, D)) ** 2
-    g, _, q = _map_terms(m, E)
-    return q / (g + q)
+    g, _, q4 = _map_terms(m, E)  # q/(g + q) = (q/4)/((g + q)/8)/2: nothing overflows
+    return 0.5 * (q4 / (0.125 * g + 0.5 * q4))
 
 
 def _coulomb_deviation(m: LagrangianModel, E, D):
@@ -124,8 +124,9 @@ def _search_walk(m: LagrangianModel, D, E, delta):
             E = np.where(ratio >= tiny, E, m.E0 * (D / h))
         return D, np.minimum(E, m.E0), np.full_like(D, 0.5)
     E = E * np.exp(delta)
-    g, _, q = _map_terms(m, E)
-    return np.abs(E * g), E, (g + q) / g
+    g, _, q4 = _map_terms(m, E)
+    g8 = 0.125 * g  # (g + q)/g in eighths of g, which do not overflow
+    return np.abs(E * g), E, (g8 + 0.5 * q4) / g8
 
 
 @lru_cache(maxsize=32)
@@ -344,8 +345,7 @@ class _Shape(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _shape(m: LagrangianModel) -> _Shape:
-    """The map's _Shape in closed form per kind; UnsupportedModel for a kind
-    with no constitutive map.
+    """The map's _Shape in closed form per kind.
 
     The panel width is the distance from the real axis of the walk
     integrands' nearest complex singularity in x, clipped to
@@ -370,7 +370,7 @@ def _shape(m: LagrangianModel) -> _Shape:
     elif m.kind == LOG_SCHROEDINGER:  # 1 + E^2/E0^2 vanishes at ln E = ln E0 +- i pi/2
         scale = top = E_peak = m.E0
         distance = 0.5 * np.pi
-    elif m.coeffs is not None:
+    else:
         a, x = 16.0 * np.pi * m.coeffs.alpha, 24.0 * np.pi * m.coeffs.xi
         scales = _field_scales(m)
         scale = min(scales, default=None)
@@ -391,16 +391,13 @@ def _shape(m: LagrangianModel) -> _Shape:
                         log_limit = mid
                     else:
                         hi = mid
-    else:
-        raise UnsupportedModel(f"{m.kind} has no constitutive map")
     D_max = np.inf if E_peak == np.inf else float(_displacement(m, E_peak))
     E_top = min(E_peak, np.exp(log_limit))
     start = None
     if scale is not None and m.kind != BORN_INFELD:
         span = _WALK_DEPTH + np.log(E_top / scale)
-        with np.errstate(over="ignore", invalid="ignore"):  # the unread slope may overflow
-            D, E = _search_walk(m, E_top, E_top, np.linspace(
-                -span, 0.0, int(np.ceil(span / _START_STEP)) + 1))[:2]
+        D, E = _search_walk(m, E_top, E_top, np.linspace(
+            -span, 0.0, int(np.ceil(span / _START_STEP)) + 1))[:2]
         start = np.log(D), np.log(E)
     return _Shape(scale, top, E_peak, D_max, min(max(distance, _PANEL_FLOOR), _ANCHOR_STEP),
                   E_top, start)
@@ -419,8 +416,7 @@ def _unit_twin(m: LagrangianModel) -> LagrangianModel:
 
 
 def attainable_displacement_max(m: LagrangianModel) -> float:
-    """sup of D over the field domain (inf for monotone unbounded maps);
-    UnsupportedModel for a kind with no constitutive map."""
+    """sup of D over the field domain (inf for monotone unbounded maps)."""
     return _shape(m).D_max
 
 
@@ -450,7 +446,7 @@ def _invert(m: LagrangianModel, D):
     at or just above D_max returns the peak.  NoSolution and
     ConvergenceFailure name the first offending element.
     """
-    shape = _shape(m)  # raises UnsupportedModel for a kind with no map
+    shape = _shape(m)
     if shape.scale is None:
         zero = np.zeros_like(D)
         return D.copy(), zero.astype(int), zero, zero.astype(bool)

@@ -67,7 +67,7 @@ def radial_scale(m: LagrangianModel, e: float, cutoff_r: float | None = None) ->
         raise ConfigurationError(f"charge must be finite and positive, got {e}")
     if cutoff_r is not None and not cutoff_r > 0:
         raise ConfigurationError(f"cutoff radius must be positive, got {cutoff_r}")
-    scale = _shape(m).scale  # UnsupportedModel for a kind with no constitutive map
+    scale = _shape(m).scale
     if scale is not None:  # an overflowed radius fails _source_displacement
         return math.sqrt(float(e) / float(scale))
     if cutoff_r is not None:
@@ -181,7 +181,14 @@ def _radial_walk(m: LagrangianModel, e: float, cutoff_r: float | None,
             raise ConfigurationError(f"{m.kind}: the cutoff {cutoff_r!r} cm puts the walk's "
                                      f"start at (D, E)/E_c = {start!r}, "
                                      f"not a finite, normal double")
-    _source_displacement(e, r_s)  # an r_s that over- or underflowed: no unit scales the twin
+    try:  # an r_s that over- or underflowed: no unit scales the twin
+        _source_displacement(e, r_s)
+    except ConfigurationError:  # a linear map with a cutoff passed this above, as D_0
+        scale = _shape(m).scale
+        unit = "e^2/(m_e c^2)" if scale is None else f"sqrt(e/E_c), E_c = {float(scale)!r},"
+        raise ConfigurationError(f"{m.kind}: the radial scale r_s = {unit} is {r_s!r} cm at "
+                                 f"charge {e!r}, and e/r_s^2 is not a finite, positive, "
+                                 "normal double") from None
     if cutoff_r is None:
         d_max = attainable_displacement_max(m)
         if d_max < np.inf:

@@ -7,8 +7,6 @@ Supported kinds (weak-field limit normalized to +I1/8pi in every case):
     born-infeld       L = (E0^2/4pi) (1 - sqrt(1 - I1/E0^2 - I2^2/E0^4))
     log-schroedinger  L = (E0^2/8pi) ln(1 + I1/E0^2)
     polynomial        L = I1/8pi + a I1^2 + b I2^2 + g I1 I2 + x I1^3 + z I1 I2^2
-    mie-sqrt          L = s sqrt(|I3|), s = +-1; potential-bearing, symbolic
-                      only (no constitutive map, no Taylor data)
 
 The born-infeld radicand is evaluated as 1 - u with u = I1/E0^2 + I2^2/E0^4
 and the density as u / (1 + sqrt(1 - u)), which is algebraically identical to
@@ -26,19 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainExceeded, UnsupportedModel
-from .kinematics import FOUR_PI, EIGHT_PI, FieldVectors, FourPotential, invariants
+from .errors import ConfigurationError, DomainExceeded
+from .kinematics import FOUR_PI, EIGHT_PI, FieldVectors, invariants
 
 MAXWELL = "maxwell"
 BORN_INFELD = "born-infeld"
 LOG_SCHROEDINGER = "log-schroedinger"
 POLYNOMIAL = "polynomial"
-MIE_SQRT = "mie-sqrt"
 
 _E0_KINDS = (BORN_INFELD, LOG_SCHROEDINGER)
 # every formula of these kinds uses E0^2: it must be a finite, normal double
 _E0_RANGE = (2.0**-511, float(np.sqrt(np.finfo(float).max)))
-KINDS = (MAXWELL, BORN_INFELD, LOG_SCHROEDINGER, POLYNOMIAL, MIE_SQRT)
+KINDS = (MAXWELL, BORN_INFELD, LOG_SCHROEDINGER, POLYNOMIAL)
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,6 @@ class LagrangianModel:
     kind: str
     E0: float | None = None
     coeffs: PolynomialCoeffs | None = None
-    mie_sign: int = +1
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -85,10 +81,6 @@ class LagrangianModel:
             raise ConfigurationError(f"{self.kind} takes no coeffs, got {self.coeffs}")
         if self.coeffs is None:
             object.__setattr__(self, "coeffs", zero)
-        if isinstance(self.mie_sign, bool) or self.mie_sign not in (+1, -1):
-            raise ConfigurationError(f"mie_sign must be +1 or -1, got {self.mie_sign}")
-        if self.mie_sign != +1 and self.kind != MIE_SQRT:
-            raise ConfigurationError(f"{self.kind} takes no mie_sign, got {self.mie_sign}")
 
 
 def maxwell() -> LagrangianModel:
@@ -108,10 +100,6 @@ def polynomial(alpha: float = 0.0, beta: float = 0.0, gamma: float = 0.0,
     return LagrangianModel(
         kind=POLYNOMIAL,
         coeffs=PolynomialCoeffs(alpha=alpha, beta=beta, gamma=gamma, xi=xi, zeta=zeta))
-
-
-def mie_sqrt(sign: int = +1) -> LagrangianModel:
-    return LagrangianModel(kind=MIE_SQRT, mie_sign=sign)
 
 
 @dataclass(frozen=True)
@@ -145,18 +133,16 @@ def _field_scales(m: LagrangianModel) -> tuple:
     """The fields at which the nonlinear terms of m's map at H = 0 become order one,
     the lowest being the map's scale: E0 for born-infeld and the log model, a
     polynomial's 1/sqrt(16 pi |alpha|) and then (24 pi |xi|)^(-1/4) for its nonzero
-    terms, and none for a linear map or a kind with no map."""
+    terms, and none for a linear map."""
     if m.kind in _E0_KINDS:
         return (m.E0,)
-    if m.coeffs is None:
-        return ()
     a, x = 16.0 * np.pi * m.coeffs.alpha, 24.0 * np.pi * m.coeffs.xi
     scales = (1.0 / np.sqrt(abs(a)),) if a != 0.0 else ()
     return scales + ((abs(x) ** -0.25,) if x != 0.0 else ())
 
 
 def density_from_invariants(m: LagrangianModel, i1, i2):
-    """L(I1, I2) for the field-strength kinds; scalar or array arguments."""
+    """L(I1, I2); scalar or array arguments."""
     i1 = np.asarray(i1, dtype=float)
     i2 = np.asarray(i2, dtype=float)
     scalar = i1.ndim == 0 and i2.ndim == 0
@@ -169,28 +155,17 @@ def density_from_invariants(m: LagrangianModel, i1, i2):
     elif m.kind == BORN_INFELD:
         u = _bi_u(m, i1, i2)
         out = (m.E0**2 / FOUR_PI) * u / (1.0 + np.sqrt(1.0 - u))
-    elif m.kind == LOG_SCHROEDINGER:
+    else:  # the log model
         arg = i1 / m.E0**2
         if np.any(arg <= -1.0):
             raise DomainExceeded(m.kind, "argument 1 + I1/E0^2", float(1.0 + np.min(arg)))
         out = (m.E0**2 / EIGHT_PI) * np.log1p(arg)
-    else:
-        raise UnsupportedModel(f"{m.kind} is not a function of (I1, I2)")
     return float(out) if scalar else out
 
 
-def lagrangian_density(m: LagrangianModel, F: FieldVectors,
-                       A: FourPotential | None = None):
+def lagrangian_density(m: LagrangianModel, F: FieldVectors):
     """Lagrangian density (erg/cm^3) at the given field state, or an array
-    for a stack of them.
-
-    The mie-sqrt kind depends on the potential invariant I3 only and needs
-    ``A``; all other kinds ignore ``A``.
-    """
-    if m.kind == MIE_SQRT:
-        if A is None:
-            raise ConfigurationError("mie-sqrt density requires a four-potential")
-        return m.mie_sign * np.sqrt(np.abs(invariants(F, A).I3))
+    for a stack of them."""
     inv = invariants(F)
     return density_from_invariants(m, inv.I1, inv.I2)
 
@@ -209,12 +184,10 @@ def _dL_dI(m: LagrangianModel, i1, i2):
             raise DomainExceeded(m.kind, "radicand 1 - I1/E0^2 - I2^2/E0^4", 0.0)
         s = 1.0 / np.sqrt(rad)
         return s / EIGHT_PI, s * i2 / (FOUR_PI * m.E0**2)
-    if m.kind == LOG_SCHROEDINGER:
-        arg = i1 / m.E0**2
-        if np.any(arg <= -1.0):
-            raise DomainExceeded(m.kind, "argument 1 + I1/E0^2", float(1.0 + np.min(arg)))
-        return 1.0 / (EIGHT_PI * (1.0 + arg)), 0.0
-    raise UnsupportedModel(f"{m.kind} has no field-gradient structure")
+    arg = i1 / m.E0**2  # the log model
+    if np.any(arg <= -1.0):
+        raise DomainExceeded(m.kind, "argument 1 + I1/E0^2", float(1.0 + np.min(arg)))
+    return 1.0 / (EIGHT_PI * (1.0 + arg)), 0.0
 
 
 def dL_dE(m: LagrangianModel, F: FieldVectors) -> np.ndarray:
@@ -236,12 +209,10 @@ def taylor_reference(m: LagrangianModel) -> TaylorReference:
             c1=1.0 / EIGHT_PI,
             c20=1.0 / (32.0 * np.pi) / m.E0**2,  # E0^2 times a constant may overflow
             c02=1.0 / EIGHT_PI / m.E0**2)
-    if m.kind == LOG_SCHROEDINGER:
-        return TaylorReference(
-            c1=1.0 / EIGHT_PI,
-            c20=-1.0 / (16.0 * np.pi) / m.E0**2,
-            c02=0.0)
-    raise UnsupportedModel(f"{m.kind} has no Taylor expansion in (I1, I2)")
+    return TaylorReference(  # the log model
+        c1=1.0 / EIGHT_PI,
+        c20=-1.0 / (16.0 * np.pi) / m.E0**2,
+        c02=0.0)
 
 
 def model_from_config(spec: dict) -> LagrangianModel:
@@ -252,7 +223,7 @@ def model_from_config(spec: dict) -> LagrangianModel:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigurationError(f"model spec must be a dict with a 'kind' key, got {spec!r}")
     kind = spec["kind"]
-    known = {"kind", "E0", "coeffs", "mie_sign"}
+    known = {"kind", "E0", "coeffs"}
     extra = set(spec) - known
     if extra:
         raise ConfigurationError(f"unknown model spec keys {sorted(extra)}")
@@ -262,8 +233,4 @@ def model_from_config(spec: dict) -> LagrangianModel:
             coeffs = PolynomialCoeffs(**spec["coeffs"])
         except TypeError as exc:
             raise ConfigurationError(f"bad polynomial coeffs {spec['coeffs']!r}: {exc}") from None
-    return LagrangianModel(
-        kind=kind,
-        E0=spec.get("E0"),
-        coeffs=coeffs,
-        mie_sign=spec.get("mie_sign", +1))
+    return LagrangianModel(kind=kind, E0=spec.get("E0"), coeffs=coeffs)

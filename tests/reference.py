@@ -1,5 +1,5 @@
 """The tests' arbitrary-precision reference: D(E) = 4 pi dL/dE at H = 0,
-dD/dE and L(I1, I2) of each field-strength kind of README's Models table,
+dD/dE and L(I1, I2) of each kind of README's Models table,
 written once in mpmath from a model's kind, E0 and coeffs, and what the
 tests compare nled with, built from those alone.  It imports nothing from
 nled.  Each function works at its own digits, or at its caller's where

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +357,26 @@ def test_closed_stdout_exits_1_without_traceback(unbuffered):
     assert proc.wait(timeout=120) == 1
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_retired_kind_exits_2():
+    proc = run_cli("profile", "--model", "mie-sqrt")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {
+        "kind": "ConfigurationError", "details": {},
+        "message": "unknown model kind 'mie-sqrt'; choose one of "
+                   "('maxwell', 'born-infeld', 'log-schroedinger', 'polynomial')"}
+
+
+def test_model_kinds_named_once():
+    # the --model help is a literal (the parser imports no model code) and README
+    # keeps its own table: both must name exactly the kinds the library accepts
+    from nled.models import KINDS
+    assert cli._build_parser()._option_string_actions["--model"].help == (
+        "model kind: " + " | ".join(KINDS))
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Models\n\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert tuple(row.split("|")[1].strip().strip("`") for row in table[2:]) == KINDS
 
 
 def test_radius_of_a_model_without_one_exits_2():

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from nled import (ConvergenceFailure, Divergent, NoSolution, QuadratureSpec, UnsupportedModel,
+from nled import (ConvergenceFailure, Divergent, NoSolution, QuadratureSpec,
                   attainable_displacement_max, born_infeld, compute_profile, constants,
                   dL_dE, default_grid, displacement_from_field, field_from_displacement,
-                  FieldVectors, lagrangian_density, log_schroedinger, maxwell, mie_sqrt,
+                  FieldVectors, lagrangian_density, log_schroedinger, maxwell,
                   polynomial, potential_at, stress_integrals, total_energy)
 from nled import constitutive
 
@@ -158,10 +158,17 @@ class TestInversion:
         assert_allclose(attainable_displacement_max(log_schroedinger(2.0)),
                         1.0, rtol=1e-9)
 
-    def test_no_map_is_unsupported(self):
-        # a kind with no constitutive map is not an unbounded one
-        with pytest.raises(UnsupportedModel):
-            attainable_displacement_max(mie_sqrt())
+    @pytest.mark.parametrize("m, factor", [(polynomial(alpha=2e306), 2 / 3),
+                                           (polynomial(xi=2e306), 0.8)], ids=["alpha", "xi"])
+    def test_newton_slope_finite_at_the_largest_coefficients(self, m, factor):
+        # q = dg/d ln E = 2a + 4x overflowed from D ~ 7e307 (alpha) and 2.7e307 (xi):
+        # a RuntimeWarning, then an infinite slope and 12-50 evaluations of bisection,
+        # and a charge factor q/(g + q) of NaN or 0 where it is 2a/3a or 4x/5x
+        D = np.geomspace(1e306, 1.79e308, 12)
+        assert [field_from_displacement(m, d).iterations for d in D] == [3] * D.size
+        E, evals, _, _ = constitutive._invert(m, D)
+        assert evals.tolist() == [3] * D.size
+        assert np.all(abs(constitutive._charge_factor(m, E, D) / factor - 1) <= 1e-12)
 
     def test_coulomb_deviation_full_precision(self):
         # v = 1 - E/D: in the far tail (small D/E0) v ~ D^2/2 is many orders

@@ -182,6 +182,8 @@ class TestTotalEnergy:
     _RADIUS = "radius {} cm gives D = e/r^2 = {}, not a finite, positive, normal double"
     _START = "{}: the cutoff {} cm puts the walk's start at (D, E)/E_c = {}, not a finite, normal double"
     _CHARGE = "charge must be finite and positive, got {}"
+    _UNIT = ("{}: the radial scale r_s = sqrt(e/E_c), E_c = {}, is {} cm at charge {}, "
+             "and e/r_s^2 is not a finite, positive, normal double")
 
     @pytest.mark.parametrize("m, e, cutoff, energy_error, potential_error", [
         (BI, K.e, 1e170, _RADIUS.format("1e+170", "0.0"), None),
@@ -197,8 +199,10 @@ class TestTotalEnergy:
         (born_infeld(1e150), 1.0, 1e100, _START.format("born-infeld", "1e+100", "(0.0, 0.0)"), None),
         (log_schroedinger(1e150), 1.0, 1e80,
          _START.format("log-schroedinger", "1e+80", "(1e-310, 1e-310)"), None),
-        (polynomial(alpha=2e306), 1e250, 1e150, _RADIUS.format("inf", "0.0"), None),
-        (born_infeld(1e150), 1e-300, 1e-160, _RADIUS.format("0.0", "inf"), None)],
+        (polynomial(alpha=2e306), 1e250, 1e150,
+         _UNIT.format("polynomial", "9.973557010035818e-155", "inf", "1e+250"), None),
+        (born_infeld(1e150), 1e-300, 1e-160,
+         _UNIT.format("born-infeld", "1e+150", "0.0", "1e-300"), None)],
         ids=["cutoff_square_overflows", "cutoff_square_underflows", "cutoff_zero",
              "cutoff_negative", "cutoff_nan", "cutoff_inf", "charge_zero", "charge_inf",
              "charge_nan", "start_overflows", "start_underflows", "start_subnormal",
@@ -208,7 +212,8 @@ class TestTotalEnergy:
         # x/0.0 ZeroDivisionError: each edge keeps its ConfigurationError and message;
         # potential_at reads r = 0 as the center and rejects a negative or NaN radius.
         # A radial unit r_s = sqrt(e/E_c) beyond the doubles with a cutoff scaled
-        # every output to 0.0 (r_s = inf) or raised ZeroDivisionError (r_s = 0)
+        # every output to 0.0 (r_s = inf) or raised ZeroDivisionError (r_s = 0), and
+        # then was named as a radius the caller never gave
         def exactly(message):
             return "^" + re.escape(message) + "$"
         for f in (total_energy, stress_integrals):

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from nled import expansion
 from nled import (ConfigurationError, FieldVectors, IllConditioned, NumericalError, born_infeld,
                   estimate_taylor_coefficients, lagrangian_density,
-                  log_schroedinger, maxwell, mie_sqrt, polynomial, polynomial_from_model,
+                  log_schroedinger, maxwell, polynomial, polynomial_from_model,
                   taylor_reference)
 
 
@@ -60,10 +60,6 @@ class TestEstimate:
         # a subnormal alpha puts the map's scale, and s^2, beyond the doubles
         with pytest.raises(NumericalError, match="beyond the double range"):
             estimate_taylor_coefficients(polynomial(alpha=1e-316), 0.01)
-
-    def test_mie_sqrt_rejected(self):
-        with pytest.raises(ConfigurationError):
-            estimate_taylor_coefficients(mie_sqrt(), 0.01)
 
     def test_quadratic_convergence_rate(self):
         m = born_infeld(1.0)

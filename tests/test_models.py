@@ -1,14 +1,16 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nled import (ConfigurationError, DomainExceeded, FieldVectors,
-                  FourPotential, PolynomialCoeffs, UnsupportedModel, born_infeld,
-                  dL_dE, lagrangian_density, log_schroedinger, maxwell, mie_sqrt,
-                  model_from_config, polynomial, taylor_reference)
-from nled.models import _term, density_from_invariants
+from nled import (ConfigurationError, DomainExceeded, FieldVectors, PolynomialCoeffs,
+                  born_infeld, dL_dE, displacement_from_field, field_from_displacement,
+                  lagrangian_density, log_schroedinger, maxwell, model_from_config, polynomial,
+                  taylor_reference)
+from nled import constitutive
+from nled.models import KINDS, _dL_dI, _field_scales, _term, density_from_invariants
 
 import reference
 
@@ -104,15 +106,6 @@ class TestDensity:
                         + _term(c.zeta, i1, i2, i2))
             assert density_from_invariants(model, i1, i2).tobytes() == want.tobytes()
 
-    def test_mie_sqrt_needs_potential(self):
-        m = mie_sqrt(+1)
-        with pytest.raises(ConfigurationError):
-            lagrangian_density(m, F((1, 0, 0)))
-        A = FourPotential(phi=1.0, A=(0.0, 0.0, 2.0))  # I3 = 3
-        assert_allclose(lagrangian_density(m, F((1, 0, 0)), A), np.sqrt(3))
-        assert_allclose(lagrangian_density(mie_sqrt(-1), F((1, 0, 0)), A),
-                        -np.sqrt(3))
-
     def test_born_infeld_monotone_in_field(self):
         m = born_infeld(1.0)
         mags = np.linspace(0, 0.999999, 200)
@@ -186,14 +179,6 @@ class TestStacks:
             assert g[i].tobytes() == dL_dE(model, F(E[i], H[i])).tobytes()
             assert L[i] == lagrangian_density(model, F(E[i], H[i]))
 
-    def test_mie_sqrt_density_matches_rows(self):
-        rng = np.random.default_rng(1)
-        phi, A = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, (3, 3))
-        L = lagrangian_density(mie_sqrt(-1), F(np.ones((3, 3))), FourPotential(phi, A))
-        for i in range(3):
-            assert L[i] == lagrangian_density(mie_sqrt(-1), F(np.ones(3)),
-                                              FourPotential(phi[i], A[i]))
-
     @pytest.mark.parametrize("model, E", [(born_infeld(1.0), 1.0),
                                           (log_schroedinger(1.0), 1.5)])
     def test_one_entry_outside_domain_rejects_stack(self, model, E):
@@ -233,10 +218,6 @@ class TestTaylorReference:
     def test_polynomial(self):
         ref = taylor_reference(polynomial(alpha=0.5, beta=0.25, gamma=0.1, xi=0.01))
         assert (ref.c1, ref.c20, ref.c02) == (1 / EIGHT_PI, 0.5, 0.25)
-
-    def test_mie_sqrt_unsupported(self):
-        with pytest.raises(UnsupportedModel):
-            taylor_reference(mie_sqrt())
 
     @pytest.mark.parametrize("model", [born_infeld(2.0), log_schroedinger(2.0),
                                        maxwell()])
@@ -299,18 +280,19 @@ class TestModelConstruction:
 
     @pytest.mark.parametrize("spec", [
         {"kind": "born-infeld", "E0": True},
-        {"kind": "mie-sqrt", "mie_sign": "a"},
-        {"kind": "mie-sqrt", "mie_sign": True},
         {"kind": "polynomial", "coeffs": {"alpha": 1e308}},
         {"kind": "polynomial", "coeffs": {"xi": -3e306}},
         {"kind": "polynomial", "coeffs": {"beta": True}},
-        # vacuous: maxwell would run as the polynomial, born-infeld has no sign
+        # vacuous: maxwell would run as the polynomial, born-infeld has no coefficients
         {"kind": "maxwell", "coeffs": {"alpha": 1}},
         {"kind": "born-infeld", "E0": 1.0, "coeffs": {}},
+        # the retired mie-sqrt kind's sign is an unknown key, on that kind and on every other
+        {"kind": "mie-sqrt", "mie_sign": "a"},
+        {"kind": "mie-sqrt", "mie_sign": True},
         {"kind": "born-infeld", "E0": 1.0, "mie_sign": -1},
         {"kind": "polynomial", "mie_sign": -1},
-    ], ids=["E0_bool", "mie_sign_text", "mie_sign_bool", "alpha_map_overflows",
-            "xi_map_overflows", "coeff_bool", "maxwell_coeffs", "born_infeld_coeffs",
+    ], ids=["E0_bool", "alpha_map_overflows", "xi_map_overflows", "coeff_bool",
+            "maxwell_coeffs", "born_infeld_coeffs", "mie_sign_text", "mie_sign_bool",
             "born_infeld_mie_sign", "polynomial_mie_sign"])
     def test_spec_rejected(self, spec):
         with pytest.raises(ConfigurationError):
@@ -323,3 +305,34 @@ class TestModelConstruction:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError):
             model_from_config({"kind": "maxwell", "EO": 1.0})
+
+
+# one model of each kind, for the checks that every kind is a constitutive map
+OF_KIND = {m.kind: m for m in (maxwell(), born_infeld(1.0), log_schroedinger(1.0),
+                               polynomial(alpha=0.01, xi=0.001))}
+
+
+class TestKinds:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_is_a_constitutive_map(self, kind):
+        # each kind-dispatching function of models and constitutive is total
+        # over KINDS: no kind raises for want of a map, a density or a Taylor row
+        m = OF_KIND[kind]
+        shape = constitutive._shape(m)
+        assert min(_field_scales(m), default=None) == shape.scale
+        assert shape.D_max > 0.0 and shape.E_top > 0.0
+        i1 = np.float64(1e-4)  # L and dL/dI1 against c1 I1 + c20 I1^2 to second order
+        ref = taylor_reference(m)
+        assert ref.c1 == 1 / EIGHT_PI
+        L, (d1, d2) = density_from_invariants(m, i1, 0.0), _dL_dI(m, i1, 0.0)
+        assert abs(L - (ref.c1 * i1 + ref.c20 * i1**2)) <= 1e-8 * ref.c1 * i1
+        assert abs(d1 - (ref.c1 + 2 * ref.c20 * i1)) <= 1e-8 * ref.c1 and d2 == 0.0
+        D = displacement_from_field(m, 0.1)
+        assert abs(field_from_displacement(m, D).E / 0.1 - 1) <= 1e-15
+
+    def test_retired_kind_is_unknown(self):
+        # mie-sqrt (L = s sqrt|I3|) had no map, soliton, energy or expansion
+        message = ("unknown model kind 'mie-sqrt'; choose one of "
+                   "('maxwell', 'born-infeld', 'log-schroedinger', 'polynomial')")
+        with pytest.raises(ConfigurationError, match="^" + re.escape(message) + "$"):
+            model_from_config({"kind": "mie-sqrt"})
